@@ -6,7 +6,6 @@ control, with frequency-domain and discrepancy stopping rules and
 SSIM-based evaluation against a first-order diffusion baseline.
 """
 
-from ._accel import USING_NUMBA
 from .diffusivity import (
     BoundsReport,
     DiffusivityField,
@@ -67,7 +66,6 @@ from .stopping import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "USING_NUMBA",
     "AprioriStop",
     "BoundsReport",
     "DegenerateInputError",

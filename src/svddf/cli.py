@@ -6,6 +6,7 @@ config file (--config); every output is deterministic for a fixed seed.
 """
 
 import argparse
+import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -28,6 +29,8 @@ _DEFAULTS = {
     "max_steps": 500,
     "stop": "rde",
     "tol": 1e-4,
+    "n0": None,
+    "rde_literal_n0": False,
     "delta": 0.1,
     "c1": 1.0,
     "c2": 1.0,
@@ -47,8 +50,19 @@ def _read_config_file(path: str) -> dict:
         if "=" not in line:
             raise SvddfError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, val = line.split("=", 1)
-        values[key.strip().replace("-", "_")] = val.strip()
+        key = key.strip().replace("-", "_")
+        if key not in _DEFAULTS:
+            raise SvddfError(f"{path}:{lineno}: unknown key {key!r}")
+        values[key] = val.strip()
     return values
+
+
+def _parse_bool(text: str) -> bool:
+    if text.lower() in ("1", "true"):
+        return True
+    if text.lower() in ("0", "false"):
+        return False
+    raise SvddfError(f"expected true or false, got {text!r}")
 
 
 def _resolve(args, key, cast):
@@ -81,6 +95,7 @@ def _add_solver_flags(sub):
     sub.add_argument(
         "--rde-literal-n0",
         action="store_true",
+        default=None,
         help="use the literal floor(0.6 N^2) band threshold (degenerate on most sizes)",
     )
     sub.add_argument("--reuse-every", type=int, dest="reuse_every", help="stencil reassembly stride")
@@ -93,8 +108,8 @@ def _build_stopping(args):
     if stop == "rde":
         return RdeStop(
             tolerance=float(_resolve(args, "tol", float)),
-            n0=args.n0,
-            literal_formula=bool(args.rde_literal_n0),
+            n0=_resolve(args, "n0", int),
+            literal_formula=bool(_resolve(args, "rde_literal_n0", _parse_bool)),
         )
     if stop == "discrepancy":
         return DiscrepancyStop(delta=float(_resolve(args, "delta", float)))
@@ -225,24 +240,12 @@ def _cmd_sweep(args) -> int:
     for p in ps:
         cells = []
         for eta in etas:
-            config = SolverConfig(
-                exponent_p=p,
-                eta=eta,
-                epsilon=base.epsilon,
-                sigma=base.sigma,
-                dt_rule=base.dt_rule,
-                dt_fixed=base.dt_fixed,
-                safety=base.safety,
-                dt_max=base.dt_max,
-                max_steps=base.max_steps,
-                stopping=base.stopping,
-                reuse_every=base.reuse_every,
-            )
+            config = dataclasses.replace(base, exponent_p=p, eta=eta)
             try:
                 denoised, log = _run_method(noisy, config, method)
                 value = evaluate(clean, noisy, denoised).ssim_denoised
                 print(f"p={p:g} eta={eta:g}: ssim={value:.4f} ({log.final_step()} steps)")
-            except (DivergenceError, SvddfError) as err:
+            except SvddfError as err:
                 value = math.nan
                 print(f"p={p:g} eta={eta:g}: failed ({err})", file=sys.stderr)
             cells.append(f"{value:.17g}")
@@ -313,9 +316,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
-    config_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
-    args._config_values = config_values
     try:
+        args._config_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
         return args.func(args)
     except (FileNotFoundError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -13,7 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._accel import sep_correlate_same
 from .errors import ParameterError
 from .grid import ImageGrid
 
@@ -94,6 +93,21 @@ class DiffusivityField:
         return float(self.epsilon ** ((self.exponent_p - 2.0) / 2.0))
 
 
+def _sep_correlate_same(img, k0, k1):
+    """Correlate with taps k0 along rows and k1 along columns, mirror-padded."""
+    r0 = (k0.shape[0] - 1) // 2
+    r1 = (k1.shape[0] - 1) // 2
+    m, n = img.shape
+    pad = np.pad(img, ((r0, r0), (r1, r1)), mode="symmetric")
+    tmp = np.zeros((m, n + 2 * r1))
+    for t in range(k0.shape[0]):
+        tmp += k0[t] * pad[t : t + m, :]
+    out = np.zeros((m, n))
+    for t in range(k1.shape[0]):
+        out += k1[t] * tmp[:, t : t + n]
+    return out
+
+
 def grad_gaussian(u: ImageGrid, kernel: GaussianKernel):
     """Smoothed gradient components (d/di, d/dj) under symmetric padding.
 
@@ -103,8 +117,8 @@ def grad_gaussian(u: ImageGrid, kernel: GaussianKernel):
     by the grid spacing so a unit-slope ramp reports slope ~1.
     """
     px = u.pixels
-    gx = sep_correlate_same(px, kernel.dg, kernel.g) / u.spacing
-    gy = sep_correlate_same(px, kernel.g, kernel.dg) / u.spacing
+    gx = _sep_correlate_same(px, kernel.dg, kernel.g) / u.spacing
+    gy = _sep_correlate_same(px, kernel.g, kernel.dg) / u.spacing
     return gx, gy
 
 

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import sep_correlate_valid
 from .errors import DimensionError, ParameterError
 from .grid import ImageGrid, rel_l2, vec
 
@@ -39,7 +38,17 @@ class SsimConfig:
 
 
 def _local_mean(img: np.ndarray, taps: np.ndarray) -> np.ndarray:
-    return sep_correlate_valid(img, taps, taps)
+    """Weighted window means over valid positions: taps along both axes."""
+    k = taps.shape[0]
+    m = img.shape[0] - k + 1
+    n = img.shape[1] - k + 1
+    tmp = np.zeros((m, img.shape[1]))
+    for t in range(k):
+        tmp += taps[t] * img[t : t + m, :]
+    out = np.zeros((m, n))
+    for t in range(k):
+        out += taps[t] * tmp[:, t : t + n]
+    return out
 
 
 def ssim(u: ImageGrid, ref: ImageGrid, cfg: SsimConfig = SsimConfig()) -> float:

@@ -1,19 +1,21 @@
-"""Five-point conservative stencil matrix and its spectral bound.
+"""Five-point conservative stencil operator and its spectral bound.
 
-The divergence-form operator div(a grad u) with zero-flux boundaries is
-discretised on the column-stacked grid as a symmetric MN x MN matrix with
+The divergence-form operator div(a grad u) with zero-flux boundaries acts
+on the column-stacked grid as a symmetric MN x MN matrix F with
 non-negative off-diagonal couplings a/h^2 and row sums that vanish by
 construction (couplings across the boundary are dropped from both the
 off-diagonal and the diagonal).  All eigenvalues are therefore real and
 non-positive.
+
+F is never assembled: ``apply`` forms F @ u as differences of edge fluxes
+on the pixel array.  ``to_dense`` and ``dump_coo`` rebuild the matrix for
+inspection.
 """
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._accel import csr_matvec
 from .diffusivity import DiffusivityField
 from .errors import DimensionError, ParameterError
 
@@ -22,17 +24,23 @@ _PI_SEED = 20240915
 
 @dataclass(frozen=True)
 class SparseOperator:
-    """Symmetric stencil matrix in CSR form with sorted column indices."""
+    """Matrix-free symmetric five-point stencil on a rows x cols grid.
 
-    dim: int
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
+    ``ci[i, j]`` couples pixels (i, j) and (i+1, j), ``cj[i, j]`` couples
+    (i, j) and (i, j+1); both already carry the 1/h^2 factor.
+    ``diagonal`` is the column-stacked main diagonal, minus the sum of each
+    pixel's couplings.
+    """
+
+    rows: int
+    cols: int
+    ci: np.ndarray
+    cj: np.ndarray
     diagonal: np.ndarray
-    symmetric: bool = True
 
-    def nnz(self) -> int:
-        return int(self.data.shape[0])
+    @property
+    def dim(self) -> int:
+        return self.rows * self.cols
 
 
 @dataclass(frozen=True)
@@ -49,56 +57,33 @@ def assemble(field: DiffusivityField, spacing: float) -> SparseOperator:
     """Build F from midpoint coefficients; diagonal = -(sum of kept couplings)."""
     if not (spacing > 0):
         raise ParameterError(f"spacing must be positive, got {spacing}")
-    m, n = field.rows, field.cols
     inv_h2 = 1.0 / spacing**2
-    cw = field.west * inv_h2
-    ce = field.east * inv_h2
-    cn = field.north * inv_h2
-    cs = field.south * inv_h2
-
-    ii, jj = np.meshgrid(np.arange(m), np.arange(n), indexing="ij")
-    q = (jj * m + ii).ravel(order="F")
-
-    rows_l, cols_l, vals_l = [], [], []
-    diag = np.zeros((m, n))
-    for coup, di, dj in ((cw, -1, 0), (ce, 1, 0), (cn, 0, -1), (cs, 0, 1)):
-        keep = (
-            (ii + di >= 0) & (ii + di < m) & (jj + dj >= 0) & (jj + dj < n)
-        )
-        diag -= np.where(keep, coup, 0.0)
-        kq = q[keep.ravel(order="F")]
-        rows_l.append(kq)
-        cols_l.append(kq + dj * m + di)
-        vals_l.append(coup.ravel(order="F")[keep.ravel(order="F")])
-    rows_l.append(q)
-    cols_l.append(q)
-    vals_l.append(diag.ravel(order="F"))
-
-    rows_a = np.concatenate(rows_l)
-    cols_a = np.concatenate(cols_l)
-    vals_a = np.concatenate(vals_l)
-    order = np.lexsort((cols_a, rows_a))
-    rows_a, cols_a, vals_a = rows_a[order], cols_a[order], vals_a[order]
-
-    dim = m * n
-    indptr = np.zeros(dim + 1, dtype=np.int64)
-    np.add.at(indptr, rows_a + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return SparseOperator(
-        dim=dim,
-        indptr=indptr,
-        indices=cols_a.astype(np.int64),
-        data=vals_a,
-        diagonal=diag.ravel(order="F"),
-    )
+    # column-major like the column-stacked vectors ``apply`` reshapes
+    ci = np.asfortranarray(field.east[:-1] * inv_h2)
+    cj = np.asfortranarray(field.south[:, :-1] * inv_h2)
+    # west, east, north, south: the summation order fixes the diagonal's bits
+    diag = np.zeros((field.rows, field.cols), order="F")
+    diag[1:] -= ci
+    diag[:-1] -= ci
+    diag[:, 1:] -= cj
+    diag[:, :-1] -= cj
+    return SparseOperator(field.rows, field.cols, ci, cj, diag.ravel(order="F"))
 
 
 def apply(op: SparseOperator, x: np.ndarray) -> np.ndarray:
-    """Exact sparse matrix-vector product F @ x."""
+    """F @ x as the divergence of the edge fluxes c * (difference of x)."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (op.dim,):
         raise DimensionError(f"vector of shape {x.shape} does not match operator dim {op.dim}")
-    return csr_matvec(op.indptr, op.indices, op.data, x)
+    u = x.reshape((op.rows, op.cols), order="F")
+    out = np.zeros_like(u)
+    f = op.ci * (u[1:] - u[:-1])
+    out[1:] -= f
+    out[:-1] += f
+    f = op.cj * (u[:, 1:] - u[:, :-1])
+    out[:, 1:] -= f
+    out[:, :-1] += f
+    return out.ravel(order="F")
 
 
 def gershgorin_bound(op: SparseOperator) -> float:
@@ -170,29 +155,38 @@ def spectrum_check(op: SparseOperator, dense_limit: int = 4096) -> SpectrumRepor
 
 
 def to_dense(op: SparseOperator) -> np.ndarray:
-    dense = np.zeros((op.dim, op.dim))
-    for q in range(op.dim):
-        sl = slice(op.indptr[q], op.indptr[q + 1])
-        dense[q, op.indices[sl]] = op.data[sl]
+    """The MN x MN matrix F, exactly symmetric."""
+    dense = np.diag(op.diagonal)
+    q = np.arange(op.dim).reshape((op.rows, op.cols), order="F")
+    for a, b, c in ((q[:-1], q[1:], op.ci), (q[:, :-1], q[:, 1:], op.cj)):
+        dense[a, b] = c
+        dense[b, a] = c
     return dense
 
 
 def dump_coo(op: SparseOperator, target) -> None:
-    """Write one "row col value" line per stored entry (0-based indices)."""
+    """Write one "row col value" line per stencil entry (0-based indices).
+
+    Rows ascend, and within a row the columns ascend: north, west, centre,
+    east, south neighbour.
+    """
+    m, n = op.rows, op.cols
 
     def _write(fh):
         for q in range(op.dim):
-            for t in range(op.indptr[q], op.indptr[q + 1]):
-                fh.write(f"{q} {op.indices[t]} {op.data[t]:.17g}\n")
+            i, j = q % m, q // m
+            if j > 0:
+                fh.write(f"{q} {q - m} {op.cj[i, j - 1]:.17g}\n")
+            if i > 0:
+                fh.write(f"{q} {q - 1} {op.ci[i - 1, j]:.17g}\n")
+            fh.write(f"{q} {q} {op.diagonal[q]:.17g}\n")
+            if i < m - 1:
+                fh.write(f"{q} {q + 1} {op.ci[i, j]:.17g}\n")
+            if j < n - 1:
+                fh.write(f"{q} {q + m} {op.cj[i, j]:.17g}\n")
 
     if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
         with open(target, "w", encoding="ascii") as fh:
             _write(fh)
     else:
         _write(target)
-
-
-def matrix_market_like(op: SparseOperator) -> str:
-    buf = io.StringIO()
-    dump_coo(op, buf)
-    return buf.getvalue()

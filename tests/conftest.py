@@ -4,17 +4,6 @@ import pytest
 import svddf
 
 
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    """Touch every jitted kernel once so compile time stays out of timed tests."""
-    g = svddf.synth_image("disk", 12, 12)
-    k = svddf.make_kernel(1.0)
-    fld = svddf.diffusivity_half(g, 1e-2, 1.0, k)
-    op = svddf.assemble(fld, 1.0)
-    svddf.apply(op, np.ones(op.dim))
-    svddf.ssim(g, g, svddf.SsimConfig(window=5))
-
-
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)

@@ -206,6 +206,29 @@ class TestDenoise:
         line = (out2 / "disk_noisy_trajectory.csv").read_text().splitlines()[1]
         assert float(line.split(",")[2]) == 0.0625
 
+    @pytest.mark.parametrize(
+        "conf_line, flags", [("n0=0", ["--n0", "0"]), ("rde-literal-n0=true", ["--rde-literal-n0"])]
+    )
+    def test_config_file_sets_band_threshold(self, tmp_path, noisy_pgm, conf_line, flags):
+        conf = tmp_path / "run.conf"
+        conf.write_text(conf_line + "\n")
+        base = ["denoise", str(noisy_pgm), "--dt", "0.125", "--max-steps", "5", "--tol", "1e-12"]
+        trajectories = []
+        for name, extra in (("file", ["--config", str(conf)]), ("flag", flags), ("none", [])):
+            out = tmp_path / name
+            assert main(base + extra + ["--out", str(out)]) == 0
+            trajectories.append((out / "disk_noisy_trajectory.csv").read_bytes())
+        assert trajectories[0] == trajectories[1]
+        assert trajectories[0] != trajectories[2]
+
+    def test_config_file_unknown_key_exits_2(self, tmp_path, noisy_pgm, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("eta=2\netaa=1\n")
+        out = tmp_path / "bad"
+        assert main(["denoise", str(noisy_pgm), "--config", str(conf), "--out", str(out)]) == 2
+        assert f"{conf}:2: unknown key 'etaa'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_single_cell_matches_denoise(self, tmp_path, disk_pgm, noisy_pgm):

@@ -2,6 +2,8 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import svddf
 from svddf import (
@@ -18,6 +20,7 @@ from svddf import (
 )
 
 from conftest import random_field
+from oracles import dense_stencil
 
 
 def unit_field(rows, cols):
@@ -168,3 +171,58 @@ def test_apply_used_in_runner_matches_grid_laplacian(rng):
     px = np.pad(g.pixels, 1, mode="edge")
     lap = px[:-2, 1:-1] + px[2:, 1:-1] + px[1:-1, :-2] + px[1:-1, 2:] - 4.0 * g.pixels
     assert np.max(np.abs(got - lap)) <= 1e-12
+
+
+# thin grids (2 x N, M x 2, 2 x 2) have rows or columns with no interior pixel
+_operator_cases = given(
+    shape=st.one_of(
+        st.tuples(st.just(2), st.integers(2, 9)),
+        st.tuples(st.integers(2, 9), st.just(2)),
+        st.tuples(st.integers(2, 9), st.integers(2, 9)),
+    ),
+    p=st.sampled_from([1.0, 1.5, 2.0]),
+    h=st.floats(0.25, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+def _case(shape, p, h, seed):
+    """Random field, its operator, and two random vectors."""
+    rng = np.random.default_rng(seed)
+    fld = random_field(rng, *shape, p=p)
+    op = assemble(fld, h)
+    x, y = rng.standard_normal((2, op.dim))
+    return fld, op, x, y
+
+
+class TestOperatorProperties:
+    """Rounding in each entry of F @ x scales with np.abs(F) @ np.abs(x)."""
+
+    @_operator_cases
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_oracle(self, shape, p, h, seed):
+        fld, op, x, _ = _case(shape, p, h, seed)
+        dense = dense_stencil(fld, h)
+        scale = np.abs(dense) @ np.abs(x)
+        assert np.max(np.abs(apply(op, x) - dense @ x)) <= 1e-12 * np.max(scale)
+
+    @_operator_cases
+    @settings(max_examples=60, deadline=None)
+    def test_conserves_mean(self, shape, p, h, seed):
+        fld, op, x, _ = _case(shape, p, h, seed)
+        scale = np.abs(dense_stencil(fld, h)) @ np.abs(x)
+        assert abs(apply(op, x).sum()) <= 1e-12 * scale.sum()
+
+    @_operator_cases
+    @settings(max_examples=60, deadline=None)
+    def test_self_adjoint(self, shape, p, h, seed):
+        fld, op, x, y = _case(shape, p, h, seed)
+        scale = np.abs(y) @ np.abs(dense_stencil(fld, h)) @ np.abs(x)
+        assert abs(y @ apply(op, x) - x @ apply(op, y)) <= 1e-12 * scale
+
+    @_operator_cases
+    @settings(max_examples=60, deadline=None)
+    def test_dense_view_exactly_symmetric(self, shape, p, h, seed):
+        _, op, _, _ = _case(shape, p, h, seed)
+        dense = to_dense(op)
+        assert np.array_equal(dense, dense.T)
