@@ -41,11 +41,9 @@ from .metrics import EvalReport, SsimConfig, evaluate, ssim
 from .pgm import read_pgm, write_pgm
 from .stencil import (
     SparseOperator,
-    SpectralBound,
     apply,
     assemble,
     dump_coo,
-    gershgorin_bound,
     lambda_max,
     spectrum_check,
     to_dense,
@@ -85,7 +83,6 @@ __all__ = [
     "RdeStop",
     "SolverConfig",
     "SparseOperator",
-    "SpectralBound",
     "SsimConfig",
     "StoppingRule",
     "SvddfError",
@@ -102,7 +99,6 @@ __all__ = [
     "dump_coo",
     "energies",
     "evaluate",
-    "gershgorin_bound",
     "grad_gaussian",
     "h1_norm",
     "high_freq_energy",

@@ -62,7 +62,15 @@ def _parse_bool(text: str) -> bool:
         return True
     if text.lower() in ("0", "false"):
         return False
-    raise SvddfError(f"expected true or false, got {text!r}")
+    raise ValueError(f"expected true or false, got {text!r}")
+
+
+def _cast(key, text, cast):
+    """``cast(text)``, with a malformed value reported as a usage error naming ``key``."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise SvddfError(f"invalid value for {key}: {text!r}") from None
 
 
 def _resolve(args, key, cast):
@@ -71,7 +79,7 @@ def _resolve(args, key, cast):
     if flag is not None:
         return flag
     if key in args._config_values:
-        return cast(args._config_values[key])
+        return _cast(key, args._config_values[key], cast)
     return _DEFAULTS[key]
 
 
@@ -128,7 +136,7 @@ def _build_config(args) -> SolverConfig:
     if dt == "auto":
         dt_rule, dt_fixed = "theorem", None
     else:
-        dt_rule, dt_fixed = "fixed", float(dt)
+        dt_rule, dt_fixed = "fixed", _cast("dt", dt, float)
     return SolverConfig(
         exponent_p=float(_resolve(args, "p", float)),
         eta=float(_resolve(args, "eta", float)),
@@ -208,8 +216,8 @@ def _cmd_denoise(args) -> int:
     return 0
 
 
-def _parse_list(text: str, cast=float):
-    return [cast(tok) for tok in text.split(",") if tok.strip() != ""]
+def _parse_list(key: str, text: str):
+    return [_cast(key, tok, float) for tok in text.split(",") if tok.strip() != ""]
 
 
 def _dedupe(values, label):
@@ -226,8 +234,8 @@ def _dedupe(values, label):
 def _cmd_sweep(args) -> int:
     src = _require_file(args.input)
     clean_path = _require_file(args.clean)
-    etas = _dedupe(_parse_list(args.etas), "eta")
-    ps = _dedupe(_parse_list(args.ps), "p")
+    etas = _dedupe(_parse_list("etas", args.etas), "eta")
+    ps = _dedupe(_parse_list("ps", args.ps), "p")
     if not etas or not ps:
         raise SvddfError("eta and p lists must be non-empty")
     noisy = read_pgm(src)

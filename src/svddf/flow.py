@@ -21,7 +21,7 @@ import numpy as np
 from .diffusivity import _cached_kernel, diffusivity_half
 from .errors import DivergenceError, ParameterError
 from .grid import ImageGrid, array, vec
-from .stencil import SparseOperator, SpectralBound, apply, assemble, lambda_max
+from .stencil import SparseOperator, apply, assemble, lambda_max
 from .stopping import (
     AprioriStop,
     DiscrepancyStop,
@@ -102,7 +102,6 @@ class FlowState:
     cols: int
     last_dt: float = float("nan")
     last_lambda: float = float("nan")
-    pi_start: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -166,33 +165,34 @@ def initial_state(u0: ImageGrid, config: SolverConfig) -> FlowState:
     return FlowState(u=u, v=np.zeros_like(u), k=0, t=0.0, F_prev=F0, rows=u0.rows, cols=u0.cols)
 
 
-def step_size(bound: SpectralBound, config: SolverConfig) -> float:
-    """Step length under the configured rule.
-
-    Theorem rule: safety * eta / sqrt(lambda_max), optionally capped by
-    dt_max; a vanishing spectral bound requires dt_max to be set.
-    """
-    if config.dt_rule == "fixed":
-        return float(config.dt_fixed)
-    lam = bound.lambda_max
+def _spectral_step(lam: float, config: SolverConfig, stable_dt) -> float:
+    """``stable_dt(lam)`` capped by dt_max; a vanishing bound requires dt_max."""
     if lam < _TINY_LAMBDA:
         if config.dt_max is None:
             raise ParameterError("spectral bound is zero and no dt_max is configured")
         return float(config.dt_max)
-    dt = config.safety * config.eta / np.sqrt(lam)
+    dt = stable_dt(lam)
     if config.dt_max is not None:
         dt = min(dt, config.dt_max)
     return float(dt)
 
 
+def step_size(lam: float, config: SolverConfig) -> float:
+    """Step length under the configured rule, given the spectral bound ``lam``.
+
+    Theorem rule: safety * eta / sqrt(lam), optionally capped by dt_max; a
+    vanishing spectral bound requires dt_max to be set.  The fixed rule
+    ignores ``lam``.
+    """
+    if config.dt_rule == "fixed":
+        return float(config.dt_fixed)
+    return _spectral_step(lam, config, lambda lam: config.safety * config.eta / np.sqrt(lam))
+
+
 def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
     """One damped Stormer-Verlet step; returns the new state carrying its stencil."""
-    if config.dt_rule == "theorem":
-        bound, pi_vec = lambda_max(state.F_prev, start=state.pi_start, return_vector=True)
-        lam = bound.lambda_max
-    else:
-        bound, pi_vec, lam = None, state.pi_start, float("nan")
-    dt = step_size(bound, config) if bound is not None else float(config.dt_fixed)
+    lam = lambda_max(state.F_prev) if config.dt_rule == "theorem" else float("nan")
+    dt = step_size(lam, config)
 
     u, v = state.u, state.v
     # transient infs on a diverging run are caught below, not warned about
@@ -218,7 +218,6 @@ def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
         F_prev=F_new,
         last_dt=dt,
         last_lambda=lam,
-        pi_start=pi_vec,
     )
 
 
@@ -281,13 +280,15 @@ def _run(u0: ImageGrid, config: SolverConfig, advance) -> tuple[ImageGrid, Traje
             state = advance(state, config)
             rde_val, sig, reason, degenerate = tracker.evaluate(state.u, state.t)
             kinetic, potential = energies(state, config)
+            with np.errstate(over="ignore", invalid="ignore"):
+                vnorm = float(np.linalg.norm(state.v))
             log.append(
                 TrajectoryRecord(
                     step=state.k,
                     t=state.t,
                     dt=state.last_dt,
                     lambda_max=state.last_lambda,
-                    vnorm=float(np.linalg.norm(state.v)),
+                    vnorm=vnorm,
                     rde=rde_val,
                     sigma=sig,
                     kinetic=kinetic,
@@ -318,19 +319,11 @@ def _first_order_step(state: FlowState, config: SolverConfig) -> FlowState:
     else:
         F = _assemble_from(state.u, state.rows, state.cols, config)
     if config.dt_rule == "theorem":
-        bound, pi_vec = lambda_max(F, start=state.pi_start, return_vector=True)
-        lam = bound.lambda_max
-        if lam < _TINY_LAMBDA:
-            if config.dt_max is None:
-                raise ParameterError("spectral bound is zero and no dt_max is configured")
-            dt = float(config.dt_max)
-        else:
-            # classical explicit-Euler stability for a symmetric negative operator
-            dt = config.safety * 2.0 / lam
-            if config.dt_max is not None:
-                dt = min(dt, config.dt_max)
+        lam = lambda_max(F)
+        # classical explicit-Euler stability for a symmetric negative operator
+        dt = _spectral_step(lam, config, lambda lam: config.safety * 2.0 / lam)
     else:
-        pi_vec, lam, dt = state.pi_start, float("nan"), float(config.dt_fixed)
+        lam, dt = float("nan"), float(config.dt_fixed)
     with np.errstate(over="ignore", invalid="ignore"):
         rate = apply(F, state.u)
         u_new = state.u + dt * rate
@@ -345,7 +338,6 @@ def _first_order_step(state: FlowState, config: SolverConfig) -> FlowState:
         F_prev=F,
         last_dt=dt,
         last_lambda=lam,
-        pi_start=pi_vec,
     )
 
 

@@ -19,9 +19,6 @@ import numpy as np
 from .diffusivity import DiffusivityField
 from .errors import DimensionError, ParameterError
 
-_PI_SEED = 20240915
-
-
 @dataclass(frozen=True)
 class SparseOperator:
     """Matrix-free symmetric five-point stencil on a rows x cols grid.
@@ -41,16 +38,6 @@ class SparseOperator:
     @property
     def dim(self) -> int:
         return self.rows * self.cols
-
-
-@dataclass(frozen=True)
-class SpectralBound:
-    """Upper estimate of the largest eigenvalue of -F."""
-
-    lambda_max: float
-    method: str  # "power-iteration" | "gershgorin"
-    iterations: int
-    residual: float
 
 
 def assemble(field: DiffusivityField, spacing: float) -> SparseOperator:
@@ -86,57 +73,16 @@ def apply(op: SparseOperator, x: np.ndarray) -> np.ndarray:
     return out.ravel(order="F")
 
 
-def gershgorin_bound(op: SparseOperator) -> float:
-    """Always-valid bound on lambda_max(-F): zero row sums give 2*max|diag|."""
-    return float(2.0 * np.max(np.abs(op.diagonal)))
+def lambda_max(op: SparseOperator) -> float:
+    """Gershgorin upper bound on the largest eigenvalue of -F.
 
-
-def lambda_max(
-    op: SparseOperator,
-    tol: float = 1e-6,
-    max_iter: int = 200,
-    start: np.ndarray | None = None,
-    return_vector: bool = False,
-):
-    """Largest eigenvalue of -F via power iteration with a Gershgorin fallback.
-
-    -F is positive semidefinite, so plain power iteration from a fixed
-    seeded start converges to the top of the spectrum; the run stops when
-    the Rayleigh quotient settles to relative tolerance ``tol``.  If it
-    fails to settle within ``max_iter`` iterations the (larger, always
-    safe) Gershgorin estimate is returned instead.  With ``return_vector``
-    the final iterate comes back too, useful as a warm start on a nearby
-    operator.
+    Every Gershgorin disc of F has centre diag_q <= 0 and, because the row
+    sums vanish, radius |diag_q|, so the spectrum of -F lies in
+    [0, 2 * max|diag|].  For a symmetric operator the top eigenvalue is at
+    least the largest diagonal entry of -F (Rayleigh quotient of a unit
+    vector), so the bound overestimates by at most a factor 2.
     """
-    if start is None:
-        x = np.random.default_rng(_PI_SEED).standard_normal(op.dim)
-    else:
-        x = np.asarray(start, dtype=np.float64).copy()
-    norm = np.linalg.norm(x)
-    if norm == 0.0:
-        x = np.ones(op.dim)
-        norm = np.sqrt(op.dim)
-    x /= norm
-
-    bound = None
-    lam = 0.0
-    for it in range(1, max_iter + 1):
-        y = -apply(op, x)
-        ynorm = np.linalg.norm(y)
-        if ynorm == 0.0:
-            # x lies in the kernel of F: spectrum seen so far is exactly 0
-            bound = SpectralBound(0.0, "power-iteration", it, 0.0)
-            break
-        lam_new = float(x @ y)
-        x = y / ynorm
-        rel = abs(lam_new - lam) / max(abs(lam_new), 1e-30)
-        lam = lam_new
-        if rel < tol:
-            bound = SpectralBound(max(lam, 0.0), "power-iteration", it, rel)
-            break
-    if bound is None:
-        bound = SpectralBound(gershgorin_bound(op), "gershgorin", max_iter, float("nan"))
-    return (bound, x) if return_vector else bound
+    return float(2.0 * np.max(np.abs(op.diagonal)))
 
 
 @dataclass(frozen=True)

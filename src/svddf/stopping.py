@@ -6,6 +6,7 @@ principle against the noisy data, and an a-priori time horizon T(delta).
 A fourth pseudo-rule runs until the step budget is exhausted.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -81,6 +82,14 @@ class MaxStepsOnly:
 StoppingRule = RdeStop | DiscrepancyStop | AprioriStop | MaxStepsOnly
 
 
+@functools.lru_cache(maxsize=8)
+def _band_mask(m: int, n: int, n0: int) -> np.ndarray:
+    """Read-only mask of the DFT index pairs (i, j) with i + j >= n0."""
+    band = np.add.outer(np.arange(m), np.arange(n)) >= n0
+    band.flags.writeable = False
+    return band
+
+
 def high_freq_energy(u: ImageGrid | np.ndarray, n0: int) -> float:
     """Sum of squared DFT magnitudes over index pairs with i + j >= n0.
 
@@ -95,8 +104,7 @@ def high_freq_energy(u: ImageGrid | np.ndarray, n0: int) -> float:
     if n0 > (m - 1) + (n - 1):
         return 0.0
     spectrum = np.abs(np.fft.fft2(px)) ** 2
-    band = np.add.outer(np.arange(m), np.arange(n)) >= n0
-    return float(spectrum[band].sum())
+    return float(spectrum[_band_mask(m, n, n0)].sum())
 
 
 def rde(u_k: ImageGrid, u_km1: ImageGrid, n0: int) -> float:

@@ -229,6 +229,24 @@ class TestDenoise:
         assert f"{conf}:2: unknown key 'etaa'" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "conf_text, flags, message",
+        [
+            ("", ["--dt", "abc"], "invalid value for dt: 'abc'"),
+            ("n0=abc\n", [], "invalid value for n0: 'abc'"),
+            ("rde-literal-n0=maybe\n", [], "invalid value for rde_literal_n0: 'maybe'"),
+        ],
+        ids=["flag-dt", "config-n0", "config-bool"],
+    )
+    def test_malformed_value_exits_2(self, tmp_path, noisy_pgm, capsys, conf_text, flags, message):
+        conf = tmp_path / "run.conf"
+        conf.write_text(conf_text)
+        out = tmp_path / "bad"
+        argv = ["denoise", str(noisy_pgm), "--config", str(conf), "--out", str(out)] + flags
+        assert main(argv) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSweep:
     def test_single_cell_matches_denoise(self, tmp_path, disk_pgm, noisy_pgm):
@@ -311,6 +329,11 @@ class TestSweep:
         row = (out / "sweep.csv").read_text().splitlines()[1].split(",")
         assert row[1] == "nan"
         assert not math.isnan(float(row[2]))
+
+    def test_malformed_list_value_exits_2(self, tmp_path, disk_pgm, noisy_pgm, capsys):
+        argv = ["sweep", str(noisy_pgm), "--clean", str(disk_pgm), "--etas", "1,abc", "--ps", "1"]
+        assert main(argv) == 2
+        assert "invalid value for etas: 'abc'" in capsys.readouterr().err
 
 
 class TestMetrics:

@@ -7,7 +7,6 @@ from svddf import (
     MaxStepsOnly,
     RdeStop,
     SolverConfig,
-    SpectralBound,
     array,
     diffusivity_half,
     energies,
@@ -34,25 +33,21 @@ def fixed_cfg(dt, steps=10, **kw):
 class TestStepSize:
     def test_theorem_formula(self):
         cfg = SolverConfig(eta=300.0, safety=1.0)
-        bound = SpectralBound(8.0, "power-iteration", 5, 0.0)
-        assert step_size(bound, cfg) == pytest.approx(300.0 / np.sqrt(8.0), rel=1e-15)
-        assert step_size(bound, cfg) == pytest.approx(106.066, rel=1e-4)
+        assert step_size(8.0, cfg) == pytest.approx(300.0 / np.sqrt(8.0), rel=1e-15)
+        assert step_size(8.0, cfg) == pytest.approx(106.066, rel=1e-4)
 
     def test_safety_scales_linearly(self):
-        bound = SpectralBound(4.0, "power-iteration", 5, 0.0)
-        full = step_size(bound, SolverConfig(eta=10.0, safety=1.0))
-        half = step_size(bound, SolverConfig(eta=10.0, safety=0.5))
+        full = step_size(4.0, SolverConfig(eta=10.0, safety=1.0))
+        half = step_size(4.0, SolverConfig(eta=10.0, safety=0.5))
         assert half == pytest.approx(0.5 * full, rel=1e-15)
 
     def test_zero_bound_requires_dt_max(self):
-        bound = SpectralBound(0.0, "power-iteration", 3, 0.0)
         with pytest.raises(svddf.ParameterError):
-            step_size(bound, SolverConfig(eta=1.0))
-        assert step_size(bound, SolverConfig(eta=1.0, dt_max=0.125)) == 0.125
+            step_size(0.0, SolverConfig(eta=1.0))
+        assert step_size(0.0, SolverConfig(eta=1.0, dt_max=0.125)) == 0.125
 
     def test_fixed_rule(self):
-        bound = SpectralBound(8.0, "power-iteration", 5, 0.0)
-        assert step_size(bound, fixed_cfg(0.07)) == 0.07
+        assert step_size(8.0, fixed_cfg(0.07)) == 0.07
 
 
 class TestSvStep:

@@ -11,7 +11,6 @@ from svddf import (
     apply,
     assemble,
     diffusivity_half,
-    gershgorin_bound,
     lambda_max,
     make_kernel,
     spectrum_check,
@@ -97,34 +96,6 @@ class TestApply:
         op = assemble(random_field(rng, 4, 4), 1.0)
         with pytest.raises(svddf.DimensionError):
             apply(op, np.ones(op.dim + 1))
-
-
-class TestLambdaMax:
-    def test_laplacian_16x16_near_eight(self):
-        op = assemble(unit_field(16, 16), 1.0)
-        bound = lambda_max(op)
-        assert bound.method == "power-iteration"
-        assert 7.5 < bound.lambda_max <= 8.0
-
-    def test_bound_close_to_dense_eigensolve(self, rng):
-        op = assemble(random_field(rng, 6, 6), 1.0)
-        true_top = -np.linalg.eigvalsh(to_dense(op))[0]
-        est = lambda_max(op, tol=1e-10, max_iter=2000).lambda_max
-        assert est <= true_top + 1e-6
-        assert est >= true_top - 1e-6
-
-    def test_gershgorin_dominates(self, rng):
-        for _ in range(5):
-            op = assemble(random_field(rng, 5, 8), 1.0)
-            true_top = -np.linalg.eigvalsh(to_dense(op))[0]
-            assert gershgorin_bound(op) >= true_top - 1e-10
-            assert gershgorin_bound(op) >= lambda_max(op).lambda_max - 1e-8
-
-    def test_fallback_on_tiny_budget(self, rng):
-        op = assemble(random_field(rng, 6, 6), 1.0)
-        bound = lambda_max(op, tol=1e-30, max_iter=2)
-        assert bound.method == "gershgorin"
-        assert bound.lambda_max == gershgorin_bound(op)
 
 
 class TestSpectrumCheck:
@@ -226,3 +197,25 @@ class TestOperatorProperties:
         _, op, _, _ = _case(shape, p, h, seed)
         dense = to_dense(op)
         assert np.array_equal(dense, dense.T)
+
+
+class TestLambdaMax:
+    def test_laplacian_16x16_is_eight(self):
+        # unit couplings: interior diagonal -4, so the bound is exactly 2 * 4
+        assert lambda_max(assemble(unit_field(16, 16), 1.0)) == 8.0
+
+    @_operator_cases
+    @settings(max_examples=60, deadline=None)
+    def test_bound_brackets_dense_eigensolve(self, shape, p, h, seed):
+        _, op, _, _ = _case(shape, p, h, seed)
+        bound = lambda_max(op)
+        true_top = np.linalg.eigvalsh(-to_dense(op))[-1]
+        tol = 1e-12 * bound
+        assert np.max(np.abs(op.diagonal)) <= true_top + tol
+        assert true_top <= bound + tol
+
+    def test_gershgorin_dominates(self, rng):
+        for _ in range(5):
+            op = assemble(random_field(rng, 5, 8), 1.0)
+            true_top = -np.linalg.eigvalsh(to_dense(op))[0]
+            assert lambda_max(op) >= true_top - 1e-10
