@@ -14,9 +14,12 @@ from pathlib import Path
 from .errors import DivergenceError, SvddfError
 from .flow import SolverConfig, run_first_order, run_svddf
 from .grid import ImageGrid, NoiseSpec, add_noise
-from .metrics import EVAL_CSV_HEADER, SsimConfig, evaluate, report_csv_row
+from .metrics import EVAL_CSV_HEADER, SsimConfig, evaluate, report_csv_row, ssim
 from .pgm import read_pgm, write_pgm
 from .stopping import AprioriStop, DiscrepancyStop, MaxStepsOnly, RdeStop
+
+_STOP_CHOICES = ("rde", "discrepancy", "a-priori", "none")
+_METHOD_CHOICES = ("svddf", "first-order")
 
 _DEFAULTS = {
     "p": 1.0,
@@ -37,7 +40,6 @@ _DEFAULTS = {
     "gamma": 1.0,
     "seed": 0,
     "method": "svddf",
-    "reuse_every": 1,
 }
 
 
@@ -63,6 +65,17 @@ def _parse_bool(text: str) -> bool:
     if text.lower() in ("0", "false"):
         return False
     raise ValueError(f"expected true or false, got {text!r}")
+
+
+def _one_of(choices):
+    """Cast that accepts exactly the strings in ``choices``, as argparse does for the flag."""
+
+    def cast(text):
+        if text not in choices:
+            raise ValueError(f"expected one of {choices}, got {text!r}")
+        return text
+
+    return cast
 
 
 def _cast(key, text, cast):
@@ -93,7 +106,7 @@ def _add_solver_flags(sub):
     sub.add_argument("--safety", type=float, help="multiplier on the spectral step bound")
     sub.add_argument("--dt-max", type=float, dest="dt_max", help="cap on the auto step length")
     sub.add_argument("--max-steps", type=int, dest="max_steps", help="step budget")
-    sub.add_argument("--stop", choices=["rde", "discrepancy", "a-priori", "none"])
+    sub.add_argument("--stop", choices=_STOP_CHOICES)
     sub.add_argument("--tol", type=float, help="tolerance of the rde rule")
     sub.add_argument("--delta", type=float, help="noise level for stopping rules")
     sub.add_argument("--c1", type=float, help="a-priori rule constant")
@@ -106,13 +119,12 @@ def _add_solver_flags(sub):
         default=None,
         help="use the literal floor(0.6 N^2) band threshold (degenerate on most sizes)",
     )
-    sub.add_argument("--reuse-every", type=int, dest="reuse_every", help="stencil reassembly stride")
-    sub.add_argument("--method", choices=["svddf", "first-order"])
+    sub.add_argument("--method", choices=_METHOD_CHOICES)
     sub.add_argument("--seed", type=int, help="noise seed (echoed into outputs)")
 
 
 def _build_stopping(args):
-    stop = _resolve(args, "stop", str)
+    stop = _resolve(args, "stop", _one_of(_STOP_CHOICES))
     if stop == "rde":
         return RdeStop(
             tolerance=float(_resolve(args, "tol", float)),
@@ -148,7 +160,6 @@ def _build_config(args) -> SolverConfig:
         dt_max=_resolve(args, "dt_max", float),
         max_steps=int(_resolve(args, "max_steps", int)),
         stopping=_build_stopping(args),
-        reuse_every=int(_resolve(args, "reuse_every", int)),
     )
 
 
@@ -188,7 +199,7 @@ def _cmd_denoise(args) -> int:
     src = _require_file(args.input)
     clean_path = _require_file(args.clean) if args.clean else None
     config = _build_config(args)
-    method = str(_resolve(args, "method", str))
+    method = _resolve(args, "method", _one_of(_METHOD_CHOICES))
     noisy = read_pgm(src)
     out = _out_dir(args)
     stem = src.stem
@@ -241,7 +252,7 @@ def _cmd_sweep(args) -> int:
     noisy = read_pgm(src)
     clean = read_pgm(clean_path)
     base = _build_config(args)
-    method = str(_resolve(args, "method", str))
+    method = _resolve(args, "method", _one_of(_METHOD_CHOICES))
     out = _out_dir(args)
 
     lines = ["p\\eta," + ",".join(f"{e:g}" for e in etas)]
@@ -251,7 +262,7 @@ def _cmd_sweep(args) -> int:
             config = dataclasses.replace(base, exponent_p=p, eta=eta)
             try:
                 denoised, log = _run_method(noisy, config, method)
-                value = evaluate(clean, noisy, denoised).ssim_denoised
+                value = ssim(denoised, clean)
                 print(f"p={p:g} eta={eta:g}: ssim={value:.4f} ({log.final_step()} steps)")
             except SvddfError as err:
                 value = math.nan

@@ -2,9 +2,9 @@
 
 The nonlinearity is a(g) = (epsilon + g^2)^((p-2)/2) evaluated on the
 magnitude of the Gaussian-smoothed image gradient.  The coefficient is
-sampled at the four cell-edge midpoints of every pixel, which is what the
-conservative five-point stencil needs.  For p in [1, 2] the exponent is
-non-positive, so every coefficient lies in (0, epsilon^((p-2)/2)].
+sampled at the midpoint of every edge between two adjacent pixels, which is
+what the conservative five-point stencil needs.  For p in [1, 2] the
+exponent is non-positive, so every coefficient lies in (0, epsilon^((p-2)/2)].
 """
 
 import math
@@ -63,30 +63,29 @@ def make_kernel(sigma: float = 1.0, radius: int | None = None) -> GaussianKernel
 
 
 @lru_cache(maxsize=32)
-def _cached_kernel(sigma: float, radius: int | None) -> GaussianKernel:
-    return make_kernel(sigma, radius)
+def _cached_kernel(sigma: float) -> GaussianKernel:
+    return make_kernel(sigma)
 
 
 @dataclass(frozen=True)
 class DiffusivityField:
-    """Diffusion coefficients at the four edge midpoints of each pixel.
+    """Diffusion coefficients at the edge midpoints between adjacent pixels.
 
-    ``west[i, j]`` sits at (i-1/2, j), ``east`` at (i+1/2, j), ``north`` at
-    (i, j-1/2) and ``south`` at (i, j+1/2).  Adjacent pixels share the
-    in-between midpoint, so ``east[i, j] == west[i+1, j]`` exactly.
+    ``ai[i, j]`` sits at (i+1/2, j), between pixels (i, j) and (i+1, j), so
+    it has shape (rows-1, cols); ``aj[i, j]`` sits at (i, j+1/2), between
+    (i, j) and (i, j+1), shape (rows, cols-1).  This is the layout of
+    ``SparseOperator.ci``/``cj``; there are no midpoints on the border.
     """
 
     rows: int
     cols: int
-    west: np.ndarray
-    east: np.ndarray
-    north: np.ndarray
-    south: np.ndarray
+    ai: np.ndarray
+    aj: np.ndarray
     epsilon: float
     exponent_p: float
 
     def coefficient_arrays(self):
-        return (self.west, self.east, self.north, self.south)
+        return (self.ai, self.aj)
 
     def upper_bound(self) -> float:
         """Largest value any coefficient can take: epsilon^((p-2)/2)."""
@@ -123,7 +122,7 @@ def grad_gaussian(u: ImageGrid, kernel: GaussianKernel):
 
 
 def diffusivity_half(u: ImageGrid, epsilon: float, p: float, kernel: GaussianKernel) -> DiffusivityField:
-    """Evaluate a = (epsilon + |smoothed gradient|^2)^((p-2)/2) at edge midpoints.
+    """Evaluate a = (epsilon + |smoothed gradient|^2)^((p-2)/2) at interior edge midpoints.
 
     Midpoint gradient components are the mean of the two adjacent node
     values, mirroring the midpoint averaging used for the image itself.
@@ -138,33 +137,15 @@ def diffusivity_half(u: ImageGrid, epsilon: float, p: float, kernel: GaussianKer
     with np.errstate(over="ignore", invalid="ignore"):
         gx, gy = grad_gaussian(u, kernel)
         expo = (p - 2.0) / 2.0
-
-        # midpoints between rows: shape (M+1, N); edge rows replicate the node value
-        gx_i = np.pad(gx, ((1, 1), (0, 0)), mode="edge")
-        gy_i = np.pad(gy, ((1, 1), (0, 0)), mode="edge")
-        mag2_i = (0.5 * (gx_i[:-1] + gx_i[1:])) ** 2 + (0.5 * (gy_i[:-1] + gy_i[1:])) ** 2
+        # midpoints between rows i and i+1: shape (M-1, N)
+        mag2_i = (0.5 * (gx[:-1] + gx[1:])) ** 2 + (0.5 * (gy[:-1] + gy[1:])) ** 2
         a_i = (epsilon + mag2_i) ** expo
-
-        # midpoints between columns: shape (M, N+1)
-        gx_j = np.pad(gx, ((0, 0), (1, 1)), mode="edge")
-        gy_j = np.pad(gy, ((0, 0), (1, 1)), mode="edge")
-        mag2_j = (0.5 * (gx_j[:, :-1] + gx_j[:, 1:])) ** 2 + (0.5 * (gy_j[:, :-1] + gy_j[:, 1:])) ** 2
+        # midpoints between columns j and j+1: shape (M, N-1)
+        mag2_j = (0.5 * (gx[:, :-1] + gx[:, 1:])) ** 2 + (0.5 * (gy[:, :-1] + gy[:, 1:])) ** 2
         a_j = (epsilon + mag2_j) ** expo
 
-    # shared storage makes east[i, j] and west[i+1, j] the same float
-    a_i.setflags(write=False)
-    a_j.setflags(write=False)
     m, n = u.shape
-    return DiffusivityField(
-        rows=m,
-        cols=n,
-        west=a_i[:m, :],
-        east=a_i[1:, :],
-        north=a_j[:, :n],
-        south=a_j[:, 1:],
-        epsilon=float(epsilon),
-        exponent_p=float(p),
-    )
+    return DiffusivityField(rows=m, cols=n, ai=a_i, aj=a_j, epsilon=float(epsilon), exponent_p=float(p))
 
 
 @dataclass(frozen=True)

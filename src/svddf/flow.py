@@ -28,6 +28,7 @@ from .stopping import (
     MaxStepsOnly,
     RdeStop,
     StoppingRule,
+    default_band_threshold,
     discrepancy,
     high_freq_energy,
 )
@@ -44,9 +45,7 @@ class SolverConfig:
     ``dt_rule`` is either ``"theorem"`` (dt = safety * eta / sqrt(lambda_max)
     for the second-order flow, safety * 2 / lambda_max for the baseline) or
     ``"fixed"`` (dt = dt_fixed).  ``dt_max`` caps the theorem rule and is
-    required when the spectral bound degenerates to zero.  ``reuse_every``
-    reassembles the stencil only every r-th step; r = 1 is the faithful
-    mode.
+    required when the spectral bound degenerates to zero.
     """
 
     exponent_p: float = 1.0
@@ -60,8 +59,6 @@ class SolverConfig:
     dt_max: float | None = None
     max_steps: int = 500
     stopping: StoppingRule = field(default_factory=MaxStepsOnly)
-    reuse_every: int = 1
-    kernel_radius: int | None = None
 
     def __post_init__(self):
         if not (1.0 <= self.exponent_p <= 2.0):
@@ -82,11 +79,9 @@ class SolverConfig:
             raise ParameterError("dt_rule 'fixed' needs a positive dt_fixed")
         if self.max_steps < 1:
             raise ParameterError(f"max_steps must be at least 1, got {self.max_steps}")
-        if self.reuse_every < 1:
-            raise ParameterError(f"reuse_every must be at least 1, got {self.reuse_every}")
 
     def kernel(self):
-        return _cached_kernel(self.sigma, self.kernel_radius)
+        return _cached_kernel(self.sigma)
 
 
 @dataclass(frozen=True)
@@ -201,11 +196,8 @@ def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
         u_new = u + dt * v_half
         if not np.all(np.isfinite(u_new)):
             raise DivergenceError(f"non-finite iterate at step {state.k}", step=state.k)
-        if state.k == 0 or state.k % config.reuse_every != 0:
-            # k = 0 reuses the startup stencil, which was assembled from this same u
-            F_new = state.F_prev
-        else:
-            F_new = _assemble_from(u, state.rows, state.cols, config)
+        # k = 0 reuses the startup stencil, which was assembled from this same u
+        F_new = state.F_prev if state.k == 0 else _assemble_from(u, state.rows, state.cols, config)
         v_new = v_half + 0.5 * dt * (apply(F_new, u_new) - config.eta * v_half)
     if not np.all(np.isfinite(v_new)):
         raise DivergenceError(f"non-finite velocity at step {state.k}", step=state.k)
@@ -249,7 +241,7 @@ class _StopTracker:
         if isinstance(rule, RdeStop):
             self.n0 = rule.band_threshold(rows, cols)
         else:
-            self.n0 = RdeStop(tolerance=1.0).band_threshold(rows, cols)
+            self.n0 = default_band_threshold(rows, cols)
         self.prev_energy = high_freq_energy(u0vec.reshape((rows, cols), order="F"), self.n0)
         self.horizon = rule.horizon() if isinstance(rule, AprioriStop) else None
 
@@ -314,10 +306,7 @@ def run_svddf(u0: ImageGrid, config: SolverConfig) -> tuple[ImageGrid, Trajector
 
 def _first_order_step(state: FlowState, config: SolverConfig) -> FlowState:
     """Explicit step of the first-order flow u_t = div(a(u) grad u)."""
-    if state.k == 0 or state.k % config.reuse_every != 0:
-        F = state.F_prev
-    else:
-        F = _assemble_from(state.u, state.rows, state.cols, config)
+    F = state.F_prev if state.k == 0 else _assemble_from(state.u, state.rows, state.cols, config)
     if config.dt_rule == "theorem":
         lam = lambda_max(F)
         # classical explicit-Euler stability for a symmetric negative operator

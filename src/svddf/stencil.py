@@ -46,8 +46,8 @@ def assemble(field: DiffusivityField, spacing: float) -> SparseOperator:
         raise ParameterError(f"spacing must be positive, got {spacing}")
     inv_h2 = 1.0 / spacing**2
     # column-major like the column-stacked vectors ``apply`` reshapes
-    ci = np.asfortranarray(field.east[:-1] * inv_h2)
-    cj = np.asfortranarray(field.south[:, :-1] * inv_h2)
+    ci = np.multiply(field.ai, inv_h2, order="F")
+    cj = np.multiply(field.aj, inv_h2, order="F")
     # west, east, north, south: the summation order fixes the diagonal's bits
     diag = np.zeros((field.rows, field.cols), order="F")
     diag[1:] -= ci

@@ -16,20 +16,23 @@ from .errors import DegenerateInputError, ParameterError
 from .grid import ImageGrid
 
 
+def default_band_threshold(rows: int, cols: int) -> int:
+    """Band threshold floor(0.6 * (M + N - 1)): 60% of the anti-diagonal index range."""
+    return int(math.floor(0.6 * (rows + cols - 1)))
+
+
 @dataclass(frozen=True)
 class RdeStop:
     """Stop once the relative change of high-frequency energy drops below tolerance.
 
-    ``n0`` overrides the band threshold explicitly.  By default the
-    threshold is the fraction ``n0_fraction`` of the full anti-diagonal
-    index range, floor(n0_fraction * (M + N - 1)).  ``literal_formula``
-    selects floor(0.6 * N^2) instead, which exceeds the largest index pair
-    sum on all but tiny grids and then degenerates to an empty band.
+    ``n0`` overrides the band threshold explicitly; by default it is
+    ``default_band_threshold``.  ``literal_formula`` selects
+    floor(0.6 * N^2) instead, which exceeds the largest index pair sum on
+    all but tiny grids and then degenerates to an empty band.
     """
 
     tolerance: float
     n0: int | None = None
-    n0_fraction: float = 0.6
     literal_formula: bool = False
 
     def __post_init__(self):
@@ -41,7 +44,7 @@ class RdeStop:
             return int(self.n0)
         if self.literal_formula:
             return int(math.floor(0.6 * cols * cols))
-        return int(math.floor(self.n0_fraction * (rows + cols - 1)))
+        return default_band_threshold(rows, cols)
 
 
 @dataclass(frozen=True)

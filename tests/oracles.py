@@ -18,16 +18,15 @@ def dense_stencil(field, h):
     for j in range(n):
         for i in range(m):
             q = j * m + i
-            for coup, ii, jj in (
-                (field.west[i, j], i - 1, j),
-                (field.east[i, j], i + 1, j),
-                (field.north[i, j], i, j - 1),
-                (field.south[i, j], i, j + 1),
-            ):
-                if 0 <= ii < m and 0 <= jj < n:
-                    r = jj * m + ii
-                    F[q, r] += coup * inv_h2
-                    F[q, q] -= coup * inv_h2
+            # west, east, north, south neighbour
+            for ii, jj in ((i - 1, j), (i + 1, j), (i, j - 1), (i, j + 1)):
+                if not (0 <= ii < m and 0 <= jj < n):
+                    continue
+                # the edge between two pixels is indexed by the smaller of their indices
+                coup = field.ai[min(i, ii), j] if jj == j else field.aj[i, min(j, jj)]
+                r = jj * m + ii
+                F[q, r] += coup * inv_h2
+                F[q, q] -= coup * inv_h2
     return F
 
 

@@ -235,8 +235,10 @@ class TestDenoise:
             ("", ["--dt", "abc"], "invalid value for dt: 'abc'"),
             ("n0=abc\n", [], "invalid value for n0: 'abc'"),
             ("rde-literal-n0=maybe\n", [], "invalid value for rde_literal_n0: 'maybe'"),
+            ("stop=bogus\n", [], "invalid value for stop: 'bogus'"),
+            ("method=bogus\n", [], "invalid value for method: 'bogus'"),
         ],
-        ids=["flag-dt", "config-n0", "config-bool"],
+        ids=["flag-dt", "config-n0", "config-bool", "config-stop", "config-method"],
     )
     def test_malformed_value_exits_2(self, tmp_path, noisy_pgm, capsys, conf_text, flags, message):
         conf = tmp_path / "run.conf"

@@ -299,12 +299,3 @@ class TestTrajectoryLog:
         _, log = run_svddf(g, cfg)
         assert log.stopped_by == "rde"
         assert log.final_step() == 1
-
-    def test_reuse_every_runs(self, rng):
-        g = random_grid(rng, 8, 8)
-        cfg = SolverConfig(
-            eta=2.0, exponent_p=1.0, max_steps=6, stopping=MaxStepsOnly(), reuse_every=3
-        )
-        out, log = run_svddf(g, cfg)
-        assert len(log) == 6
-        assert np.all(np.isfinite(out.pixels))
