@@ -6,6 +6,7 @@ config file (--config); every output is deterministic for a fixed seed.
 """
 
 import argparse
+import ctypes
 import dataclasses
 import math
 import sys
@@ -17,6 +18,11 @@ from .grid import ImageGrid, NoiseSpec, add_noise
 from .metrics import EVAL_CSV_HEADER, SsimConfig, evaluate, report_csv_row, ssim
 from .pgm import read_pgm, write_pgm
 from .stopping import AprioriStop, DiscrepancyStop, MaxStepsOnly, RdeStop
+
+# glibc mallopt parameters and the values main sets
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD_BYTES = 64 << 20
+_TRIM_THRESHOLD_BYTES = 256 << 20
 
 _STOP_CHOICES = ("rde", "discrepancy", "a-priori", "none")
 _METHOD_CHOICES = ("svddf", "first-order")
@@ -191,6 +197,12 @@ def _cmd_add_noise(args) -> int:
 
 
 def _run_method(noisy: ImageGrid, config: SolverConfig, method: str):
+    if method == "svddf" and config.dt_rule == "theorem" and config.safety * config.eta > 2.0:
+        print(
+            f"warning: --dt auto with safety*eta = {config.safety * config.eta:g} > 2 can be "
+            "unstable; see README 'Stability of the spectral step rule'",
+            file=sys.stderr,
+        )
     runner = run_svddf if method == "svddf" else run_first_order
     return runner(noisy, config)
 
@@ -329,7 +341,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_arrays_on_heap() -> None:
+    """Stop glibc from returning freed image arrays to the kernel between steps.
+
+    Every step frees and reallocates dozens of image-sized arrays.  Under
+    glibc's dynamic defaults an array of at least 128 KiB (a 128 x 128
+    float64 image) may be served by a fresh mmap, or the heap top trimmed,
+    so a varying share of them costs fresh page faults on every step.  A
+    fixed mmap threshold of 64 MiB and trim threshold of 256 MiB keep them
+    on the heap.  Nothing happens where the C library has no mallopt; if
+    glibc refuses the mmap threshold, the trim threshold is left alone too,
+    since setting either one turns the dynamic thresholds off.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES):
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def main(argv=None) -> int:
+    _keep_freed_arrays_on_heap()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

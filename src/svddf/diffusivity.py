@@ -92,18 +92,28 @@ class DiffusivityField:
         return float(self.epsilon ** ((self.exponent_p - 2.0) / 2.0))
 
 
-def _sep_correlate_same(img, k0, k1):
-    """Correlate with taps k0 along rows and k1 along columns, mirror-padded."""
-    r0 = (k0.shape[0] - 1) // 2
-    r1 = (k1.shape[0] - 1) // 2
-    m, n = img.shape
-    pad = np.pad(img, ((r0, r0), (r1, r1)), mode="symmetric")
-    tmp = np.zeros((m, n + 2 * r1))
-    for t in range(k0.shape[0]):
-        tmp += k0[t] * pad[t : t + m, :]
-    out = np.zeros((m, n))
-    for t in range(k1.shape[0]):
-        out += k1[t] * tmp[:, t : t + n]
+def _paired_pass(src, axis, size, taps, even, out, tmp):
+    """``out`` = correlation of ``src`` with ``taps`` along ``axis``, ``size`` outputs.
+
+    ``src`` carries ``(len(taps) - 1) // 2`` padding on each side of ``axis``.
+    The taps are even (``taps[r+t] == taps[r-t]``) or odd (``taps[r+t] ==
+    -taps[r-t]``, zero centre), so offsets t and -t share one multiply.
+    """
+    r = (taps.shape[0] - 1) // 2
+
+    def window(t):
+        return src[r + t : r + t + size] if axis == 0 else src[:, r + t : r + t + size]
+
+    combine = np.add if even else np.subtract
+    if even:
+        np.multiply(window(0), taps[r], out=out)
+    else:
+        combine(window(1), window(-1), out=out)
+        out *= taps[r + 1]
+    for t in range(1 if even else 2, r + 1):
+        combine(window(t), window(-t), out=tmp)
+        tmp *= taps[r + t]
+        out += tmp
     return out
 
 
@@ -113,12 +123,40 @@ def grad_gaussian(u: ImageGrid, kernel: GaussianKernel):
     Correlating with the derivative-of-Gaussian taps differentiates the
     Gaussian-smoothed image; symmetric (mirror) padding keeps the result
     consistent with the zero-flux boundary of the flow.  Output is divided
-    by the grid spacing so a unit-slope ramp reports slope ~1.
+    by the grid spacing so a unit-slope ramp reports slope ~1.  One pass
+    along the rows gives both the smoothed and the differentiated rows; a
+    pass down the columns finishes each component.
     """
-    px = u.pixels
-    gx = _sep_correlate_same(px, kernel.dg, kernel.g) / u.spacing
-    gy = _sep_correlate_same(px, kernel.g, kernel.dg) / u.spacing
+    r = kernel.radius
+    m, n = u.shape
+    pad = np.pad(u.pixels, r, mode="symmetric")
+    # the row pass runs along the contiguous axis; the column pass then
+    # shifts whole rows
+    smooth_j, diff_j, tmp = (np.empty((m + 2 * r, n)) for _ in range(3))
+    _paired_pass(pad, 1, n, kernel.g, True, smooth_j, tmp)
+    _paired_pass(pad, 1, n, kernel.dg, False, diff_j, tmp)
+    tmp = tmp[:m]
+    gx = _paired_pass(smooth_j, 0, m, kernel.dg, False, np.empty((m, n)), tmp)
+    gy = _paired_pass(diff_j, 0, m, kernel.g, True, np.empty((m, n)), tmp)
+    gx /= u.spacing
+    gy /= u.spacing
     return gx, gy
+
+
+def _midpoint_coefficients(a0, a1, b0, b1, epsilon, expo):
+    """(epsilon + |mean of the two gradient samples|^2)^expo, computed in place.
+
+    0.25 * ((a0 + a1)^2 + (b0 + b1)^2) equals (0.5 * (a0 + a1))^2 +
+    (0.5 * (b0 + b1))^2 exactly: scaling by a power of two does not round.
+    """
+    mag2 = np.add(a0, a1)
+    np.square(mag2, out=mag2)
+    sq = np.add(b0, b1)
+    np.square(sq, out=sq)
+    mag2 += sq
+    mag2 *= 0.25
+    mag2 += epsilon
+    return np.power(mag2, expo, out=mag2)
 
 
 def diffusivity_half(u: ImageGrid, epsilon: float, p: float, kernel: GaussianKernel) -> DiffusivityField:
@@ -126,25 +164,26 @@ def diffusivity_half(u: ImageGrid, epsilon: float, p: float, kernel: GaussianKer
 
     Midpoint gradient components are the mean of the two adjacent node
     values, mirroring the midpoint averaging used for the image itself.
+    p = 2 gives a = 1 exactly (x**0 == 1 for every x), without a gradient.
     """
     if not (epsilon > 0):
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
     if not (1.0 <= p <= 2.0):
         raise ParameterError(f"p must lie in [1, 2], got {p}")
     u.require_min_size(2)
-    # huge gradients overflow to inf and give the correct limit a -> 0 for
-    # p < 2; keep that path silent
-    with np.errstate(over="ignore", invalid="ignore"):
-        gx, gy = grad_gaussian(u, kernel)
-        expo = (p - 2.0) / 2.0
-        # midpoints between rows i and i+1: shape (M-1, N)
-        mag2_i = (0.5 * (gx[:-1] + gx[1:])) ** 2 + (0.5 * (gy[:-1] + gy[1:])) ** 2
-        a_i = (epsilon + mag2_i) ** expo
-        # midpoints between columns j and j+1: shape (M, N-1)
-        mag2_j = (0.5 * (gx[:, :-1] + gx[:, 1:])) ** 2 + (0.5 * (gy[:, :-1] + gy[:, 1:])) ** 2
-        a_j = (epsilon + mag2_j) ** expo
-
     m, n = u.shape
+    if p == 2.0:
+        a_i, a_j = np.ones((m - 1, n)), np.ones((m, n - 1))
+    else:
+        # huge gradients overflow to inf and give the correct limit a -> 0
+        # for p < 2; keep that path silent
+        with np.errstate(over="ignore", invalid="ignore"):
+            gx, gy = grad_gaussian(u, kernel)
+            expo = (p - 2.0) / 2.0
+            # midpoints between rows i and i+1: shape (M-1, N)
+            a_i = _midpoint_coefficients(gx[:-1], gx[1:], gy[:-1], gy[1:], epsilon, expo)
+            # midpoints between columns j and j+1: shape (M, N-1)
+            a_j = _midpoint_coefficients(gx[:, :-1], gx[:, 1:], gy[:, :-1], gy[:, 1:], epsilon, expo)
     return DiffusivityField(rows=m, cols=n, ai=a_i, aj=a_j, epsilon=float(epsilon), exponent_p=float(p))
 
 

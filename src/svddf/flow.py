@@ -86,7 +86,12 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class FlowState:
-    """Stacked iterate (u, v) plus the stencil assembled from the previous iterate."""
+    """Stacked iterate (u, v) plus the stencil assembled from the previous iterate.
+
+    ``Fu`` is ``F_prev @ u``, or None; a step that computes this product
+    anyway carries it so that the next step need not form it again.  Code
+    that replaces ``u`` or ``F_prev`` must also set ``Fu=None``.
+    """
 
     u: np.ndarray
     v: np.ndarray
@@ -97,6 +102,7 @@ class FlowState:
     cols: int
     last_dt: float = float("nan")
     last_lambda: float = float("nan")
+    Fu: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -185,20 +191,26 @@ def step_size(lam: float, config: SolverConfig) -> float:
 
 
 def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
-    """One damped Stormer-Verlet step; returns the new state carrying its stencil."""
+    """One damped Stormer-Verlet step; returns the new state carrying its stencil.
+
+    The closing half-kick's ``F_new @ u_new`` is the next step's
+    ``F_prev @ u``, so it is carried as ``Fu``: one stencil product per step.
+    """
     lam = lambda_max(state.F_prev) if config.dt_rule == "theorem" else float("nan")
     dt = step_size(lam, config)
 
     u, v = state.u, state.v
     # transient infs on a diverging run are caught below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        v_half = (v + 0.5 * dt * apply(state.F_prev, u)) / (1.0 + 0.5 * config.eta * dt)
+        Fu = apply(state.F_prev, u) if state.Fu is None else state.Fu
+        v_half = (v + 0.5 * dt * Fu) / (1.0 + 0.5 * config.eta * dt)
         u_new = u + dt * v_half
         if not np.all(np.isfinite(u_new)):
             raise DivergenceError(f"non-finite iterate at step {state.k}", step=state.k)
         # k = 0 reuses the startup stencil, which was assembled from this same u
         F_new = state.F_prev if state.k == 0 else _assemble_from(u, state.rows, state.cols, config)
-        v_new = v_half + 0.5 * dt * (apply(F_new, u_new) - config.eta * v_half)
+        Fu_new = apply(F_new, u_new)
+        v_new = v_half + 0.5 * dt * (Fu_new - config.eta * v_half)
     if not np.all(np.isfinite(v_new)):
         raise DivergenceError(f"non-finite velocity at step {state.k}", step=state.k)
     return replace(
@@ -210,6 +222,7 @@ def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
         F_prev=F_new,
         last_dt=dt,
         last_lambda=lam,
+        Fu=Fu_new,
     )
 
 
@@ -327,6 +340,7 @@ def _first_order_step(state: FlowState, config: SolverConfig) -> FlowState:
         F_prev=F,
         last_dt=dt,
         last_lambda=lam,
+        Fu=None,  # F was assembled from the old u, not u_new
     )
 
 

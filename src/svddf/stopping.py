@@ -86,11 +86,22 @@ StoppingRule = RdeStop | DiscrepancyStop | AprioriStop | MaxStepsOnly
 
 
 @functools.lru_cache(maxsize=8)
-def _band_mask(m: int, n: int, n0: int) -> np.ndarray:
-    """Read-only mask of the DFT index pairs (i, j) with i + j >= n0."""
-    band = np.add.outer(np.arange(m), np.arange(n)) >= n0
-    band.flags.writeable = False
-    return band
+def _band_weights(m: int, n: int, n0: int) -> np.ndarray:
+    """Read-only weights of the (m, n//2 + 1) half spectrum of a real image.
+
+    Half-spectrum entry (i, j) stands for full-spectrum entries (i, j) and,
+    by conjugate symmetry, its mirror (-i mod m, n - j) of equal magnitude.
+    The weight counts each of the two that lies in the band i + j >= n0.
+    Columns j = 0 and, for even n, j = n/2 are their own mirror columns and
+    are counted once.
+    """
+    i = np.arange(m)[:, None]
+    j = np.arange(n // 2 + 1)
+    weights = (i + j >= n0).astype(np.float64)
+    mirrored = slice(1, (n + 1) // 2)
+    weights[:, mirrored] += (-i % m) + (n - j[mirrored]) >= n0
+    weights.flags.writeable = False
+    return weights
 
 
 def high_freq_energy(u: ImageGrid | np.ndarray, n0: int) -> float:
@@ -99,6 +110,7 @@ def high_freq_energy(u: ImageGrid | np.ndarray, n0: int) -> float:
     Unnormalised forward transform, 0-based indices, no frequency
     centering.  n0 = 0 therefore returns M*N times the squared pixel norm
     (Parseval); n0 beyond the largest index sum gives an empty band and 0.
+    The sum runs over the real-input half spectrum with mirror weights.
     """
     px = u.pixels if isinstance(u, ImageGrid) else np.asarray(u, dtype=np.float64)
     if n0 < 0:
@@ -106,8 +118,10 @@ def high_freq_energy(u: ImageGrid | np.ndarray, n0: int) -> float:
     m, n = px.shape
     if n0 > (m - 1) + (n - 1):
         return 0.0
-    spectrum = np.abs(np.fft.fft2(px)) ** 2
-    return float(spectrum[_band_mask(m, n, n0)].sum())
+    half = np.fft.rfft2(px)
+    power = np.square(half.real)
+    power += np.square(half.imag)
+    return float(np.vdot(_band_weights(m, n, n0), power))
 
 
 def rde(u_k: ImageGrid, u_km1: ImageGrid, n0: int) -> float:

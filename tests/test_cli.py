@@ -1,9 +1,13 @@
+import types
+
 import numpy as np
 import pytest
 
 import svddf
 from svddf import ImageGrid, read_pgm, synth_image, write_pgm
 from svddf.cli import main
+
+STABILITY_NOTE = "see README 'Stability of the spectral step rule'"
 
 
 @pytest.fixture
@@ -249,6 +253,57 @@ class TestDenoise:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags,warned",
+        [
+            (["--eta", "3", "--dt", "auto"], True),  # safety * eta = 2.7
+            (["--eta", "2", "--dt", "auto"], False),  # 1.8
+            (["--eta", "2", "--dt", "auto", "--safety", "1"], False),  # 2, the stable edge
+            (["--eta", "3", "--dt", "0.15"], False),
+            (["--eta", "3", "--dt", "auto", "--method", "first-order"], False),
+        ],
+    )
+    def test_auto_dt_stability_warning(self, tmp_path, noisy_pgm, capsys, flags, warned):
+        argv = ["denoise", str(noisy_pgm), "--stop", "none", "--max-steps", "3"]
+        assert main(argv + ["--out", str(tmp_path / "w")] + flags) == 0
+        captured = capsys.readouterr()
+        assert captured.err.count(STABILITY_NOTE) == int(warned)
+        assert captured.out == "stopped by max-steps after 3 steps\n"
+
+
+class TestHeapSettings:
+    @staticmethod
+    def denoise(tmp_path, noisy_pgm):
+        argv = ["denoise", str(noisy_pgm), "--stop", "none", "--max-steps", "2"]
+        return main(argv + ["--out", str(tmp_path / "heap")])
+
+    def test_missing_c_library_is_ignored(self, tmp_path, noisy_pgm, monkeypatch):
+        def no_library(name):
+            raise OSError("cannot load the C library")
+
+        monkeypatch.setattr("svddf.cli.ctypes.CDLL", no_library)
+        assert self.denoise(tmp_path, noisy_pgm) == 0
+
+    def test_library_without_mallopt_is_ignored(self, tmp_path, noisy_pgm, monkeypatch):
+        monkeypatch.setattr("svddf.cli.ctypes.CDLL", lambda name: types.SimpleNamespace())
+        assert self.denoise(tmp_path, noisy_pgm) == 0
+
+    @pytest.mark.parametrize(
+        "accepted,expected",
+        [(1, [(-3, 64 << 20), (-1, 256 << 20)]), (0, [(-3, 64 << 20)])],
+    )
+    def test_thresholds_set_by_main(self, tmp_path, noisy_pgm, monkeypatch, accepted, expected):
+        # a refused mmap threshold leaves the trim threshold alone too
+        calls = []
+
+        def mallopt(param, value):
+            calls.append((param, value))
+            return accepted
+
+        monkeypatch.setattr("svddf.cli.ctypes.CDLL", lambda name: types.SimpleNamespace(mallopt=mallopt))
+        assert self.denoise(tmp_path, noisy_pgm) == 0
+        assert calls == expected
+
 
 class TestSweep:
     def test_single_cell_matches_denoise(self, tmp_path, disk_pgm, noisy_pgm):
@@ -331,6 +386,16 @@ class TestSweep:
         row = (out / "sweep.csv").read_text().splitlines()[1].split(",")
         assert row[1] == "nan"
         assert not math.isnan(float(row[2]))
+
+    def test_auto_dt_stability_warning_per_cell(self, tmp_path, disk_pgm, noisy_pgm, capsys):
+        argv = ["sweep", str(noisy_pgm), "--clean", str(disk_pgm), "--etas", "1,3", "--ps", "1,2"]
+        argv += ["--dt", "auto", "--stop", "none", "--max-steps", "3", "--out", str(tmp_path / "s")]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        # one line for each eta = 3 cell (safety * eta = 2.7), none for eta = 1
+        assert captured.err.count(STABILITY_NOTE) == 2
+        assert len(captured.out.splitlines()) == 5
+        assert STABILITY_NOTE not in captured.out
 
     def test_malformed_list_value_exits_2(self, tmp_path, disk_pgm, noisy_pgm, capsys):
         argv = ["sweep", str(noisy_pgm), "--clean", str(disk_pgm), "--etas", "1,abc", "--ps", "1"]

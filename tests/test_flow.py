@@ -7,6 +7,7 @@ from svddf import (
     MaxStepsOnly,
     RdeStop,
     SolverConfig,
+    apply,
     array,
     diffusivity_half,
     energies,
@@ -19,6 +20,7 @@ from svddf import (
     to_dense,
     vec,
 )
+from svddf.flow import _first_order_step
 
 from conftest import random_grid
 from oracles import damped_oscillator, dense_A, dense_B, dense_stencil, mode_amplification_formula
@@ -123,6 +125,25 @@ class TestSvStep:
             run_svddf(g, cfg)
         assert err.value.partial_log is not None
         assert len(err.value.partial_log) >= 1
+
+
+class TestCarriedProduct:
+    def test_carried_product_is_current_after_25_steps(self, rng):
+        g = random_grid(rng, 10, 12)
+        cfg = fixed_cfg(0.15, eta=2.0, exponent_p=1.0)
+        state = initial_state(g, cfg)
+        for _ in range(25):
+            state = sv_step(state, cfg)
+        assert np.array_equal(state.Fu, apply(state.F_prev, state.u))
+
+    def test_first_order_step_leaves_no_stale_product(self, rng):
+        g = random_grid(rng, 9, 9)
+        cfg = fixed_cfg(0.1, exponent_p=1.0)
+        # an sv_step leaves a product to carry; the baseline must not reuse it
+        state = sv_step(initial_state(g, cfg), cfg)
+        for _ in range(5):
+            state = _first_order_step(state, cfg)
+            assert state.Fu is None or np.array_equal(state.Fu, apply(state.F_prev, state.u))
 
 
 class TestModeDynamics:
@@ -261,8 +282,6 @@ class TestFirstOrder:
         cfg = SolverConfig(eta=1.0, exponent_p=1.0, max_steps=50, stopping=MaxStepsOnly())
         state = initial_state(g, cfg)
         m0 = state.u.mean()
-        from svddf.flow import _first_order_step
-
         for _ in range(50):
             state = _first_order_step(state, cfg)
             assert abs(state.u.mean() - m0) <= 1e-10

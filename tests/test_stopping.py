@@ -42,6 +42,18 @@ class TestHighFreqEnergy:
             ref = naive_dft_energy(g.pixels, n0)
             assert ours == pytest.approx(ref, rel=1e-9)
 
+    @given(
+        shape=st.tuples(st.integers(1, 9), st.integers(1, 9)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_half_spectrum_matches_naive_dft_on_every_band(self, shape, seed):
+        # odd and even widths: the mirror weights differ in the last column
+        px = np.random.default_rng(seed).uniform(size=shape)
+        m, n = shape
+        for n0 in range(m + n):
+            assert high_freq_energy(px, n0) == pytest.approx(naive_dft_energy(px, n0), rel=1e-9)
+
     def test_band_beyond_range_is_empty(self, rng):
         g = random_grid(rng, 6, 6)
         assert high_freq_energy(g, 11) == 0.0
