@@ -126,7 +126,6 @@ def _add_solver_flags(sub):
         help="use the literal floor(0.6 N^2) band threshold (degenerate on most sizes)",
     )
     sub.add_argument("--method", choices=_METHOD_CHOICES)
-    sub.add_argument("--seed", type=int, help="noise seed (echoed into outputs)")
 
 
 def _build_stopping(args):

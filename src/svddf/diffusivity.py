@@ -24,15 +24,13 @@ class GaussianKernel:
     ``sigma`` is the variance of the kernel exp(-x^2 / (2*sigma)); taps are
     sampled at integer offsets in [-radius, radius].  The base kernel is
     renormalised to unit sum after truncation, the derivative taps are
-    t/sigma times the base taps (odd, zero-sum by construction).
+    t/sigma times the base taps.  The 2-D kernels outer(dg, g), outer(g, dg) are never formed.
     """
 
     sigma: float
     radius: int
     g: np.ndarray
     dg: np.ndarray
-    dkx: np.ndarray
-    dky: np.ndarray
 
     def __post_init__(self):
         if not (self.sigma > 0):
@@ -41,10 +39,11 @@ class GaussianKernel:
             raise ParameterError(
                 f"radius {self.radius} below 3*sqrt(sigma) = {3.0 * math.sqrt(self.sigma):.3f}"
             )
-        for name in ("dkx", "dky"):
-            total = abs(float(getattr(self, name).sum()))
-            if total > 1e-12:
-                raise ParameterError(f"{name} must sum to zero, got {total:.3e}")
+        # _paired_pass shares one multiply between offsets t and -t
+        if not np.array_equal(self.g, self.g[::-1]):
+            raise ParameterError("g must be mirror-even")
+        if not np.array_equal(self.dg, -self.dg[::-1]):
+            raise ParameterError("dg must be mirror-odd")
 
 
 def make_kernel(sigma: float = 1.0, radius: int | None = None) -> GaussianKernel:
@@ -55,11 +54,9 @@ def make_kernel(sigma: float = 1.0, radius: int | None = None) -> GaussianKernel
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     g = np.exp(-(t**2) / (2.0 * sigma))
     g /= g.sum()
-    dg = t / sigma * g
     # correlation taps: response to a unit ramp is sum(t * dg) ~ 1
-    dkx = np.outer(dg, g)
-    dky = np.outer(g, dg)
-    return GaussianKernel(sigma=float(sigma), radius=int(radius), g=g, dg=dg, dkx=dkx, dky=dky)
+    dg = t / sigma * g
+    return GaussianKernel(sigma=float(sigma), radius=int(radius), g=g, dg=dg)
 
 
 @lru_cache(maxsize=32)
@@ -77,12 +74,18 @@ class DiffusivityField:
     ``SparseOperator.ci``/``cj``; there are no midpoints on the border.
     """
 
-    rows: int
-    cols: int
     ai: np.ndarray
     aj: np.ndarray
     epsilon: float
     exponent_p: float
+
+    @property
+    def rows(self) -> int:
+        return self.aj.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.ai.shape[1]
 
     def coefficient_arrays(self):
         return (self.ai, self.aj)
@@ -95,7 +98,7 @@ class DiffusivityField:
 def _paired_pass(src, axis, size, taps, even, out, tmp):
     """``out`` = correlation of ``src`` with ``taps`` along ``axis``, ``size`` outputs.
 
-    ``src`` carries ``(len(taps) - 1) // 2`` padding on each side of ``axis``.
+    ``src`` extends ``(len(taps) - 1) // 2`` samples (padding or valid-mode margin) past each end.
     The taps are even (``taps[r+t] == taps[r-t]``) or odd (``taps[r+t] ==
     -taps[r-t]``, zero centre), so offsets t and -t share one multiply.
     """
@@ -184,7 +187,7 @@ def diffusivity_half(u: ImageGrid, epsilon: float, p: float, kernel: GaussianKer
             a_i = _midpoint_coefficients(gx[:-1], gx[1:], gy[:-1], gy[1:], epsilon, expo)
             # midpoints between columns j and j+1: shape (M, N-1)
             a_j = _midpoint_coefficients(gx[:, :-1], gx[:, 1:], gy[:, :-1], gy[:, 1:], epsilon, expo)
-    return DiffusivityField(rows=m, cols=n, ai=a_i, aj=a_j, epsilon=float(epsilon), exponent_p=float(p))
+    return DiffusivityField(ai=a_i, aj=a_j, epsilon=float(epsilon), exponent_p=float(p))
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,6 @@ class SolverConfig:
     eta: float = 2.0
     epsilon: float = 1e-2
     sigma: float = 1.0
-    spacing: float = 1.0
     dt_rule: str = "theorem"
     dt_fixed: float | None = None
     safety: float = 0.9
@@ -69,14 +68,14 @@ class SolverConfig:
             raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
         if not (self.sigma > 0):
             raise ParameterError(f"sigma must be positive, got {self.sigma}")
-        if not (self.spacing > 0):
-            raise ParameterError(f"spacing must be positive, got {self.spacing}")
         if not (0.0 < self.safety <= 1.0):
             raise ParameterError(f"safety must lie in (0, 1], got {self.safety}")
         if self.dt_rule not in ("theorem", "fixed"):
             raise ParameterError(f"dt_rule must be 'theorem' or 'fixed', got {self.dt_rule!r}")
         if self.dt_rule == "fixed" and not (self.dt_fixed and self.dt_fixed > 0):
             raise ParameterError("dt_rule 'fixed' needs a positive dt_fixed")
+        if self.dt_max is not None and not (self.dt_max > 0):
+            raise ParameterError(f"dt_max must be positive, got {self.dt_max}")
         if self.max_steps < 1:
             raise ParameterError(f"max_steps must be at least 1, got {self.max_steps}")
 
@@ -88,6 +87,8 @@ class SolverConfig:
 class FlowState:
     """Stacked iterate (u, v) plus the stencil assembled from the previous iterate.
 
+    The grid shape is the stencil's; ``spacing`` is the input image's grid step h.
+
     ``Fu`` is ``F_prev @ u``, or None; a step that computes this product
     anyway carries it so that the next step need not form it again.  Code
     that replaces ``u`` or ``F_prev`` must also set ``Fu=None``.
@@ -98,8 +99,7 @@ class FlowState:
     k: int
     t: float
     F_prev: SparseOperator
-    rows: int
-    cols: int
+    spacing: float
     last_dt: float = float("nan")
     last_lambda: float = float("nan")
     Fu: np.ndarray | None = None
@@ -126,9 +126,6 @@ class TrajectoryLog:
         self.stopped_by: str = "max-steps"
         self.degenerate_rde: bool = False
 
-    def append(self, record: TrajectoryRecord):
-        self.records.append(record)
-
     def __len__(self):
         return len(self.records)
 
@@ -152,18 +149,21 @@ class TrajectoryLog:
             _write(target)
 
 
-def _assemble_from(uvec: np.ndarray, rows: int, cols: int, config: SolverConfig) -> SparseOperator:
-    grid = array(uvec, rows, cols, spacing=config.spacing)
-    fld = diffusivity_half(grid, config.epsilon, config.exponent_p, config.kernel())
-    return assemble(fld, config.spacing)
+def _image(state: FlowState, uvec: np.ndarray) -> ImageGrid:
+    """The stacked vector ``uvec`` as an image on the state's grid."""
+    return array(uvec, state.F_prev.rows, state.F_prev.cols, spacing=state.spacing)
+
+
+def _assemble_from(u: ImageGrid, config: SolverConfig) -> SparseOperator:
+    fld = diffusivity_half(u, config.epsilon, config.exponent_p, config.kernel())
+    return assemble(fld, u.spacing)
 
 
 def initial_state(u0: ImageGrid, config: SolverConfig) -> FlowState:
     """State at k = 0: v = 0 and the startup stencil assembled from u0."""
-    u0.require_min_size(2)
+    F0 = _assemble_from(u0, config)  # diffusivity_half rejects grids below 2 x 2
     u = vec(u0)
-    F0 = _assemble_from(u, u0.rows, u0.cols, config)
-    return FlowState(u=u, v=np.zeros_like(u), k=0, t=0.0, F_prev=F0, rows=u0.rows, cols=u0.cols)
+    return FlowState(u=u, v=np.zeros_like(u), k=0, t=0.0, F_prev=F0, spacing=u0.spacing)
 
 
 def _spectral_step(lam: float, config: SolverConfig, stable_dt) -> float:
@@ -179,12 +179,7 @@ def _spectral_step(lam: float, config: SolverConfig, stable_dt) -> float:
 
 
 def step_size(lam: float, config: SolverConfig) -> float:
-    """Step length under the configured rule, given the spectral bound ``lam``.
-
-    Theorem rule: safety * eta / sqrt(lam), optionally capped by dt_max; a
-    vanishing spectral bound requires dt_max to be set.  The fixed rule
-    ignores ``lam``.
-    """
+    """Step length under the configured rule (see SolverConfig), given the bound ``lam``."""
     if config.dt_rule == "fixed":
         return float(config.dt_fixed)
     return _spectral_step(lam, config, lambda lam: config.safety * config.eta / np.sqrt(lam))
@@ -208,7 +203,7 @@ def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
         if not np.all(np.isfinite(u_new)):
             raise DivergenceError(f"non-finite iterate at step {state.k}", step=state.k)
         # k = 0 reuses the startup stencil, which was assembled from this same u
-        F_new = state.F_prev if state.k == 0 else _assemble_from(u, state.rows, state.cols, config)
+        F_new = state.F_prev if state.k == 0 else _assemble_from(_image(state, u), config)
         Fu_new = apply(F_new, u_new)
         v_new = v_half + 0.5 * dt * (Fu_new - config.eta * v_half)
     if not np.all(np.isfinite(v_new)):
@@ -234,11 +229,11 @@ def energies(state: FlowState, config: SolverConfig) -> tuple[float, float]:
     differences (one-sided at the border), the epsilon keeping p = 1
     differentiable.
     """
-    h2 = config.spacing**2
+    h2 = state.spacing**2
     with np.errstate(over="ignore", invalid="ignore"):
         kinetic = 0.5 * h2 * float(state.v @ state.v)
-        px = state.u.reshape((state.rows, state.cols), order="F")
-        gx, gy = np.gradient(px, config.spacing)
+        px = state.u.reshape((state.F_prev.rows, state.F_prev.cols), order="F")
+        gx, gy = np.gradient(px, state.spacing)
         p = config.exponent_p
         potential = h2 * float(np.sum((gx**2 + gy**2 + config.epsilon) ** (p / 2.0)) / p)
     return kinetic, potential
@@ -247,21 +242,19 @@ def energies(state: FlowState, config: SolverConfig) -> tuple[float, float]:
 class _StopTracker:
     """Evaluates the configured rule and the per-step log quantities."""
 
-    def __init__(self, rule: StoppingRule, u0vec: np.ndarray, rows: int, cols: int):
+    def __init__(self, rule: StoppingRule, u0: ImageGrid):
         self.rule = rule
-        self.u0 = u0vec
-        self.rows, self.cols = rows, cols
-        if isinstance(rule, RdeStop):
-            self.n0 = rule.band_threshold(rows, cols)
-        else:
-            self.n0 = default_band_threshold(rows, cols)
-        self.prev_energy = high_freq_energy(u0vec.reshape((rows, cols), order="F"), self.n0)
+        self.u0 = vec(u0)
+        self.shape = u0.shape
+        band = rule.band_threshold if isinstance(rule, RdeStop) else default_band_threshold
+        self.n0 = band(*self.shape)
+        self.prev_energy = high_freq_energy(u0.pixels, self.n0)
         self.horizon = rule.horizon() if isinstance(rule, AprioriStop) else None
 
     def evaluate(self, uvec: np.ndarray, t: float):
         """Returns (rde_value, sigma, stop_reason_or_None, degenerate_flag)."""
         with np.errstate(over="ignore", invalid="ignore"):
-            energy = high_freq_energy(uvec.reshape((self.rows, self.cols), order="F"), self.n0)
+            energy = high_freq_energy(uvec.reshape(self.shape, order="F"), self.n0)
             degenerate = self.prev_energy == 0.0
             rde_val = 0.0 if degenerate else abs(energy - self.prev_energy) / self.prev_energy
             self.prev_energy = energy
@@ -278,7 +271,7 @@ class _StopTracker:
 
 def _run(u0: ImageGrid, config: SolverConfig, advance) -> tuple[ImageGrid, TrajectoryLog]:
     state = initial_state(u0, config)
-    tracker = _StopTracker(config.stopping, state.u, state.rows, state.cols)
+    tracker = _StopTracker(config.stopping, u0)
     log = TrajectoryLog()
     try:
         for _ in range(config.max_steps):
@@ -287,7 +280,7 @@ def _run(u0: ImageGrid, config: SolverConfig, advance) -> tuple[ImageGrid, Traje
             kinetic, potential = energies(state, config)
             with np.errstate(over="ignore", invalid="ignore"):
                 vnorm = float(np.linalg.norm(state.v))
-            log.append(
+            log.records.append(
                 TrajectoryRecord(
                     step=state.k,
                     t=state.t,
@@ -308,8 +301,7 @@ def _run(u0: ImageGrid, config: SolverConfig, advance) -> tuple[ImageGrid, Traje
     except DivergenceError as err:
         err.partial_log = log
         raise
-    out = array(state.u, state.rows, state.cols, spacing=config.spacing)
-    return out, log
+    return _image(state, state.u), log
 
 
 def run_svddf(u0: ImageGrid, config: SolverConfig) -> tuple[ImageGrid, TrajectoryLog]:
@@ -319,7 +311,7 @@ def run_svddf(u0: ImageGrid, config: SolverConfig) -> tuple[ImageGrid, Trajector
 
 def _first_order_step(state: FlowState, config: SolverConfig) -> FlowState:
     """Explicit step of the first-order flow u_t = div(a(u) grad u)."""
-    F = state.F_prev if state.k == 0 else _assemble_from(state.u, state.rows, state.cols, config)
+    F = state.F_prev if state.k == 0 else _assemble_from(_image(state, state.u), config)
     if config.dt_rule == "theorem":
         lam = lambda_max(F)
         # classical explicit-Euler stability for a symmetric negative operator

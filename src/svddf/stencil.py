@@ -24,37 +24,46 @@ class SparseOperator:
     """Matrix-free symmetric five-point stencil on a rows x cols grid.
 
     ``ci[i, j]`` couples pixels (i, j) and (i+1, j), ``cj[i, j]`` couples
-    (i, j) and (i, j+1); both already carry the 1/h^2 factor.
-    ``diagonal`` is the column-stacked main diagonal, minus the sum of each
-    pixel's couplings.
+    (i, j) and (i, j+1); both already carry the 1/h^2 factor.  The shape
+    and the diagonal are read from these couplings.
     """
 
-    rows: int
-    cols: int
     ci: np.ndarray
     cj: np.ndarray
-    diagonal: np.ndarray
+
+    @property
+    def rows(self) -> int:
+        return self.cj.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self.ci.shape[1]
 
     @property
     def dim(self) -> int:
         return self.rows * self.cols
 
+    @property
+    def diagonal(self) -> np.ndarray:
+        """Column-stacked main diagonal: minus the sum of each pixel's couplings."""
+        # west, east, north, south: the summation order fixes the diagonal's bits
+        diag = np.zeros((self.rows, self.cols), order="F")
+        diag[1:] -= self.ci
+        diag[:-1] -= self.ci
+        diag[:, 1:] -= self.cj
+        diag[:, :-1] -= self.cj
+        return diag.ravel(order="F")
+
 
 def assemble(field: DiffusivityField, spacing: float) -> SparseOperator:
-    """Build F from midpoint coefficients; diagonal = -(sum of kept couplings)."""
+    """Build F from midpoint coefficients: the couplings a/h^2."""
     if not (spacing > 0):
         raise ParameterError(f"spacing must be positive, got {spacing}")
     inv_h2 = 1.0 / spacing**2
     # column-major like the column-stacked vectors ``apply`` reshapes
     ci = np.multiply(field.ai, inv_h2, order="F")
     cj = np.multiply(field.aj, inv_h2, order="F")
-    # west, east, north, south: the summation order fixes the diagonal's bits
-    diag = np.zeros((field.rows, field.cols), order="F")
-    diag[1:] -= ci
-    diag[:-1] -= ci
-    diag[:, 1:] -= cj
-    diag[:, :-1] -= cj
-    return SparseOperator(field.rows, field.cols, ci, cj, diag.ravel(order="F"))
+    return SparseOperator(ci, cj)
 
 
 def apply(op: SparseOperator, x: np.ndarray) -> np.ndarray:
@@ -76,11 +85,11 @@ def apply(op: SparseOperator, x: np.ndarray) -> np.ndarray:
 def lambda_max(op: SparseOperator) -> float:
     """Gershgorin upper bound on the largest eigenvalue of -F.
 
-    Every Gershgorin disc of F has centre diag_q <= 0 and, because the row
-    sums vanish, radius |diag_q|, so the spectrum of -F lies in
-    [0, 2 * max|diag|].  For a symmetric operator the top eigenvalue is at
-    least the largest diagonal entry of -F (Rayleigh quotient of a unit
-    vector), so the bound overestimates by at most a factor 2.
+    The diagonal is formed here from the couplings, so the row sums of F
+    vanish: every Gershgorin disc has centre diag_q <= 0 and radius
+    |diag_q|, and the spectrum of -F lies in [0, 2 * max|diag|].  The top
+    eigenvalue is at least the largest diagonal entry of -F (Rayleigh
+    quotient of a unit vector), so the bound is within a factor 2 of it.
     """
     return float(2.0 * np.max(np.abs(op.diagonal)))
 
@@ -117,6 +126,7 @@ def dump_coo(op: SparseOperator, target) -> None:
     east, south neighbour.
     """
     m, n = op.rows, op.cols
+    diag = op.diagonal
 
     def _write(fh):
         for q in range(op.dim):
@@ -125,7 +135,7 @@ def dump_coo(op: SparseOperator, target) -> None:
                 fh.write(f"{q} {q - m} {op.cj[i, j - 1]:.17g}\n")
             if i > 0:
                 fh.write(f"{q} {q - 1} {op.ci[i - 1, j]:.17g}\n")
-            fh.write(f"{q} {q} {op.diagonal[q]:.17g}\n")
+            fh.write(f"{q} {q} {diag[q]:.17g}\n")
             if i < m - 1:
                 fh.write(f"{q} {q + 1} {op.ci[i, j]:.17g}\n")
             if j < n - 1:

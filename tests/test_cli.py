@@ -253,6 +253,20 @@ class TestDenoise:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["-0.1", "0", "nan"])
+    def test_non_positive_dt_max_exits_2(self, tmp_path, noisy_pgm, capsys, value):
+        out = tmp_path / "bad"
+        argv = ["denoise", str(noisy_pgm), "--dt", "auto", "--dt-max", value, "--out", str(out)]
+        assert main(argv) == 2
+        assert "dt_max must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_flag_rejected(self, tmp_path, noisy_pgm, capsys):
+        out = tmp_path / "bad"
+        assert main(["denoise", str(noisy_pgm), "--seed", "3", "--out", str(out)]) == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags,warned",
         [

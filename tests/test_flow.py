@@ -51,6 +51,11 @@ class TestStepSize:
     def test_fixed_rule(self):
         assert step_size(8.0, fixed_cfg(0.07)) == 0.07
 
+    @pytest.mark.parametrize("dt_max", [-0.1, 0.0, float("nan")])
+    def test_non_positive_dt_max_rejected(self, dt_max):
+        with pytest.raises(svddf.ParameterError, match="dt_max must be positive"):
+            SolverConfig(dt_max=dt_max)
+
 
 class TestSvStep:
     def test_constant_image_is_fixed_point(self):
@@ -125,6 +130,26 @@ class TestSvStep:
             run_svddf(g, cfg)
         assert err.value.partial_log is not None
         assert len(err.value.partial_log) >= 1
+
+
+class TestSpacing:
+    @pytest.mark.parametrize("runner", [run_svddf, run_first_order])
+    def test_flow_reads_the_image_spacing(self, rng, runner):
+        px = random_grid(rng, 10, 9).pixels
+        cfg = SolverConfig(exponent_p=1.5, max_steps=5, dt_max=0.05, stopping=MaxStepsOnly())
+        fine, _ = runner(ImageGrid(px, spacing=0.5), cfg)
+        unit, _ = runner(ImageGrid(px, spacing=1.0), cfg)
+        assert fine.spacing == 0.5
+        assert unit.spacing == 1.0
+        assert not np.array_equal(fine.pixels, unit.pixels)
+
+    def test_stencil_scales_with_inverse_square_spacing(self, rng):
+        px = random_grid(rng, 7, 8).pixels
+        cfg = SolverConfig(exponent_p=2.0)
+        fine = initial_state(ImageGrid(px, spacing=0.5), cfg).F_prev
+        unit = initial_state(ImageGrid(px, spacing=1.0), cfg).F_prev
+        assert np.array_equal(fine.ci, 4.0 * unit.ci)
+        assert np.array_equal(fine.cj, 4.0 * unit.cj)
 
 
 class TestCarriedProduct:
@@ -219,7 +244,7 @@ class TestStability:
 class TestEnergies:
     def test_constant_state(self):
         g = ImageGrid(np.full((6, 7), 0.4), spacing=0.5)
-        cfg = fixed_cfg(0.1, exponent_p=1.5, spacing=0.5)
+        cfg = fixed_cfg(0.1, exponent_p=1.5)
         state = initial_state(g, cfg)
         kinetic, potential = energies(state, cfg)
         assert kinetic == 0.0

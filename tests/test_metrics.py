@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import svddf
 from svddf import ImageGrid, SsimConfig, evaluate, rel_l2, ssim, vec
@@ -126,3 +128,22 @@ def test_cross_check_against_skimage(rng):
     )
     # border handling differs (they pad and crop); expect close agreement
     assert ours == pytest.approx(theirs, abs=5e-3)
+
+
+@st.composite
+def _window_and_shape(draw):
+    window = draw(st.sampled_from([3, 5, 7, 11]))
+    # from one valid window position up to 20 x 20
+    return window, (draw(st.integers(window, 20)), draw(st.integers(window, 20)))
+
+
+@given(case=_window_and_shape(), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_ssim_matches_windowed_reference_over_windows_and_shapes(case, seed):
+    window, shape = case
+    rng = np.random.default_rng(seed)
+    a = random_grid(rng, *shape)
+    b = random_grid(rng, *shape)
+    cfg = SsimConfig(window=window)
+    ref = ssim_reference(a.pixels, b.pixels, window, cfg.window_sigma, cfg.k1, cfg.k2, 1.0)
+    assert ssim(a, b, cfg) == pytest.approx(ref, abs=1e-10)
