@@ -49,7 +49,8 @@ _DEFAULTS = {
 }
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config_file(path: str, command: str, keys) -> dict:
+    """``key=value`` lines of ``path``; each key must be in ``keys``, the flags of ``command``."""
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -59,8 +60,8 @@ def _read_config_file(path: str) -> dict:
             raise SvddfError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, val = line.split("=", 1)
         key = key.strip().replace("-", "_")
-        if key not in _DEFAULTS:
-            raise SvddfError(f"{path}:{lineno}: unknown key {key!r}")
+        if key not in keys:
+            raise SvddfError(f"{path}:{lineno}: unknown key {key!r} for {command}")
         values[key] = val.strip()
     return values
 
@@ -195,7 +196,7 @@ def _cmd_add_noise(args) -> int:
     return 0
 
 
-def _run_method(noisy: ImageGrid, config: SolverConfig, method: str):
+def _run_method(noisy: ImageGrid, config: SolverConfig, method: str, keep_trajectory: bool = True):
     if method == "svddf" and config.dt_rule == "theorem" and config.safety * config.eta > 2.0:
         print(
             f"warning: --dt auto with safety*eta = {config.safety * config.eta:g} > 2 can be "
@@ -203,7 +204,7 @@ def _run_method(noisy: ImageGrid, config: SolverConfig, method: str):
             file=sys.stderr,
         )
     runner = run_svddf if method == "svddf" else run_first_order
-    return runner(noisy, config)
+    return runner(noisy, config, keep_trajectory=keep_trajectory)
 
 
 def _cmd_denoise(args) -> int:
@@ -272,7 +273,8 @@ def _cmd_sweep(args) -> int:
         for eta in etas:
             config = dataclasses.replace(base, exponent_p=p, eta=eta)
             try:
-                denoised, log = _run_method(noisy, config, method)
+                # the table reports SSIM and the step count; no trajectory is written
+                denoised, log = _run_method(noisy, config, method, keep_trajectory=False)
                 value = ssim(denoised, clean)
                 print(f"p={p:g} eta={eta:g}: ssim={value:.4f} ({log.final_step()} steps)")
             except SvddfError as err:
@@ -370,7 +372,11 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        args._config_values = _read_config_file(args.config) if getattr(args, "config", None) else {}
+        args._config_values = {}
+        if getattr(args, "config", None):
+            # the keys of this verb's flags: its parser sets an attribute for each
+            keys = _DEFAULTS.keys() & vars(args).keys()
+            args._config_values = _read_config_file(args.config, args.command, keys)
         return args.func(args)
     except (FileNotFoundError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -128,19 +128,22 @@ def grad_gaussian(u: ImageGrid, kernel: GaussianKernel):
     consistent with the zero-flux boundary of the flow.  Output is divided
     by the grid spacing so a unit-slope ramp reports slope ~1.  One pass
     along the rows gives both the smoothed and the differentiated rows; a
-    pass down the columns finishes each component.
+    pass down the columns finishes each component.  The components are
+    column-major, the layout of the stencil and of the flow's stacked
+    iterate; the values do not depend on the layout.
     """
     r = kernel.radius
     m, n = u.shape
-    pad = np.pad(u.pixels, r, mode="symmetric")
-    # the row pass runs along the contiguous axis; the column pass then
-    # shifts whole rows
-    smooth_j, diff_j, tmp = (np.empty((m + 2 * r, n)) for _ in range(3))
+    pad = np.pad(u.pixels, r, mode="symmetric")  # column-major for a column-major image
+    smooth_j, diff_j = (np.empty((m + 2 * r, n), order="F") for _ in range(2))
+    # one work buffer, contiguous in the row pass's shape and in the column pass's
+    buffer = np.empty((m + 2 * r) * n)
+    tmp = buffer.reshape((m + 2 * r, n), order="F")
     _paired_pass(pad, 1, n, kernel.g, True, smooth_j, tmp)
     _paired_pass(pad, 1, n, kernel.dg, False, diff_j, tmp)
-    tmp = tmp[:m]
-    gx = _paired_pass(smooth_j, 0, m, kernel.dg, False, np.empty((m, n)), tmp)
-    gy = _paired_pass(diff_j, 0, m, kernel.g, True, np.empty((m, n)), tmp)
+    tmp = buffer[: m * n].reshape((m, n), order="F")
+    gx = _paired_pass(smooth_j, 0, m, kernel.dg, False, np.empty((m, n), order="F"), tmp)
+    gy = _paired_pass(diff_j, 0, m, kernel.g, True, np.empty((m, n), order="F"), tmp)
     gx /= u.spacing
     gy /= u.spacing
     return gx, gy
@@ -167,6 +170,7 @@ def diffusivity_half(u: ImageGrid, epsilon: float, p: float, kernel: GaussianKer
 
     Midpoint gradient components are the mean of the two adjacent node
     values, mirroring the midpoint averaging used for the image itself.
+    The coefficient arrays are column-major, like the stencil's couplings.
     p = 2 gives a = 1 exactly (x**0 == 1 for every x), without a gradient.
     """
     if not (epsilon > 0):
@@ -176,7 +180,7 @@ def diffusivity_half(u: ImageGrid, epsilon: float, p: float, kernel: GaussianKer
     u.require_min_size(2)
     m, n = u.shape
     if p == 2.0:
-        a_i, a_j = np.ones((m - 1, n)), np.ones((m, n - 1))
+        a_i, a_j = np.ones((m - 1, n), order="F"), np.ones((m, n - 1), order="F")
     else:
         # huge gradients overflow to inf and give the correct limit a -> 0
         # for p < 2; keep that path silent

@@ -11,7 +11,7 @@ explicit half-kick that damps with the midpoint velocity:
 
 The baseline drops the inertial term and steps u_new = u + dt * F @ u
 explicitly.  Both runners share the stopping rules and emit a per-step
-trajectory log.
+trajectory log, or, on request, only the reason and step they stopped at.
 """
 
 from dataclasses import dataclass, field, replace
@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diffusivity import _cached_kernel, diffusivity_half
-from .errors import DivergenceError, ParameterError
+from .errors import DegenerateInputError, DivergenceError, ParameterError
 from .grid import ImageGrid, array, vec
 from .stencil import SparseOperator, apply, assemble, lambda_max
 from .stopping import (
@@ -119,18 +119,24 @@ class TrajectoryRecord:
 
 
 class TrajectoryLog:
-    """Per-step records of a run plus the reason it stopped."""
+    """Per-step records of a run plus the reason and step it stopped at.
+
+    A run that keeps no trajectory leaves ``records`` empty; ``stopped_by``
+    and ``final_step()`` are set either way.  ``degenerate_rde`` is set
+    when the band energy was evaluated and its previous value was zero.
+    """
 
     def __init__(self):
         self.records: list[TrajectoryRecord] = []
         self.stopped_by: str = "max-steps"
         self.degenerate_rde: bool = False
+        self.steps: int = 0
 
     def __len__(self):
         return len(self.records)
 
     def final_step(self) -> int:
-        return self.records[-1].step if self.records else 0
+        return self.steps
 
     def to_csv(self, target) -> None:
         def _write(fh):
@@ -149,21 +155,27 @@ class TrajectoryLog:
             _write(target)
 
 
-def _image(state: FlowState, uvec: np.ndarray) -> ImageGrid:
-    """The stacked vector ``uvec`` as an image on the state's grid."""
-    return array(uvec, state.F_prev.rows, state.F_prev.cols, spacing=state.spacing)
+def _assemble_from(u: np.ndarray, shape, spacing: float, config: SolverConfig) -> SparseOperator:
+    """Stencil of the finite stacked iterate ``u``, computed column-major throughout.
 
-
-def _assemble_from(u: ImageGrid, config: SolverConfig) -> SparseOperator:
-    fld = diffusivity_half(u, config.epsilon, config.exponent_p, config.kernel())
-    return assemble(fld, u.spacing)
+    The image is the column-major view of ``u``, wrapped without a copy or
+    a finiteness scan, so the coefficients come out in the stencil's layout.
+    """
+    image = ImageGrid.of_finite(u.reshape(shape, order="F"), spacing)
+    fld = diffusivity_half(image, config.epsilon, config.exponent_p, config.kernel())
+    return assemble(fld, spacing)
 
 
 def initial_state(u0: ImageGrid, config: SolverConfig) -> FlowState:
     """State at k = 0: v = 0 and the startup stencil assembled from u0."""
-    F0 = _assemble_from(u0, config)  # diffusivity_half rejects grids below 2 x 2
     u = vec(u0)
+    F0 = _assemble_from(u, u0.shape, u0.spacing, config)  # rejects grids below 2 x 2
     return FlowState(u=u, v=np.zeros_like(u), k=0, t=0.0, F_prev=F0, spacing=u0.spacing)
+
+
+def _reassemble(state: FlowState, config: SolverConfig) -> SparseOperator:
+    """Stencil of the state's iterate ``u``; ``u`` was checked finite when it was formed."""
+    return _assemble_from(state.u, (state.F_prev.rows, state.F_prev.cols), state.spacing, config)
 
 
 def _spectral_step(lam: float, config: SolverConfig, stable_dt) -> float:
@@ -203,7 +215,7 @@ def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
         if not np.all(np.isfinite(u_new)):
             raise DivergenceError(f"non-finite iterate at step {state.k}", step=state.k)
         # k = 0 reuses the startup stencil, which was assembled from this same u
-        F_new = state.F_prev if state.k == 0 else _assemble_from(_image(state, u), config)
+        F_new = state.F_prev if state.k == 0 else _reassemble(state, config)
         Fu_new = apply(F_new, u_new)
         v_new = v_half + 0.5 * dt * (Fu_new - config.eta * v_half)
     if not np.all(np.isfinite(v_new)):
@@ -221,17 +233,20 @@ def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
     )
 
 
-def energies(state: FlowState, config: SolverConfig) -> tuple[float, float]:
+def energies(state: FlowState, config: SolverConfig, vv: float | None = None) -> tuple[float, float]:
     """Kinetic and (regularised) p-Dirichlet potential energy of the state.
 
-    Kinetic is h^2/2 * ||v||^2.  The potential integrates
+    Kinetic is h^2/2 * ||v||^2, from ``vv = v @ v`` when the caller has
+    formed it already.  The potential integrates
     (|grad u|^2 + epsilon)^(p/2) / p over all nodes with central
     differences (one-sided at the border), the epsilon keeping p = 1
     differentiable.
     """
     h2 = state.spacing**2
     with np.errstate(over="ignore", invalid="ignore"):
-        kinetic = 0.5 * h2 * float(state.v @ state.v)
+        if vv is None:
+            vv = float(state.v @ state.v)
+        kinetic = 0.5 * h2 * vv
         px = state.u.reshape((state.F_prev.rows, state.F_prev.cols), order="F")
         gx, gy = np.gradient(px, state.spacing)
         p = config.exponent_p
@@ -240,78 +255,110 @@ def energies(state: FlowState, config: SolverConfig) -> tuple[float, float]:
 
 
 class _StopTracker:
-    """Evaluates the configured rule and the per-step log quantities."""
+    """Evaluates the configured rule on every step and keeps the run's log.
 
-    def __init__(self, rule: StoppingRule, u0: ImageGrid):
+    With ``keep_trajectory`` every step appends a full record.  Without it
+    only the rule's own quantity is formed: the band energy for rde, sigma
+    for the discrepancy rule, t for the a-priori rule, nothing for max-steps.
+    """
+
+    def __init__(self, rule: StoppingRule, u0: ImageGrid, keep_trajectory: bool):
         self.rule = rule
+        self.keep_trajectory = keep_trajectory
+        self.log = TrajectoryLog()
         self.u0 = vec(u0)
+        self.u0_norm = float(np.linalg.norm(self.u0))
+        if self.u0_norm == 0.0:
+            raise DegenerateInputError("noisy data has zero norm")
         self.shape = u0.shape
-        band = rule.band_threshold if isinstance(rule, RdeStop) else default_band_threshold
-        self.n0 = band(*self.shape)
-        self.prev_energy = high_freq_energy(u0.pixels, self.n0)
+        self.with_rde = keep_trajectory or isinstance(rule, RdeStop)
+        self.with_sigma = keep_trajectory or isinstance(rule, DiscrepancyStop)
+        if self.with_rde:
+            band = rule.band_threshold if isinstance(rule, RdeStop) else default_band_threshold
+            self.n0 = band(*self.shape)
+            self.prev_energy = high_freq_energy(u0.pixels, self.n0)
         self.horizon = rule.horizon() if isinstance(rule, AprioriStop) else None
 
-    def evaluate(self, uvec: np.ndarray, t: float):
-        """Returns (rde_value, sigma, stop_reason_or_None, degenerate_flag)."""
+    def _rde(self, uvec: np.ndarray) -> float:
+        energy = high_freq_energy(uvec.reshape(self.shape, order="F"), self.n0)
+        degenerate = self.prev_energy == 0.0
+        rde_val = 0.0 if degenerate else abs(energy - self.prev_energy) / self.prev_energy
+        self.prev_energy = energy
+        if degenerate:
+            self.log.degenerate_rde = True
+        return rde_val
+
+    def stops(self, state: FlowState, config: SolverConfig) -> bool:
+        """Logs the step that produced ``state``; True if the rule fires on it."""
+        rde_val = sig = float("nan")
         with np.errstate(over="ignore", invalid="ignore"):
-            energy = high_freq_energy(uvec.reshape(self.shape, order="F"), self.n0)
-            degenerate = self.prev_energy == 0.0
-            rde_val = 0.0 if degenerate else abs(energy - self.prev_energy) / self.prev_energy
-            self.prev_energy = energy
-            sig = discrepancy(uvec, self.u0, 0.0).sigma
+            if self.with_rde:
+                rde_val = self._rde(state.u)
+            if self.with_sigma:
+                sig = discrepancy(state.u, self.u0, 0.0, u0_norm=self.u0_norm).sigma
+        if self.keep_trajectory:
+            self.log.records.append(self._record(state, config, rde_val, sig))
+        self.log.steps = state.k
         reason = None
         if isinstance(self.rule, RdeStop) and rde_val < self.rule.tolerance:
             reason = "rde"
         elif isinstance(self.rule, DiscrepancyStop) and sig - self.rule.delta >= 0.0:
             reason = "discrepancy"
-        elif isinstance(self.rule, AprioriStop) and t >= self.horizon:
+        elif isinstance(self.rule, AprioriStop) and state.t >= self.horizon:
             reason = "a-priori"
-        return rde_val, sig, reason, degenerate
+        if reason is not None:
+            self.log.stopped_by = reason
+        return reason is not None
+
+    @staticmethod
+    def _record(state: FlowState, config: SolverConfig, rde_val: float, sig: float):
+        with np.errstate(over="ignore", invalid="ignore"):
+            vv = float(state.v @ state.v)
+            # np.linalg.norm(v) is exactly sqrt(v @ v)
+            vnorm = float(np.sqrt(vv))
+        kinetic, potential = energies(state, config, vv)
+        return TrajectoryRecord(
+            step=state.k,
+            t=state.t,
+            dt=state.last_dt,
+            lambda_max=state.last_lambda,
+            vnorm=vnorm,
+            rde=rde_val,
+            sigma=sig,
+            kinetic=kinetic,
+            potential=potential,
+        )
 
 
-def _run(u0: ImageGrid, config: SolverConfig, advance) -> tuple[ImageGrid, TrajectoryLog]:
+def _run(u0: ImageGrid, config: SolverConfig, advance, keep_trajectory: bool):
     state = initial_state(u0, config)
-    tracker = _StopTracker(config.stopping, u0)
-    log = TrajectoryLog()
+    tracker = _StopTracker(config.stopping, u0, keep_trajectory)
     try:
         for _ in range(config.max_steps):
             state = advance(state, config)
-            rde_val, sig, reason, degenerate = tracker.evaluate(state.u, state.t)
-            kinetic, potential = energies(state, config)
-            with np.errstate(over="ignore", invalid="ignore"):
-                vnorm = float(np.linalg.norm(state.v))
-            log.records.append(
-                TrajectoryRecord(
-                    step=state.k,
-                    t=state.t,
-                    dt=state.last_dt,
-                    lambda_max=state.last_lambda,
-                    vnorm=vnorm,
-                    rde=rde_val,
-                    sigma=sig,
-                    kinetic=kinetic,
-                    potential=potential,
-                )
-            )
-            if degenerate:
-                log.degenerate_rde = True
-            if reason is not None:
-                log.stopped_by = reason
+            if tracker.stops(state, config):
                 break
     except DivergenceError as err:
-        err.partial_log = log
+        err.partial_log = tracker.log
         raise
-    return _image(state, state.u), log
+    return array(state.u, state.F_prev.rows, state.F_prev.cols, spacing=state.spacing), tracker.log
 
 
-def run_svddf(u0: ImageGrid, config: SolverConfig) -> tuple[ImageGrid, TrajectoryLog]:
-    """Iterate the damped Stormer-Verlet flow until the stopping rule fires."""
-    return _run(u0, config, sv_step)
+def run_svddf(
+    u0: ImageGrid, config: SolverConfig, *, keep_trajectory: bool = True
+) -> tuple[ImageGrid, TrajectoryLog]:
+    """Iterate the damped Stormer-Verlet flow until the stopping rule fires.
+
+    ``keep_trajectory=False`` skips the per-step records and every quantity
+    the stopping rule does not read; the log then holds only the stop
+    reason and step.
+    """
+    return _run(u0, config, sv_step, keep_trajectory)
 
 
 def _first_order_step(state: FlowState, config: SolverConfig) -> FlowState:
     """Explicit step of the first-order flow u_t = div(a(u) grad u)."""
-    F = state.F_prev if state.k == 0 else _assemble_from(_image(state, state.u), config)
+    F = state.F_prev if state.k == 0 else _reassemble(state, config)
     if config.dt_rule == "theorem":
         lam = lambda_max(F)
         # classical explicit-Euler stability for a symmetric negative operator
@@ -336,6 +383,11 @@ def _first_order_step(state: FlowState, config: SolverConfig) -> FlowState:
     )
 
 
-def run_first_order(u0: ImageGrid, config: SolverConfig) -> tuple[ImageGrid, TrajectoryLog]:
-    """Iterate the first-order baseline flow with the same stopping machinery."""
-    return _run(u0, config, _first_order_step)
+def run_first_order(
+    u0: ImageGrid, config: SolverConfig, *, keep_trajectory: bool = True
+) -> tuple[ImageGrid, TrajectoryLog]:
+    """Iterate the first-order baseline flow with the same stopping machinery.
+
+    ``keep_trajectory`` as for :func:`run_svddf`.
+    """
+    return _run(u0, config, _first_order_step, keep_trajectory)

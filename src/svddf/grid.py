@@ -36,6 +36,21 @@ class ImageGrid:
         px.setflags(write=False)
         object.__setattr__(self, "pixels", px)
 
+    @classmethod
+    def of_finite(cls, pixels: np.ndarray, spacing: float) -> "ImageGrid":
+        """Wrap a 2-D float64 array known to be finite, as it is: no scan, no copy.
+
+        The memory order of ``pixels`` is kept (a column-major view stays
+        column-major), and the grid is read-only through ``pixels``.  For
+        callers that formed the array themselves and checked it when they did.
+        """
+        px = pixels.view()
+        px.setflags(write=False)
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "pixels", px)
+        object.__setattr__(grid, "spacing", spacing)
+        return grid
+
     @property
     def rows(self) -> int:
         return self.pixels.shape[0]

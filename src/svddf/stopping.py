@@ -146,11 +146,16 @@ class DiscrepancyResult:
     fired: bool
 
 
-def discrepancy(u_k: np.ndarray, u0: np.ndarray, delta: float) -> DiscrepancyResult:
-    """Tolerability ratio sigma = ||u - u0|| / ||u0|| and its excess over delta."""
+def discrepancy(
+    u_k: np.ndarray, u0: np.ndarray, delta: float, u0_norm: float | None = None
+) -> DiscrepancyResult:
+    """Tolerability ratio sigma = ||u - u0|| / ||u0|| and its excess over delta.
+
+    ``u0_norm`` is ||u0||, for a caller that evaluates many iterates against the same data.
+    """
     u_k = np.asarray(u_k, dtype=np.float64).ravel()
     u0 = np.asarray(u0, dtype=np.float64).ravel()
-    denom = np.linalg.norm(u0)
+    denom = np.linalg.norm(u0) if u0_norm is None else u0_norm
     if denom == 0.0:
         raise DegenerateInputError("noisy data has zero norm")
     sigma = float(np.linalg.norm(u_k - u0) / denom)

@@ -53,6 +53,25 @@ class TestAddNoise:
         assert "delta=0.25" in sidecar
         assert "seed=12" in sidecar
 
+    def test_config_file_sets_delta_and_seed(self, tmp_path, disk_pgm):
+        conf = tmp_path / "noise.conf"
+        conf.write_text("delta=0.25\nseed=12\n")
+        out = tmp_path / "conf"
+        assert main(["add-noise", str(disk_pgm), "--config", str(conf), "--out", str(out)]) == 0
+        assert (out / "disk_noisy.txt").read_text() == "delta=0.25\nseed=12\n"
+        assert main(["add-noise", str(disk_pgm), "--delta", "0.25", "--seed", "12", "--out", str(tmp_path)]) == 0
+        assert (out / "disk_noisy.pgm").read_bytes() == (tmp_path / "disk_noisy.pgm").read_bytes()
+
+    @pytest.mark.parametrize("line", ["eta=2", "max-steps=5", "stop=none"])
+    def test_config_file_solver_key_exits_2(self, tmp_path, disk_pgm, capsys, line):
+        conf = tmp_path / "noise.conf"
+        conf.write_text("delta=0.25\n" + line + "\n")
+        out = tmp_path / "bad"
+        assert main(["add-noise", str(disk_pgm), "--config", str(conf), "--out", str(out)]) == 2
+        key = line.split("=")[0].replace("-", "_")
+        assert f"{conf}:2: unknown key '{key}' for add-noise" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_noise_level_on_disk_fixture(self, tmp_path):
         # delta = 0.54 multiplicative uniform noise lands near delta/sqrt(3);
         # the disk is shifted into [0.25, 0.75] so the writer's clipping to
@@ -231,6 +250,18 @@ class TestDenoise:
         out = tmp_path / "bad"
         assert main(["denoise", str(noisy_pgm), "--config", str(conf), "--out", str(out)]) == 2
         assert f"{conf}:2: unknown key 'etaa'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["denoise", "sweep"])
+    def test_config_file_seed_key_exits_2(self, tmp_path, disk_pgm, noisy_pgm, capsys, verb):
+        conf = tmp_path / "run.conf"
+        conf.write_text("max-steps=2\nseed=3\n")
+        out = tmp_path / "bad"
+        argv = [verb, str(noisy_pgm), "--config", str(conf), "--out", str(out)]
+        if verb == "sweep":
+            argv += ["--clean", str(disk_pgm), "--etas", "1", "--ps", "1"]
+        assert main(argv) == 2
+        assert f"{conf}:2: unknown key 'seed' for {verb}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -415,6 +446,99 @@ class TestSweep:
         argv = ["sweep", str(noisy_pgm), "--clean", str(disk_pgm), "--etas", "1,abc", "--ps", "1"]
         assert main(argv) == 2
         assert "invalid value for etas: 'abc'" in capsys.readouterr().err
+
+
+SWEEP_RULES = {
+    "rde": (["--stop", "rde", "--tol", "1e-2"], svddf.RdeStop(tolerance=1e-2)),
+    "discrepancy": (["--stop", "discrepancy", "--delta", "0.2"], svddf.DiscrepancyStop(delta=0.2)),
+    "a-priori": (
+        ["--stop", "a-priori", "--c1", "5", "--delta", "0.3"],
+        svddf.AprioriStop(c1=5.0, c2=1.0, gamma=1.0, delta=0.3),
+    ),
+    "none": (["--stop", "none"], svddf.MaxStepsOnly()),
+}
+SWEEP_METHODS = {"svddf": (svddf.run_svddf, 0.15), "first-order": (svddf.run_first_order, 0.05)}
+
+
+def run_sweep(tmp_path, noisy, clean, ps, etas, flags, capsys):
+    """Sweep table and printed step counts, each keyed by (p, eta)."""
+    out = tmp_path / "sweep"
+    argv = ["sweep", str(noisy), "--clean", str(clean), "--out", str(out)]
+    argv += ["--ps", ",".join(map(str, ps)), "--etas", ",".join(map(str, etas))] + flags
+    assert main(argv) == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    table = {(p, eta): cell for p, row in zip(ps, rows) for eta, cell in zip(etas, row.split(",")[1:])}
+    lines = capsys.readouterr().out.splitlines()[:-1]
+    steps = {(p, eta): int(line.split("(")[1].split()[0]) for (p, eta), line in zip(table, lines)}
+    return table, steps
+
+
+class TestSweepCells:
+    @pytest.mark.parametrize("method", SWEEP_METHODS)
+    @pytest.mark.parametrize("stop", SWEEP_RULES)
+    def test_cells_equal_library_runs_with_full_log(self, tmp_path, disk_pgm, noisy_pgm, capsys, stop, method):
+        flags, rule = SWEEP_RULES[stop]
+        runner, dt = SWEEP_METHODS[method]
+        ps, etas = (1.0, 1.5, 2.0), (0.001, 2.0)
+        table, steps = run_sweep(
+            tmp_path, noisy_pgm, disk_pgm, ps, etas,
+            flags + ["--method", method, "--dt", str(dt), "--max-steps", "60"], capsys,
+        )
+        noisy, clean = read_pgm(noisy_pgm), read_pgm(disk_pgm)
+        for p, eta in table:
+            cfg = svddf.SolverConfig(exponent_p=p, eta=eta, dt_rule="fixed", dt_fixed=dt,
+                                     max_steps=60, stopping=rule)
+            out, log = runner(noisy, cfg)
+            assert len(log) == log.final_step()
+            assert table[p, eta] == f"{svddf.ssim(out, clean):.17g}"
+            assert steps[p, eta] == log.final_step()
+
+    def test_cells_stopping_at_different_steps(self, tmp_path, capsys):
+        # the 64 x 64 sweep input of the benchmark, seed 1: under rde with a
+        # 300-step budget the p = 1.5, eta = 0.001 cell stops early
+        clean = ImageGrid(0.25 + 0.5 * synth_image("disk", 64, 64).pixels)
+        noisy = svddf.add_noise(clean, svddf.NoiseSpec(delta=0.54, seed=1))
+        paths = tmp_path / "disk.pgm", tmp_path / "disk_noisy.pgm"
+        for grid, path in zip((clean, noisy), paths):
+            write_pgm(grid, path, maxval=65535)
+        flags = ["--stop", "rde", "--dt", "0.15", "--max-steps", "300"]
+        table, steps = run_sweep(tmp_path, paths[1], paths[0], (1.5,), (0.001, 1.0), flags, capsys)
+        assert steps == {(1.5, 0.001): 57, (1.5, 1.0): 300}
+        for (p, eta), cell in table.items():
+            cfg = svddf.SolverConfig(exponent_p=p, eta=eta, dt_rule="fixed", dt_fixed=0.15,
+                                     max_steps=300, stopping=svddf.RdeStop(tolerance=1e-4))
+            out, log = svddf.run_svddf(read_pgm(paths[1]), cfg)
+            assert log.final_step() == steps[p, eta]
+            assert cell == f"{svddf.ssim(out, read_pgm(paths[0])):.17g}"
+
+    @pytest.mark.parametrize("stop", SWEEP_RULES)
+    def test_sweep_evaluates_only_the_stopping_quantity(
+        self, tmp_path, disk_pgm, noisy_pgm, capsys, monkeypatch, stop
+    ):
+        calls = dict.fromkeys(("energies", "high_freq_energy", "discrepancy"), 0)
+        for name in calls:
+            original = getattr(svddf.flow, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(svddf.flow, name, counted)
+        flags = SWEEP_RULES[stop][0] + ["--dt", "0.15", "--max-steps", "30"]
+        _, steps = run_sweep(tmp_path, noisy_pgm, disk_pgm, (1.0, 2.0), (0.001, 2.0), flags, capsys)
+        total = sum(steps.values())
+        expected = {
+            "rde": {"high_freq_energy": total + len(steps)},  # once per step plus once at start
+            "discrepancy": {"discrepancy": total},
+        }.get(stop, {})
+        assert calls == {name: expected.get(name, 0) for name in calls}
+
+        # denoise keeps every trajectory column
+        calls.update(dict.fromkeys(calls, 0))
+        out = tmp_path / "denoise"
+        assert main(["denoise", str(noisy_pgm), "--out", str(out)] + flags) == 0
+        n = len((out / "disk_noisy_trajectory.csv").read_text().splitlines()) - 1
+        assert calls == {"energies": n, "high_freq_energy": n + 1, "discrepancy": n}
 
 
 class TestMetrics:

@@ -85,6 +85,16 @@ class TestDiffusivityHalf:
             for arr in fld.coefficient_arrays():
                 assert np.allclose(arr, (1e-2) ** ((p - 2) / 2), rtol=0, atol=1e-13)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_row_and_column_major_input_give_same_column_major_bits(self, rng, p):
+        px = rng.uniform(size=(9, 7))
+        k = make_kernel(1.0)
+        row_major = diffusivity_half(ImageGrid(px, spacing=0.5), 1e-2, p, k)
+        col_major = diffusivity_half(ImageGrid.of_finite(np.asfortranarray(px), 0.5), 1e-2, p, k)
+        for a, b in zip(row_major.coefficient_arrays(), col_major.coefficient_arrays()):
+            assert a.flags.f_contiguous and b.flags.f_contiguous
+            assert np.array_equal(a, b)
+
     def test_p2_collapses_to_one(self, rng):
         fld = diffusivity_half(random_grid(rng, 8, 8), 1e-2, 2.0, make_kernel(1.0))
         for arr in fld.coefficient_arrays():

@@ -3,6 +3,8 @@ import pytest
 
 import svddf
 from svddf import (
+    AprioriStop,
+    DiscrepancyStop,
     ImageGrid,
     MaxStepsOnly,
     RdeStop,
@@ -20,7 +22,7 @@ from svddf import (
     to_dense,
     vec,
 )
-from svddf.flow import _first_order_step
+from svddf.flow import _first_order_step, _StopTracker
 
 from conftest import random_grid
 from oracles import damped_oscillator, dense_A, dense_B, dense_stencil, mode_amplification_formula
@@ -343,3 +345,64 @@ class TestTrajectoryLog:
         _, log = run_svddf(g, cfg)
         assert log.stopped_by == "rde"
         assert log.final_step() == 1
+
+
+STOP_RULES = [
+    RdeStop(tolerance=1e-2),
+    DiscrepancyStop(delta=0.2),
+    AprioriStop(c1=5.0, c2=1.0, gamma=1.0, delta=0.3),
+    MaxStepsOnly(),
+]
+
+
+def noisy_disk(n=16, seed=3):
+    clean = ImageGrid(0.25 + 0.5 * svddf.synth_image("disk", n, n).pixels)
+    return svddf.add_noise(clean, svddf.NoiseSpec(delta=0.4, seed=seed))
+
+
+class TestWithoutTrajectory:
+    @pytest.mark.parametrize("runner, dt", [(run_svddf, 0.15), (run_first_order, 0.05)])
+    @pytest.mark.parametrize("rule", STOP_RULES, ids=lambda r: type(r).__name__)
+    def test_same_image_and_stop_as_the_full_log(self, runner, dt, rule):
+        noisy = noisy_disk()
+        stops = set()
+        for p, eta in ((1.0, 0.001), (1.0, 2.0), (1.5, 100.0), (2.0, 1.0)):
+            cfg = SolverConfig(exponent_p=p, eta=eta, dt_rule="fixed", dt_fixed=dt,
+                               max_steps=120, stopping=rule)
+            full_out, full = runner(noisy, cfg)
+            lean_out, lean = runner(noisy, cfg, keep_trajectory=False)
+            assert np.array_equal(lean_out.pixels, full_out.pixels)
+            assert lean.final_step() == full.final_step() == full.records[-1].step
+            assert lean.stopped_by == full.stopped_by
+            assert len(lean) == 0 and len(full) == full.final_step()
+            stops.add(full.final_step())
+        if isinstance(rule, (RdeStop, DiscrepancyStop)):
+            assert len(stops) > 1  # the cells stop at different steps
+
+    def test_divergence_keeps_the_stop_step_without_records(self):
+        g = svddf.synth_image("disk", 12, 12)
+        cfg = SolverConfig(eta=300.0, exponent_p=2.0, max_steps=3000, stopping=MaxStepsOnly())
+        logs = []
+        for keep in (True, False):
+            with pytest.raises(svddf.DivergenceError) as err:
+                run_svddf(g, cfg, keep_trajectory=keep)
+            logs.append(err.value.partial_log)
+        assert logs[1].final_step() == logs[0].final_step() == len(logs[0]) >= 1
+        assert len(logs[1]) == 0
+
+    @pytest.mark.parametrize("keep", [True, False])
+    @pytest.mark.parametrize("rule", STOP_RULES, ids=lambda r: type(r).__name__)
+    def test_zero_data_rejected_before_the_first_step(self, keep, rule):
+        cfg = SolverConfig(dt_rule="fixed", dt_fixed=0.1, max_steps=5, stopping=rule)
+        with pytest.raises(svddf.DegenerateInputError):
+            run_svddf(ImageGrid(np.zeros((6, 6))), cfg, keep_trajectory=keep)
+
+    def test_log_columns_share_one_velocity_product(self, rng):
+        g = random_grid(rng, 9, 7, spacing=0.5)
+        cfg = fixed_cfg(0.1, steps=4)
+        state = initial_state(g, cfg)
+        for _ in range(4):
+            state = sv_step(state, cfg)
+        record = _StopTracker._record(state, cfg, 0.0, 0.0)
+        assert record.vnorm == float(np.linalg.norm(state.v))
+        assert (record.kinetic, record.potential) == energies(state, cfg)

@@ -63,6 +63,18 @@ class TestImageGrid:
         with pytest.raises(svddf.DimensionError):
             g.require_min_size(2)
 
+    def test_of_finite_wraps_column_major_view_without_copy(self, rng):
+        u = rng.standard_normal(12)
+        view = u.reshape((3, 4), order="F")
+        g = ImageGrid.of_finite(view, 0.5)
+        assert np.shares_memory(g.pixels, u)
+        assert g.pixels.flags.f_contiguous and not g.pixels.flags.c_contiguous
+        assert g.shape == (3, 4) and g.spacing == 0.5
+        assert np.array_equal(g.pixels, ImageGrid(view).pixels)
+        with pytest.raises(ValueError):
+            g.pixels[0, 0] = 1.0
+        u[0] = 7.0  # the source stays writable
+
 
 class TestAddNoise:
     def test_zero_delta_is_identity(self, rng):

@@ -116,6 +116,16 @@ class TestDiscrepancy:
         with pytest.raises(svddf.DegenerateInputError):
             discrepancy(np.ones(4), np.zeros(4), 0.1)
 
+    def test_given_zero_data_norm_rejected(self):
+        with pytest.raises(svddf.DegenerateInputError):
+            discrepancy(np.ones(4), np.zeros(4), 0.1, u0_norm=0.0)
+
+    def test_given_data_norm_gives_same_bits(self, rng):
+        u0 = rng.uniform(size=50)
+        u = u0 + 0.1 * rng.standard_normal(50)
+        given = discrepancy(u, u0, 0.1, u0_norm=float(np.linalg.norm(u0)))
+        assert given == discrepancy(u, u0, 0.1)
+
     def test_fires_at_finite_step_on_noisy_disk(self):
         clean = synth_image("disk", 32, 32)
         noisy = add_noise(clean, svddf.NoiseSpec(delta=0.3, seed=5))
