@@ -2,7 +2,8 @@
 
 Exit codes: 0 on success, 1 on numerical failure (divergence), 2 on usage
 or I/O errors.  Flags override values from an optional plain key=value
-config file (--config); every output is deterministic for a fixed seed.
+config file (--config), which the flags' own types parse; every output is
+deterministic for a fixed seed.
 """
 
 import argparse
@@ -24,33 +25,77 @@ _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD_BYTES = 64 << 20
 _TRIM_THRESHOLD_BYTES = 256 << 20
 
-_STOP_CHOICES = ("rde", "discrepancy", "a-priori", "none")
-_METHOD_CHOICES = ("svddf", "first-order")
 
-_DEFAULTS = {
-    "p": 1.0,
-    "eta": 2.0,
-    "epsilon": 1e-2,
-    "sigma": 1.0,
-    "dt": "auto",
-    "safety": 0.9,
-    "dt_max": None,
-    "max_steps": 500,
-    "stop": "rde",
-    "tol": 1e-4,
-    "n0": None,
-    "rde_literal_n0": False,
-    "delta": 0.1,
-    "c1": 1.0,
-    "c2": 1.0,
-    "gamma": 1.0,
-    "seed": 0,
-    "method": "svddf",
+def _step_length(text: str):
+    """``'auto'`` for the spectral rule, else a fixed step length."""
+    return text if text == "auto" else float(text)
+
+
+# Every option a config file may set, declared once as key: (cast, default,
+# help).  Its flag is --key with '-' for '_'; a tuple cast lists the accepted
+# strings.  A default is a string parsed by the flag's type, like a config
+# value, or None for unset.
+_OPTIONS = {
+    "p": (float, "1", "diffusion exponent in [1, 2]"),
+    "eta": (float, "2", "damping parameter"),
+    "epsilon": (float, "1e-2", "diffusivity regularisation"),
+    "sigma": (float, "1", "Gaussian smoothing variance"),
+    "dt": (_step_length, "auto", "'auto' for the spectral rule or a fixed step length"),
+    "safety": (float, "0.9", "multiplier on the spectral step bound"),
+    "dt_max": (float, None, "cap on the auto step length"),
+    "max_steps": (int, "500", "step budget"),
+    "stop": (("rde", "discrepancy", "a-priori", "none"), "rde", "stopping rule"),
+    "tol": (float, "1e-4", "tolerance of the rde rule"),
+    "n0": (int, None, "explicit high-frequency band threshold"),
+    "delta": (float, "0.1", "relative noise level"),
+    "c1": (float, "1", "a-priori rule constant"),
+    "c2": (float, "1", "a-priori rule constant"),
+    "gamma": (float, "1", "a-priori rule exponent"),
+    "method": (("svddf", "first-order"), "svddf", "flow to run"),
+    "seed": (int, "0", "generator seed"),
 }
+_NOISE_KEYS = ("delta", "seed")
+_SOLVER_KEYS = tuple(key for key in _OPTIONS if key != "seed")
+
+
+def _flag_type(key: str, cast):
+    """argparse type: ``cast(text)``, or ``text`` if it is one of a tuple ``cast``.
+
+    A malformed value is an error naming ``key``, whether it came from the
+    command line or, as the verb's default, from a config file.
+    """
+    choices = cast if isinstance(cast, tuple) else None
+    listed = f" (choose from {', '.join(map(repr, choices))})" if choices else ""
+
+    def parse(text):
+        try:
+            if choices is None:
+                return cast(text)
+            if text in choices:
+                return text
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"invalid value for {key}: {text!r}{listed}")
+
+    return parse
+
+
+def _add_options(sub, keys) -> None:
+    sub.add_argument("--config", help="plain key=value config file; flags override it")
+    for key in keys:
+        cast, default, text = _OPTIONS[key]
+        sub.add_argument(
+            "--" + key.replace("_", "-"),
+            dest=key,
+            type=_flag_type(key, cast),
+            choices=cast if isinstance(cast, tuple) else None,
+            default=default,
+            help=text,
+        )
 
 
 def _read_config_file(path: str, command: str, keys) -> dict:
-    """``key=value`` lines of ``path``; each key must be in ``keys``, the flags of ``command``."""
+    """``key=value`` lines of ``path``; each key must be in ``keys``, the options of ``command``."""
     values = {}
     for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -66,105 +111,28 @@ def _read_config_file(path: str, command: str, keys) -> dict:
     return values
 
 
-def _parse_bool(text: str) -> bool:
-    if text.lower() in ("1", "true"):
-        return True
-    if text.lower() in ("0", "false"):
-        return False
-    raise ValueError(f"expected true or false, got {text!r}")
-
-
-def _one_of(choices):
-    """Cast that accepts exactly the strings in ``choices``, as argparse does for the flag."""
-
-    def cast(text):
-        if text not in choices:
-            raise ValueError(f"expected one of {choices}, got {text!r}")
-        return text
-
-    return cast
-
-
-def _cast(key, text, cast):
-    """``cast(text)``, with a malformed value reported as a usage error naming ``key``."""
-    try:
-        return cast(text)
-    except ValueError:
-        raise SvddfError(f"invalid value for {key}: {text!r}") from None
-
-
-def _resolve(args, key, cast):
-    """Flag if given, else config-file entry, else built-in default."""
-    flag = getattr(args, key, None)
-    if flag is not None:
-        return flag
-    if key in args._config_values:
-        return _cast(key, args._config_values[key], cast)
-    return _DEFAULTS[key]
-
-
-def _add_solver_flags(sub):
-    sub.add_argument("--config", help="plain key=value config file; flags override it")
-    sub.add_argument("--p", type=float, dest="p", help="diffusion exponent in [1, 2]")
-    sub.add_argument("--eta", type=float, help="damping parameter")
-    sub.add_argument("--epsilon", type=float, help="diffusivity regularisation")
-    sub.add_argument("--sigma", type=float, help="Gaussian smoothing variance")
-    sub.add_argument("--dt", help="'auto' for the spectral rule or a fixed step length")
-    sub.add_argument("--safety", type=float, help="multiplier on the spectral step bound")
-    sub.add_argument("--dt-max", type=float, dest="dt_max", help="cap on the auto step length")
-    sub.add_argument("--max-steps", type=int, dest="max_steps", help="step budget")
-    sub.add_argument("--stop", choices=_STOP_CHOICES)
-    sub.add_argument("--tol", type=float, help="tolerance of the rde rule")
-    sub.add_argument("--delta", type=float, help="noise level for stopping rules")
-    sub.add_argument("--c1", type=float, help="a-priori rule constant")
-    sub.add_argument("--c2", type=float, help="a-priori rule constant")
-    sub.add_argument("--gamma", type=float, help="a-priori rule exponent")
-    sub.add_argument("--n0", type=int, help="explicit high-frequency band threshold")
-    sub.add_argument(
-        "--rde-literal-n0",
-        action="store_true",
-        default=None,
-        help="use the literal floor(0.6 N^2) band threshold (degenerate on most sizes)",
-    )
-    sub.add_argument("--method", choices=_METHOD_CHOICES)
-
-
 def _build_stopping(args):
-    stop = _resolve(args, "stop", _one_of(_STOP_CHOICES))
-    if stop == "rde":
-        return RdeStop(
-            tolerance=float(_resolve(args, "tol", float)),
-            n0=_resolve(args, "n0", int),
-            literal_formula=bool(_resolve(args, "rde_literal_n0", _parse_bool)),
-        )
-    if stop == "discrepancy":
-        return DiscrepancyStop(delta=float(_resolve(args, "delta", float)))
-    if stop == "a-priori":
-        return AprioriStop(
-            c1=float(_resolve(args, "c1", float)),
-            c2=float(_resolve(args, "c2", float)),
-            gamma=float(_resolve(args, "gamma", float)),
-            delta=float(_resolve(args, "delta", float)),
-        )
+    if args.stop == "rde":
+        return RdeStop(tolerance=args.tol, n0=args.n0)
+    if args.stop == "discrepancy":
+        return DiscrepancyStop(delta=args.delta)
+    if args.stop == "a-priori":
+        return AprioriStop(c1=args.c1, c2=args.c2, gamma=args.gamma, delta=args.delta)
     return MaxStepsOnly()
 
 
 def _build_config(args) -> SolverConfig:
-    dt = str(_resolve(args, "dt", str))
-    if dt == "auto":
-        dt_rule, dt_fixed = "theorem", None
-    else:
-        dt_rule, dt_fixed = "fixed", _cast("dt", dt, float)
+    fixed = args.dt != "auto"
     return SolverConfig(
-        exponent_p=float(_resolve(args, "p", float)),
-        eta=float(_resolve(args, "eta", float)),
-        epsilon=float(_resolve(args, "epsilon", float)),
-        sigma=float(_resolve(args, "sigma", float)),
-        dt_rule=dt_rule,
-        dt_fixed=dt_fixed,
-        safety=float(_resolve(args, "safety", float)),
-        dt_max=_resolve(args, "dt_max", float),
-        max_steps=int(_resolve(args, "max_steps", int)),
+        exponent_p=args.p,
+        eta=args.eta,
+        epsilon=args.epsilon,
+        sigma=args.sigma,
+        dt_rule="fixed" if fixed else "theorem",
+        dt_fixed=args.dt if fixed else None,
+        safety=args.safety,
+        dt_max=args.dt_max,
+        max_steps=args.max_steps,
         stopping=_build_stopping(args),
     )
 
@@ -184,8 +152,7 @@ def _require_file(path: str) -> Path:
 
 def _cmd_add_noise(args) -> int:
     src = _require_file(args.input)
-    delta = float(_resolve(args, "delta", float))
-    seed = int(_resolve(args, "seed", int))
+    delta, seed = args.delta, args.seed
     clean = read_pgm(src)
     noisy = add_noise(clean, NoiseSpec(delta=delta, seed=seed))
     out = _out_dir(args)
@@ -211,13 +178,12 @@ def _cmd_denoise(args) -> int:
     src = _require_file(args.input)
     clean_path = _require_file(args.clean) if args.clean else None
     config = _build_config(args)
-    method = _resolve(args, "method", _one_of(_METHOD_CHOICES))
     noisy = read_pgm(src)
     out = _out_dir(args)
     stem = src.stem
     csv_path = out / f"{stem}_trajectory.csv"
     try:
-        denoised, log = _run_method(noisy, config, method)
+        denoised, log = _run_method(noisy, config, args.method)
     except DivergenceError as err:
         if err.partial_log is not None:
             err.partial_log.to_csv(csv_path)
@@ -239,10 +205,6 @@ def _cmd_denoise(args) -> int:
     return 0
 
 
-def _parse_list(key: str, text: str):
-    return [_cast(key, tok, float) for tok in text.split(",") if tok.strip() != ""]
-
-
 def _dedupe(values, label):
     seen, out = set(), []
     for v in values:
@@ -257,14 +219,13 @@ def _dedupe(values, label):
 def _cmd_sweep(args) -> int:
     src = _require_file(args.input)
     clean_path = _require_file(args.clean)
-    etas = _dedupe(_parse_list("etas", args.etas), "eta")
-    ps = _dedupe(_parse_list("ps", args.ps), "p")
+    etas = _dedupe(args.etas, "eta")
+    ps = _dedupe(args.ps, "p")
     if not etas or not ps:
         raise SvddfError("eta and p lists must be non-empty")
     noisy = read_pgm(src)
     clean = read_pgm(clean_path)
     base = _build_config(args)
-    method = _resolve(args, "method", _one_of(_METHOD_CHOICES))
     out = _out_dir(args)
 
     lines = ["p\\eta," + ",".join(f"{e:g}" for e in etas)]
@@ -274,7 +235,7 @@ def _cmd_sweep(args) -> int:
             config = dataclasses.replace(base, exponent_p=p, eta=eta)
             try:
                 # the table reports SSIM and the step count; no trajectory is written
-                denoised, log = _run_method(noisy, config, method, keep_trajectory=False)
+                denoised, log = _run_method(noisy, config, args.method, keep_trajectory=False)
                 value = ssim(denoised, clean)
                 print(f"p={p:g} eta={eta:g}: ssim={value:.4f} ({log.final_step()} steps)")
             except SvddfError as err:
@@ -302,7 +263,14 @@ def _cmd_metrics(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _float_list(key: str):
+    """argparse type: comma-separated floats, a malformed one reported as for ``key``."""
+    parse = _flag_type(key, float)
+    return lambda text: [parse(tok) for tok in text.split(",") if tok.strip() != ""]
+
+
+def build_parser():
+    """The ``svddf`` parser and its verb parsers by name."""
     parser = argparse.ArgumentParser(
         prog="svddf",
         description="p-Laplacian damped-flow image denoising (PGM in, PGM + CSV out)",
@@ -311,26 +279,26 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_noise = subs.add_parser("add-noise", help="apply multiplicative uniform noise")
     p_noise.add_argument("input", help="clean PGM image")
-    p_noise.add_argument("--delta", type=float, help="relative noise level in [0, 1)")
-    p_noise.add_argument("--seed", type=int, help="generator seed")
-    p_noise.add_argument("--config")
     p_noise.add_argument("--out", help="output directory")
+    _add_options(p_noise, _NOISE_KEYS)
     p_noise.set_defaults(func=_cmd_add_noise)
 
     p_den = subs.add_parser("denoise", help="run a denoising flow")
     p_den.add_argument("input", help="noisy PGM image")
     p_den.add_argument("--clean", help="clean reference for metrics")
     p_den.add_argument("--out", help="output directory")
-    _add_solver_flags(p_den)
+    _add_options(p_den, _SOLVER_KEYS)
     p_den.set_defaults(func=_cmd_denoise)
 
     p_sweep = subs.add_parser("sweep", help="grid of (p, eta) runs, SSIM table out")
     p_sweep.add_argument("input", help="noisy PGM image")
     p_sweep.add_argument("--clean", required=True, help="clean reference")
-    p_sweep.add_argument("--etas", required=True, help="comma-separated damping values")
-    p_sweep.add_argument("--ps", required=True, help="comma-separated exponents")
+    p_sweep.add_argument(
+        "--etas", required=True, type=_float_list("etas"), help="comma-separated damping values"
+    )
+    p_sweep.add_argument("--ps", required=True, type=_float_list("ps"), help="comma-separated exponents")
     p_sweep.add_argument("--out", help="output directory")
-    _add_solver_flags(p_sweep)
+    _add_options(p_sweep, _SOLVER_KEYS)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_met = subs.add_parser("metrics", help="evaluate a denoised image against references")
@@ -339,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_met.add_argument("--denoised", required=True)
     p_met.add_argument("--out", help="optional directory for metrics.csv")
     p_met.set_defaults(func=_cmd_metrics)
-    return parser
+    return parser, subs.choices
 
 
 def _keep_freed_arrays_on_heap() -> None:
@@ -364,20 +332,31 @@ def _keep_freed_arrays_on_heap() -> None:
         mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
+def _parse_args(argv):
+    """Parse ``argv``; the values of a --config file become the verb's defaults.
+
+    argparse applies a flag's type to a string default that the command line
+    leaves alone, so a config value is parsed, and rejected, as its flag
+    would be.  With a config file, argv is parsed again once those defaults
+    are set.
+    """
+    parser, verbs = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None):
+        # the keys of this verb's options: its parser sets an attribute for each
+        keys = _OPTIONS.keys() & vars(args).keys()
+        verbs[args.command].set_defaults(**_read_config_file(args.config, args.command, keys))
+        args = parser.parse_args(argv)
+    return args
+
+
 def main(argv=None) -> int:
     _keep_freed_arrays_on_heap()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        args._config_values = {}
-        if getattr(args, "config", None):
-            # the keys of this verb's flags: its parser sets an attribute for each
-            keys = _DEFAULTS.keys() & vars(args).keys()
-            args._config_values = _read_config_file(args.config, args.command, keys)
-        return args.func(args)
     except (FileNotFoundError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

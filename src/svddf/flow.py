@@ -45,7 +45,8 @@ class SolverConfig:
     ``dt_rule`` is either ``"theorem"`` (dt = safety * eta / sqrt(lambda_max)
     for the second-order flow, safety * 2 / lambda_max for the baseline) or
     ``"fixed"`` (dt = dt_fixed).  ``dt_max`` caps the theorem rule and is
-    required when the spectral bound degenerates to zero.
+    required when the spectral bound degenerates to zero.  Each of
+    ``dt_fixed`` and ``dt_max`` is rejected under the other rule.
     """
 
     exponent_p: float = 1.0
@@ -74,6 +75,10 @@ class SolverConfig:
             raise ParameterError(f"dt_rule must be 'theorem' or 'fixed', got {self.dt_rule!r}")
         if self.dt_rule == "fixed" and not (self.dt_fixed and self.dt_fixed > 0):
             raise ParameterError("dt_rule 'fixed' needs a positive dt_fixed")
+        if self.dt_rule == "fixed" and self.dt_max is not None:
+            raise ParameterError("dt_max caps the theorem rule and has no effect under dt_rule 'fixed'")
+        if self.dt_rule == "theorem" and self.dt_fixed is not None:
+            raise ParameterError("dt_fixed has no effect under dt_rule 'theorem'")
         if self.dt_max is not None and not (self.dt_max > 0):
             raise ParameterError(f"dt_max must be positive, got {self.dt_max}")
         if self.max_steps < 1:

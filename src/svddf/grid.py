@@ -17,13 +17,13 @@ KINDS = ("piecewise-constant", "ramp", "disk")
 
 @dataclass(frozen=True)
 class ImageGrid:
-    """Immutable M x N real-valued image on a uniform lattice."""
+    """Immutable M x N real-valued image on a uniform lattice, holding its own copy of the pixels."""
 
     pixels: np.ndarray
     spacing: float = 1.0
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.float64)
+        px = np.array(self.pixels, dtype=np.float64, order="C")
         if px.ndim != 2:
             raise DimensionError(f"pixels must be 2-D, got ndim={px.ndim}")
         if px.shape[0] < 1 or px.shape[1] < 1:
@@ -32,7 +32,6 @@ class ImageGrid:
             raise ParameterError("pixels contain non-finite values")
         if not (self.spacing > 0):
             raise ParameterError(f"spacing must be positive, got {self.spacing}")
-        px = np.ascontiguousarray(px)
         px.setflags(write=False)
         object.__setattr__(self, "pixels", px)
 

@@ -90,7 +90,8 @@ def read_pgm(path) -> ImageGrid:
     if raw.max(initial=0.0) > maxval:
         raise FormatError(f"sample exceeds maxval {maxval}", offset=sc.pos)
     pixels = raw.reshape((height, width)) / float(maxval)
-    return ImageGrid(pixels)
+    # integer samples over a positive maxval: finite, and no one else holds the array
+    return ImageGrid.of_finite(pixels, 1.0)
 
 
 def write_pgm(grid: ImageGrid, path, maxval: int = 255) -> None:

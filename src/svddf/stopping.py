@@ -26,14 +26,11 @@ class RdeStop:
     """Stop once the relative change of high-frequency energy drops below tolerance.
 
     ``n0`` overrides the band threshold explicitly; by default it is
-    ``default_band_threshold``.  ``literal_formula`` selects
-    floor(0.6 * N^2) instead, which exceeds the largest index pair sum on
-    all but tiny grids and then degenerates to an empty band.
+    ``default_band_threshold``.
     """
 
     tolerance: float
     n0: int | None = None
-    literal_formula: bool = False
 
     def __post_init__(self):
         if not (self.tolerance > 0):
@@ -42,8 +39,6 @@ class RdeStop:
     def band_threshold(self, rows: int, cols: int) -> int:
         if self.n0 is not None:
             return int(self.n0)
-        if self.literal_formula:
-            return int(math.floor(0.6 * cols * cols))
         return default_band_threshold(rows, cols)
 
 

@@ -229,9 +229,7 @@ class TestDenoise:
         line = (out2 / "disk_noisy_trajectory.csv").read_text().splitlines()[1]
         assert float(line.split(",")[2]) == 0.0625
 
-    @pytest.mark.parametrize(
-        "conf_line, flags", [("n0=0", ["--n0", "0"]), ("rde-literal-n0=true", ["--rde-literal-n0"])]
-    )
+    @pytest.mark.parametrize("conf_line, flags", [("n0=0", ["--n0", "0"])])
     def test_config_file_sets_band_threshold(self, tmp_path, noisy_pgm, conf_line, flags):
         conf = tmp_path / "run.conf"
         conf.write_text(conf_line + "\n")
@@ -269,11 +267,10 @@ class TestDenoise:
         [
             ("", ["--dt", "abc"], "invalid value for dt: 'abc'"),
             ("n0=abc\n", [], "invalid value for n0: 'abc'"),
-            ("rde-literal-n0=maybe\n", [], "invalid value for rde_literal_n0: 'maybe'"),
             ("stop=bogus\n", [], "invalid value for stop: 'bogus'"),
             ("method=bogus\n", [], "invalid value for method: 'bogus'"),
         ],
-        ids=["flag-dt", "config-n0", "config-bool", "config-stop", "config-method"],
+        ids=["flag-dt", "config-n0", "config-stop", "config-method"],
     )
     def test_malformed_value_exits_2(self, tmp_path, noisy_pgm, capsys, conf_text, flags, message):
         conf = tmp_path / "run.conf"
@@ -282,6 +279,16 @@ class TestDenoise:
         argv = ["denoise", str(noisy_pgm), "--config", str(conf), "--out", str(out)] + flags
         assert main(argv) == 2
         assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("conf_text, flags", [("", ["--dt", "0.15"]), ("dt=0.15\n", [])])
+    def test_dt_max_with_fixed_dt_exits_2(self, tmp_path, noisy_pgm, capsys, conf_text, flags):
+        conf = tmp_path / "run.conf"
+        conf.write_text(conf_text)
+        out = tmp_path / "bad"
+        argv = ["denoise", str(noisy_pgm), "--config", str(conf), "--dt-max", "0.01", "--out", str(out)]
+        assert main(argv + flags) == 2
+        assert "dt_max caps the theorem rule" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["-0.1", "0", "nan"])
@@ -314,6 +321,124 @@ class TestDenoise:
         captured = capsys.readouterr()
         assert captured.err.count(STABILITY_NOTE) == int(warned)
         assert captured.out == "stopped by max-steps after 3 steps\n"
+
+
+class Captured(Exception):
+    """Raised in place of the flow or the noise model, carrying what it was handed."""
+
+
+# a valid value of each option other than its default, a second one, and the
+# flags under which the option changes what the verb hands on
+OPTION_CASES = {
+    "p": ("1.5", "2", []),
+    "eta": ("3", "0.5", []),
+    "epsilon": ("0.05", "0.2", []),
+    "sigma": ("2", "0.5", []),
+    "dt": ("0.125", "auto", []),
+    "safety": ("0.5", "1", []),
+    "dt_max": ("0.3", "0.6", []),
+    "max_steps": ("7", "9", []),
+    "stop": ("discrepancy", "none", []),
+    "tol": ("1e-3", "1e-2", []),
+    "n0": ("5", "0", []),
+    "delta": ("0.2", "0.3", ["--stop", "a-priori"]),
+    "c1": ("2", "4", ["--stop", "a-priori"]),
+    "c2": ("3", "5", ["--stop", "a-priori"]),
+    "gamma": ("0.5", "2", ["--stop", "a-priori"]),
+    "method": ("first-order", "svddf", []),
+    "seed": ("4", "5", []),
+}
+VERB_OPTIONS = [("denoise", key) for key in svddf.cli._SOLVER_KEYS]
+VERB_OPTIONS += [("add-noise", key) for key in svddf.cli._NOISE_KEYS]
+
+
+def option_case(verb, key):
+    """``OPTION_CASES[key]``, with the solver flags left out under add-noise."""
+    value, other, base = OPTION_CASES[key]
+    return value, other, base if verb == "denoise" else []
+
+
+class TestOneParsePath:
+    """A config line ``key=value`` and the flag ``--key value`` are parsed by the same code."""
+
+    @pytest.fixture
+    def resolve(self, tmp_path, disk_pgm, noisy_pgm, monkeypatch):
+        """What main hands the flow (denoise) or the noise model (add-noise), given a config text and flags."""
+
+        def capture(*handed):
+            raise Captured(handed)
+
+        monkeypatch.setattr(svddf.cli, "run_svddf", lambda *a, **k: capture("svddf", a[1]))
+        monkeypatch.setattr(svddf.cli, "run_first_order", lambda *a, **k: capture("first-order", a[1]))
+        monkeypatch.setattr(svddf.cli, "add_noise", lambda clean, spec: capture(spec))
+
+        def run(verb, conf_text, flags):
+            conf = tmp_path / "run.conf"
+            conf.write_text(conf_text)
+            image = disk_pgm if verb == "add-noise" else noisy_pgm
+            argv = [verb, str(image), "--config", str(conf), "--out", str(tmp_path / "out")]
+            with pytest.raises(Captured) as caught:
+                main(argv + flags)
+            return caught.value.args[0]
+
+        return run
+
+    def test_cases_cover_every_option(self):
+        assert set(OPTION_CASES) == set(svddf.cli._OPTIONS)
+        assert {key for _, key in VERB_OPTIONS} == set(svddf.cli._OPTIONS)
+
+    @pytest.mark.parametrize("verb, key", VERB_OPTIONS)
+    def test_config_line_resolves_like_flag(self, resolve, verb, key):
+        value, _, base = option_case(verb, key)
+        flag = "--" + key.replace("_", "-")
+        from_file = resolve(verb, f"{key}={value}\n", base)
+        assert from_file == resolve(verb, "", base + [flag, value])
+        assert from_file != resolve(verb, "", base)
+
+    @pytest.mark.parametrize("verb, key", VERB_OPTIONS)
+    def test_flag_overrides_config_line(self, resolve, verb, key):
+        value, other, base = option_case(verb, key)
+        flag = "--" + key.replace("_", "-")
+        overridden = resolve(verb, f"{key}={value}\n", base + [flag, other])
+        assert overridden == resolve(verb, "", base + [flag, other])
+        assert overridden != resolve(verb, "", base + [flag, value])
+
+    @pytest.mark.parametrize("route", ["config", "flag"])
+    @pytest.mark.parametrize("verb, key", VERB_OPTIONS)
+    def test_malformed_value_exits_2(self, tmp_path, disk_pgm, noisy_pgm, capsys, verb, key, route):
+        conf = tmp_path / "run.conf"
+        conf.write_text(f"{key}=abc\n" if route == "config" else "")
+        flags = ["--" + key.replace("_", "-"), "abc"] if route == "flag" else []
+        image = disk_pgm if verb == "add-noise" else noisy_pgm
+        out = tmp_path / "bad"
+        assert main([verb, str(image), "--config", str(conf), "--out", str(out)] + flags) == 2
+        assert f"invalid value for {key}: 'abc'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("conf_text, flags", [("stop=bogus\n", []), ("", ["--stop", "bogus"])])
+    def test_bad_stop_lists_the_choices(self, tmp_path, noisy_pgm, capsys, conf_text, flags):
+        conf = tmp_path / "run.conf"
+        conf.write_text(conf_text)
+        assert main(["denoise", str(noisy_pgm), "--config", str(conf)] + flags) == 2
+        err = capsys.readouterr().err
+        assert "invalid value for stop: 'bogus'" in err
+        assert "(choose from 'rde', 'discrepancy', 'a-priori', 'none')" in err
+
+    def test_help_lists_the_choices(self, capsys):
+        assert main(["denoise", "--help"]) == 0
+        printed = capsys.readouterr().out
+        assert "--stop {rde,discrepancy,a-priori,none}" in printed
+        assert "--method {svddf,first-order}" in printed
+
+    def test_literal_band_threshold_option_is_gone(self, tmp_path, noisy_pgm, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("rde-literal-n0=true\n")
+        out = tmp_path / "bad"
+        assert main(["denoise", str(noisy_pgm), "--config", str(conf), "--out", str(out)]) == 2
+        assert f"{conf}:1: unknown key 'rde_literal_n0' for denoise" in capsys.readouterr().err
+        assert main(["denoise", str(noisy_pgm), "--rde-literal-n0", "--out", str(out)]) == 2
+        assert "unrecognized arguments: --rde-literal-n0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestHeapSettings:

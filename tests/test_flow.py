@@ -58,6 +58,14 @@ class TestStepSize:
         with pytest.raises(svddf.ParameterError, match="dt_max must be positive"):
             SolverConfig(dt_max=dt_max)
 
+    def test_dt_max_rejected_under_fixed_rule(self):
+        with pytest.raises(svddf.ParameterError, match="dt_max caps the theorem rule"):
+            SolverConfig(dt_rule="fixed", dt_fixed=0.15, dt_max=0.01)
+
+    def test_dt_fixed_rejected_under_theorem_rule(self):
+        with pytest.raises(svddf.ParameterError, match="dt_fixed has no effect"):
+            SolverConfig(dt_rule="theorem", dt_fixed=0.15)
+
 
 class TestSvStep:
     def test_constant_image_is_fixed_point(self):

@@ -58,6 +58,13 @@ class TestImageGrid:
         with pytest.raises(ValueError):
             g.pixels[0, 0] = 1.0
 
+    def test_holds_its_own_copy_of_the_pixels(self):
+        a = np.zeros((3, 3))
+        g = ImageGrid(a)
+        a[0, 0] = 1.0  # the caller's array stays writable
+        assert g.pixels[0, 0] == 0.0
+        assert not np.shares_memory(a, g.pixels)
+
     def test_min_size_gate(self):
         g = ImageGrid(np.zeros((1, 4)))
         with pytest.raises(svddf.DimensionError):

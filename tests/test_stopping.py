@@ -89,8 +89,6 @@ class TestRde:
         rule = RdeStop(tolerance=1e-4)
         assert rule.band_threshold(128, 128) == int(0.6 * 255)
         assert rule.band_threshold(16, 32) == int(0.6 * 47)
-        literal = RdeStop(tolerance=1e-4, literal_formula=True)
-        assert literal.band_threshold(16, 16) == int(0.6 * 256)
         explicit = RdeStop(tolerance=1e-4, n0=7)
         assert explicit.band_threshold(64, 64) == 7
 
