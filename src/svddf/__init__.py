@@ -6,6 +6,8 @@ control, with frequency-domain and discrepancy stopping rules and
 SSIM-based evaluation against a first-order diffusion baseline.
 """
 
+import types
+
 from .diffusivity import (
     BoundsReport,
     DiffusivityField,
@@ -63,59 +65,9 @@ from .stopping import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AprioriStop",
-    "BoundsReport",
-    "DegenerateInputError",
-    "DiffusivityField",
-    "DimensionError",
-    "DiscrepancyResult",
-    "DiscrepancyStop",
-    "DivergenceError",
-    "EvalReport",
-    "FlowState",
-    "FormatError",
-    "GaussianKernel",
-    "ImageGrid",
-    "MaxStepsOnly",
-    "NoiseSpec",
-    "ParameterError",
-    "RdeStop",
-    "SolverConfig",
-    "SparseOperator",
-    "SsimConfig",
-    "StoppingRule",
-    "SvddfError",
-    "TrajectoryLog",
-    "TrajectoryRecord",
-    "a_priori_T",
-    "add_noise",
-    "apply",
-    "array",
-    "assemble",
-    "check_bounds",
-    "diffusivity_half",
-    "discrepancy",
-    "dump_coo",
-    "energies",
-    "evaluate",
-    "grad_gaussian",
-    "h1_norm",
-    "high_freq_energy",
-    "initial_state",
-    "lambda_max",
-    "make_kernel",
-    "rde",
-    "read_pgm",
-    "rel_l2",
-    "run_first_order",
-    "run_svddf",
-    "spectrum_check",
-    "ssim",
-    "step_size",
-    "sv_step",
-    "synth_image",
-    "to_dense",
-    "vec",
-    "write_pgm",
-]
+# the public API is the names imported above, listed once
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not (name.startswith("_") or isinstance(value, types.ModuleType))
+)

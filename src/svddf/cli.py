@@ -164,6 +164,17 @@ def _cmd_add_noise(args) -> int:
 
 
 def _run_method(noisy: ImageGrid, config: SolverConfig, method: str, keep_trajectory: bool = True):
+    # no coefficient exceeds epsilon^((p-2)/2), so lambda_max <= lam on every image;
+    # svddf is stable for dt <= 2/sqrt(lam), explicit Euler for dt <= 2/lam
+    lam = 8.0 * config.epsilon ** ((config.exponent_p - 2.0) / 2.0) / noisy.spacing**2
+    bound = 2.0 / math.sqrt(lam) if method == "svddf" else 2.0 / lam
+    if config.dt_rule == "fixed" and config.dt_fixed > bound:
+        print(
+            f"warning: fixed --dt {config.dt_fixed:g} exceeds {bound:.3g}, the largest step that "
+            f"keeps {method} stable on every image (p={config.exponent_p:g}, "
+            f"epsilon={config.epsilon:g}, h={noisy.spacing:g}); see README 'Fixed step lengths'",
+            file=sys.stderr,
+        )
     if method == "svddf" and config.dt_rule == "theorem" and config.safety * config.eta > 2.0:
         print(
             f"warning: --dt auto with safety*eta = {config.safety * config.eta:g} > 2 can be "

@@ -68,27 +68,30 @@ def _cached_kernel(sigma: float) -> GaussianKernel:
 class DiffusivityField:
     """Diffusion coefficients at the edge midpoints between adjacent pixels.
 
-    ``ai[i, j]`` sits at (i+1/2, j), between pixels (i, j) and (i+1, j), so
-    it has shape (rows-1, cols); ``aj[i, j]`` sits at (i, j+1/2), between
-    (i, j) and (i, j+1), shape (rows, cols-1).  This is the layout of
-    ``SparseOperator.ci``/``cj``; there are no midpoints on the border.
+    ``ai[i, j]`` sits at (i+1/2, j), between pixels (i, j) and (i+1, j);
+    ``aj[i, j]`` sits at (i, j+1/2), between (i, j) and (i, j+1).  Both are
+    rows x cols and column-major, the layout of ``SparseOperator.ci``/``cj``:
+    with no midpoints across the border, the last row of ``ai`` and the last
+    column of ``aj`` are 0.0.  ``spacing`` is the h the gradient was divided by.
     """
 
     ai: np.ndarray
     aj: np.ndarray
     epsilon: float
     exponent_p: float
+    spacing: float
 
     @property
     def rows(self) -> int:
-        return self.aj.shape[0]
+        return self.ai.shape[0]
 
     @property
     def cols(self) -> int:
         return self.ai.shape[1]
 
     def coefficient_arrays(self):
-        return (self.ai, self.aj)
+        """The interior midpoints: views without the zero border row and column."""
+        return (self.ai[:-1], self.aj[:, :-1])
 
     def upper_bound(self) -> float:
         """Largest value any coefficient can take: epsilon^((p-2)/2)."""
@@ -120,49 +123,71 @@ def _paired_pass(src, axis, size, taps, even, out, tmp):
     return out
 
 
+@lru_cache(maxsize=32)
+def _mirror(size: int, r: int) -> np.ndarray:
+    """Read-only source of samples -r .. size+r-1 in the symmetric (edge-repeating) extension."""
+    i = np.arange(-r, size + r) % (2 * size)
+    source = np.minimum(i, 2 * size - 1 - i)
+    source.flags.writeable = False
+    return source
+
+
+def _pad_symmetric(px: np.ndarray, r: int) -> np.ndarray:
+    """``np.pad(px, r, mode="symmetric")``, column-major: one block copy and four border copies."""
+    m, n = px.shape
+    pad = np.empty((m + 2 * r, n + 2 * r), order="F")
+    pad[r : m + r, r : n + r] = px
+    for outer in (slice(0, r), slice(m + r, None)):
+        pad[outer, r : n + r] = px[_mirror(m, r)[outer]]
+    for outer in (slice(0, r), slice(n + r, None)):
+        pad[:, outer] = pad[:, r + _mirror(n, r)[outer]]
+    return pad
+
+
 def grad_gaussian(u: ImageGrid, kernel: GaussianKernel):
-    """Smoothed gradient components (d/di, d/dj) under symmetric padding.
+    """Smoothed gradient components (d/di, d/dj) under symmetric padding, column-major.
 
     Correlating with the derivative-of-Gaussian taps differentiates the
-    Gaussian-smoothed image; symmetric (mirror) padding keeps the result
-    consistent with the zero-flux boundary of the flow.  Output is divided
-    by the grid spacing so a unit-slope ramp reports slope ~1.  One pass
-    along the rows gives both the smoothed and the differentiated rows; a
-    pass down the columns finishes each component.  The components are
-    column-major, the layout of the stencil and of the flow's stacked
-    iterate; the values do not depend on the layout.
+    Gaussian-smoothed image; mirror padding matches the flow's zero-flux
+    boundary, and dividing by h makes a unit-slope ramp report slope ~1.
+    One pass along the rows gives the smoothed and the differentiated rows;
+    a pass down the flat buffer of each finishes its component.
     """
     r = kernel.radius
     m, n = u.shape
-    pad = np.pad(u.pixels, r, mode="symmetric")  # column-major for a column-major image
-    smooth_j, diff_j = (np.empty((m + 2 * r, n), order="F") for _ in range(2))
-    # one work buffer, contiguous in the row pass's shape and in the column pass's
-    buffer = np.empty((m + 2 * r) * n)
-    tmp = buffer.reshape((m + 2 * r, n), order="F")
+    pad = _pad_symmetric(u.pixels, r)
+    smooth_j, diff_j, tmp, col = (np.empty((m + 2 * r, n), order="F") for _ in range(4))
     _paired_pass(pad, 1, n, kernel.g, True, smooth_j, tmp)
     _paired_pass(pad, 1, n, kernel.dg, False, diff_j, tmp)
-    tmp = buffer[: m * n].reshape((m, n), order="F")
-    gx = _paired_pass(smooth_j, 0, m, kernel.dg, False, np.empty((m, n), order="F"), tmp)
-    gy = _paired_pass(diff_j, 0, m, kernel.g, True, np.empty((m, n), order="F"), tmp)
-    gx /= u.spacing
-    gy /= u.spacing
-    return gx, gy
+    size = smooth_j.size - 2 * r
+    grads = []
+    for src, taps, even in ((smooth_j, kernel.dg, False), (diff_j, kernel.g, True)):
+        # down the flat column-stacked buffer: entry q is centred on entry q + r;
+        # the last 2r rows of each column mix two columns and are dropped
+        out, work = (a.ravel(order="F")[:size] for a in (col, tmp))
+        _paired_pass(src.ravel(order="F"), 0, size, taps, even, out, work)
+        grads.append(np.divide(col[:m], u.spacing, order="F"))
+    return tuple(grads)
 
 
-def _midpoint_coefficients(a0, a1, b0, b1, epsilon, expo):
-    """(epsilon + |mean of the two gradient samples|^2)^expo, computed in place.
+def _midpoint_coefficients(gx, gy, shift, epsilon, expo):
+    """(epsilon + |mean of the gradient at flat q, q + shift|^2)^expo; last ``shift`` entries unset.
 
     0.25 * ((a0 + a1)^2 + (b0 + b1)^2) equals (0.5 * (a0 + a1))^2 +
     (0.5 * (b0 + b1))^2 exactly: scaling by a power of two does not round.
     """
-    mag2 = np.add(a0, a1)
+    coeff = np.empty(gx.shape, order="F")
+    mag2 = coeff.ravel(order="F")[:-shift]
+    gx, gy = gx.ravel(order="F"), gy.ravel(order="F")
+    np.add(gx[:-shift], gx[shift:], out=mag2)
     np.square(mag2, out=mag2)
-    sq = np.add(b0, b1)
+    sq = np.add(gy[:-shift], gy[shift:])
     np.square(sq, out=sq)
     mag2 += sq
     mag2 *= 0.25
     mag2 += epsilon
-    return np.power(mag2, expo, out=mag2)
+    np.power(mag2, expo, out=mag2)
+    return coeff
 
 
 def diffusivity_half(u: ImageGrid, epsilon: float, p: float, kernel: GaussianKernel) -> DiffusivityField:
@@ -170,7 +195,7 @@ def diffusivity_half(u: ImageGrid, epsilon: float, p: float, kernel: GaussianKer
 
     Midpoint gradient components are the mean of the two adjacent node
     values, mirroring the midpoint averaging used for the image itself.
-    The coefficient arrays are column-major, like the stencil's couplings.
+    The coefficients come in the stencil's layout (see DiffusivityField).
     p = 2 gives a = 1 exactly (x**0 == 1 for every x), without a gradient.
     """
     if not (epsilon > 0):
@@ -180,18 +205,19 @@ def diffusivity_half(u: ImageGrid, epsilon: float, p: float, kernel: GaussianKer
     u.require_min_size(2)
     m, n = u.shape
     if p == 2.0:
-        a_i, a_j = np.ones((m - 1, n), order="F"), np.ones((m, n - 1), order="F")
+        a_i, a_j = np.ones((m, n), order="F"), np.ones((m, n), order="F")
     else:
         # huge gradients overflow to inf and give the correct limit a -> 0
         # for p < 2; keep that path silent
         with np.errstate(over="ignore", invalid="ignore"):
             gx, gy = grad_gaussian(u, kernel)
             expo = (p - 2.0) / 2.0
-            # midpoints between rows i and i+1: shape (M-1, N)
-            a_i = _midpoint_coefficients(gx[:-1], gx[1:], gy[:-1], gy[1:], epsilon, expo)
-            # midpoints between columns j and j+1: shape (M, N-1)
-            a_j = _midpoint_coefficients(gx[:, :-1], gx[:, 1:], gy[:, :-1], gy[:, 1:], epsilon, expo)
-    return DiffusivityField(ai=a_i, aj=a_j, epsilon=float(epsilon), exponent_p=float(p))
+            # shifts of 1 pair row neighbours, shifts of m column neighbours
+            a_i, a_j = (_midpoint_coefficients(gx, gy, s, epsilon, expo) for s in (1, m))
+    # the flat pairs across the border: last row and next column's first row, last column and none
+    a_i[-1] = 0.0
+    a_j[:, -1] = 0.0
+    return DiffusivityField(a_i, a_j, float(epsilon), float(p), u.spacing)
 
 
 @dataclass(frozen=True)

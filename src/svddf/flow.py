@@ -168,7 +168,7 @@ def _assemble_from(u: np.ndarray, shape, spacing: float, config: SolverConfig) -
     """
     image = ImageGrid.of_finite(u.reshape(shape, order="F"), spacing)
     fld = diffusivity_half(image, config.epsilon, config.exponent_p, config.kernel())
-    return assemble(fld, spacing)
+    return assemble(fld)
 
 
 def initial_state(u0: ImageGrid, config: SolverConfig) -> FlowState:
@@ -245,15 +245,24 @@ def energies(state: FlowState, config: SolverConfig, vv: float | None = None) ->
     formed it already.  The potential integrates
     (|grad u|^2 + epsilon)^(p/2) / p over all nodes with central
     differences (one-sided at the border), the epsilon keeping p = 1
-    differentiable.
+    differentiable.  These are ``np.gradient``'s differences, taken as
+    shifts of the column-stacked iterate: by 1 down a column, by rows across.
     """
-    h2 = state.spacing**2
+    h, h2 = state.spacing, state.spacing**2
+    m, n, u = state.F_prev.rows, state.F_prev.cols, state.u
     with np.errstate(over="ignore", invalid="ignore"):
         if vv is None:
             vv = float(state.v @ state.v)
         kinetic = 0.5 * h2 * vv
-        px = state.u.reshape((state.F_prev.rows, state.F_prev.cols), order="F")
-        gx, gy = np.gradient(px, state.spacing)
+        gx, gy = np.empty((2, m * n))
+        for g, s in ((gx, 1), (gy, m)):
+            g[s:-s] = (u[2 * s :] - u[: -2 * s]) / (2.0 * h)
+        # one-sided at the first and last row and column, over the central
+        # differences that straddle the column boundaries and the array ends
+        px, gx2, gy2 = (a.reshape((m, n), order="F") for a in (u, gx, gy))
+        for edges, grid in ((gx2, px), (gy2.T, px.T)):
+            edges[0] = (grid[1] - grid[0]) / h
+            edges[-1] = (grid[-1] - grid[-2]) / h
         p = config.exponent_p
         potential = h2 * float(np.sum((gx**2 + gy**2 + config.epsilon) ** (p / 2.0)) / p)
     return kinetic, potential

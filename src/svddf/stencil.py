@@ -24,8 +24,10 @@ class SparseOperator:
     """Matrix-free symmetric five-point stencil on a rows x cols grid.
 
     ``ci[i, j]`` couples pixels (i, j) and (i+1, j), ``cj[i, j]`` couples
-    (i, j) and (i, j+1); both already carry the 1/h^2 factor.  The shape
-    and the diagonal are read from these couplings.
+    (i, j) and (i, j+1); both carry the 1/h^2 factor and have the layout of
+    ``DiffusivityField``, zero across the border.  On the column-stacked
+    vector they couple q with q+1 and with q+rows.  The shape and the
+    diagonal are read from these couplings.
     """
 
     ci: np.ndarray
@@ -33,7 +35,7 @@ class SparseOperator:
 
     @property
     def rows(self) -> int:
-        return self.cj.shape[0]
+        return self.ci.shape[0]
 
     @property
     def cols(self) -> int:
@@ -43,24 +45,26 @@ class SparseOperator:
     def dim(self) -> int:
         return self.rows * self.cols
 
+    def _flat_couplings(self):
+        return self.ci.ravel(order="F")[:-1], self.cj.ravel(order="F")[: -self.rows]
+
     @property
     def diagonal(self) -> np.ndarray:
         """Column-stacked main diagonal: minus the sum of each pixel's couplings."""
+        diag = np.zeros(self.dim)
         # west, east, north, south: the summation order fixes the diagonal's bits
-        diag = np.zeros((self.rows, self.cols), order="F")
-        diag[1:] -= self.ci
-        diag[:-1] -= self.ci
-        diag[:, 1:] -= self.cj
-        diag[:, :-1] -= self.cj
-        return diag.ravel(order="F")
+        for c, shift in zip(self._flat_couplings(), (1, self.rows)):
+            diag[shift:] -= c
+            diag[:-shift] -= c
+        return diag
 
 
-def assemble(field: DiffusivityField, spacing: float) -> SparseOperator:
-    """Build F from midpoint coefficients: the couplings a/h^2."""
-    if not (spacing > 0):
-        raise ParameterError(f"spacing must be positive, got {spacing}")
-    inv_h2 = 1.0 / spacing**2
-    # column-major like the column-stacked vectors ``apply`` reshapes
+def assemble(field: DiffusivityField, spacing: float | None = None) -> SparseOperator:
+    """Build F from midpoint coefficients: couplings a/h^2, h = field.spacing (= ``spacing`` if given)."""
+    if spacing not in (None, field.spacing):
+        raise ParameterError(f"spacing {spacing} differs from the field's spacing {field.spacing}")
+    inv_h2 = 1.0 / field.spacing**2
+    # column-major like the column-stacked vectors ``apply`` shifts
     ci = np.multiply(field.ai, inv_h2, order="F")
     cj = np.multiply(field.aj, inv_h2, order="F")
     return SparseOperator(ci, cj)
@@ -71,15 +75,13 @@ def apply(op: SparseOperator, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (op.dim,):
         raise DimensionError(f"vector of shape {x.shape} does not match operator dim {op.dim}")
-    u = x.reshape((op.rows, op.cols), order="F")
-    out = np.zeros_like(u)
-    f = op.ci * (u[1:] - u[:-1])
-    out[1:] -= f
-    out[:-1] += f
-    f = op.cj * (u[:, 1:] - u[:, :-1])
-    out[:, 1:] -= f
-    out[:, :-1] += f
-    return out.ravel(order="F")
+    out = np.zeros_like(x)
+    for c, shift in zip(op._flat_couplings(), (1, op.rows)):
+        f = np.subtract(x[shift:], x[:-shift])
+        f *= c
+        out[shift:] -= f
+        out[:-shift] += f
+    return out
 
 
 def lambda_max(op: SparseOperator) -> float:
@@ -113,7 +115,7 @@ def to_dense(op: SparseOperator) -> np.ndarray:
     """The MN x MN matrix F, exactly symmetric."""
     dense = np.diag(op.diagonal)
     q = np.arange(op.dim).reshape((op.rows, op.cols), order="F")
-    for a, b, c in ((q[:-1], q[1:], op.ci), (q[:, :-1], q[:, 1:], op.cj)):
+    for a, b, c in ((q[:-1], q[1:], op.ci[:-1]), (q[:, :-1], q[:, 1:], op.cj[:, :-1])):
         dense[a, b] = c
         dense[b, a] = c
     return dense

@@ -79,6 +79,91 @@ def halfpoint_diffusivity(pixels, h, epsilon, p, g, dg):
     return west, east, north, south
 
 
+def _windowed_pass(src, axis, size, taps, even):
+    """Paired-tap correlation along ``axis`` of a 2-D array, one 2-D window per tap offset."""
+    r = (taps.shape[0] - 1) // 2
+
+    def window(t):
+        return src[r + t : r + t + size] if axis == 0 else src[:, r + t : r + t + size]
+
+    combine = np.add if even else np.subtract
+    if even:
+        out = window(0) * taps[r]
+    else:
+        out = combine(window(1), window(-1))
+        out *= taps[r + 1]
+    for t in range(1 if even else 2, r + 1):
+        tmp = combine(window(t), window(-t))
+        tmp *= taps[r + t]
+        out += tmp
+    return out
+
+
+def windowed_gradient(pixels, h, g, dg):
+    """Smoothed gradient with every tap a 2-D window: the bit reference of the flat passes.
+
+    The same products and sums in the same order as ``grad_gaussian``, so
+    the two agree bit for bit whatever memory layout each one walks.
+    """
+    r = (g.shape[0] - 1) // 2
+    m, n = pixels.shape
+    pad = np.pad(pixels, r, mode="symmetric")
+    smooth_j = _windowed_pass(pad, 1, n, g, True)
+    diff_j = _windowed_pass(pad, 1, n, dg, False)
+    gx = _windowed_pass(smooth_j, 0, m, dg, False) / h
+    gy = _windowed_pass(diff_j, 0, m, g, True) / h
+    return gx, gy
+
+
+def windowed_midpoints(gx, gy, epsilon, p):
+    """Interior midpoint coefficients from 2-D windows: shapes (M-1, N) and (M, N-1).
+
+    The bit reference of ``diffusivity_half``'s flat shifts; p = 2 gives ones.
+    """
+    m, n = gx.shape
+    if p == 2.0:
+        return np.ones((m - 1, n)), np.ones((m, n - 1))
+    expo = (p - 2.0) / 2.0
+
+    def coeff(a0, a1, b0, b1):
+        return (((a0 + a1) ** 2 + (b0 + b1) ** 2) * 0.25 + epsilon) ** expo
+
+    ai = coeff(gx[:-1], gx[1:], gy[:-1], gy[1:])
+    aj = coeff(gx[:, :-1], gx[:, 1:], gy[:, :-1], gy[:, 1:])
+    return ai, aj
+
+
+def windowed_apply(ci, cj, x):
+    """F @ x from interior couplings (shapes (M-1, N), (M, N-1)) with 2-D edge-flux windows."""
+    m, n = cj.shape[0], ci.shape[1]
+    u = x.reshape((m, n), order="F")
+    out = np.zeros((m, n))
+    f = ci * (u[1:] - u[:-1])
+    out[1:] -= f
+    out[:-1] += f
+    f = cj * (u[:, 1:] - u[:, :-1])
+    out[:, 1:] -= f
+    out[:, :-1] += f
+    return out.ravel(order="F")
+
+
+def windowed_diagonal(ci, cj):
+    """Column-stacked diagonal of F from interior couplings, west, east, north, south."""
+    m, n = cj.shape[0], ci.shape[1]
+    diag = np.zeros((m, n))
+    diag[1:] -= ci
+    diag[:-1] -= ci
+    diag[:, 1:] -= cj
+    diag[:, :-1] -= cj
+    return diag.ravel(order="F")
+
+
+def gradient_potential(pixels, h, epsilon, p):
+    """h^2 * sum((|grad u|^2 + epsilon)^(p/2)) / p with ``np.gradient``'s differences."""
+    gx, gy = np.gradient(np.asfortranarray(pixels), h)
+    return h**2 * float(np.sum((gx**2 + gy**2 + epsilon) ** (p / 2.0)) / p)
+
+
 def naive_dft_energy(pixels, n0):
     """High-frequency energy from an O(M^2 N^2) direct DFT double sum."""
     m, n = pixels.shape

@@ -8,6 +8,7 @@ from svddf import ImageGrid, read_pgm, synth_image, write_pgm
 from svddf.cli import main
 
 STABILITY_NOTE = "see README 'Stability of the spectral step rule'"
+FIXED_STEP_NOTE = "see README 'Fixed step lengths'"
 
 
 @pytest.fixture
@@ -566,6 +567,30 @@ class TestSweep:
         assert captured.err.count(STABILITY_NOTE) == 2
         assert len(captured.out.splitlines()) == 5
         assert STABILITY_NOTE not in captured.out
+
+    @pytest.mark.parametrize(
+        "method,dt,warned_ps",
+        [
+            # explicit Euler's bound 2h^2/(8 epsilon^((p-2)/2)): 0.025, 0.079, 0.25
+            ("first-order", "0.15", {"1", "1.5"}),
+            ("first-order", "0.02", set()),
+            # svddf's bound 2h/sqrt(8 epsilon^((p-2)/2)): 0.224, 0.398, 0.707
+            ("svddf", "0.15", set()),
+            ("svddf", "0.3", {"1"}),
+        ],
+    )
+    def test_fixed_dt_stability_warning_per_cell(
+        self, tmp_path, disk_pgm, noisy_pgm, capsys, method, dt, warned_ps
+    ):
+        # first-order at dt = 0.15 scores SSIM ~0 on every p = 1 cell, so it must not run silently
+        argv = ["sweep", str(noisy_pgm), "--clean", str(disk_pgm), "--etas", "1,300", "--ps", "1,1.5,2"]
+        argv += ["--method", method, "--dt", dt, "--stop", "rde", "--max-steps", "300"]
+        assert main(argv + ["--out", str(tmp_path / "s")]) == 0
+        captured = capsys.readouterr()
+        lines = [line for line in captured.err.splitlines() if FIXED_STEP_NOTE in line]
+        assert sorted(line.split("p=")[1].split(",")[0] for line in lines) == sorted(2 * list(warned_ps))
+        assert FIXED_STEP_NOTE not in captured.out
+        assert len(captured.out.splitlines()) == 7
 
     def test_malformed_list_value_exits_2(self, tmp_path, disk_pgm, noisy_pgm, capsys):
         argv = ["sweep", str(noisy_pgm), "--clean", str(disk_pgm), "--etas", "1,abc", "--ps", "1"]

@@ -22,15 +22,15 @@ from conftest import random_field
 from oracles import dense_stencil
 
 
-def unit_field(rows, cols):
-    g = ImageGrid(np.full((rows, cols), 0.5))
+def unit_field(rows, cols, h=1.0):
+    g = ImageGrid(np.full((rows, cols), 0.5), spacing=h)
     return diffusivity_half(g, 1e-2, 2.0, make_kernel(1.0))
 
 
 class TestAssemble:
     def test_interior_row_is_five_point_laplacian(self):
         h = 0.5
-        op = assemble(unit_field(5, 5), h)
+        op = assemble(unit_field(5, 5, h))
         dense = to_dense(op)
         q = 2 * 5 + 2  # centre pixel (2, 2)
         row = dense[q]
@@ -48,10 +48,20 @@ class TestAssemble:
     def test_matches_dense_oracle_random_field(self, rng):
         from oracles import dense_stencil
 
-        fld = random_field(rng, 6, 6)
-        op = assemble(fld, 0.7)
+        fld = random_field(rng, 6, 6, spacing=0.7)
+        op = assemble(fld)
         dense = to_dense(op)
         assert np.max(np.abs(dense - dense_stencil(fld, 0.7))) <= 1e-13
+
+    def test_spacing_comes_from_the_field(self, rng):
+        fld = random_field(rng, 6, 5, spacing=0.5)
+        assert fld.spacing == 0.5
+        op = assemble(fld)
+        assert np.array_equal(op.ci, 4.0 * fld.ai) and np.array_equal(op.cj, 4.0 * fld.aj)
+        assert np.array_equal(assemble(fld, 0.5).ci, op.ci)
+        # h other than the one the gradient was divided by
+        with pytest.raises(svddf.ParameterError):
+            assemble(fld, 1.0)
 
     def test_symmetry_exact(self, rng):
         dense = to_dense(assemble(random_field(rng, 7, 5), 1.0))
@@ -73,7 +83,7 @@ class TestAssemble:
 
 class TestApply:
     def test_annihilates_constants(self, rng):
-        op = assemble(random_field(rng, 9, 4), 2.0)
+        op = assemble(random_field(rng, 9, 4, spacing=2.0))
         assert np.max(np.abs(apply(op, np.full(op.dim, 3.3)))) <= 1e-11
 
     def test_unit_vectors_match_dense_columns(self, rng):
@@ -160,8 +170,8 @@ _operator_cases = given(
 def _case(shape, p, h, seed):
     """Random field, its operator, and two random vectors."""
     rng = np.random.default_rng(seed)
-    fld = random_field(rng, *shape, p=p)
-    op = assemble(fld, h)
+    fld = random_field(rng, *shape, p=p, spacing=h)
+    op = assemble(fld)
     x, y = rng.standard_normal((2, op.dim))
     return fld, op, x, y
 
