@@ -106,41 +106,40 @@ def _paired_pass(src, axis, size, taps, even, out, tmp):
     -taps[r-t]``, zero centre), so offsets t and -t share one multiply.
     """
     r = (taps.shape[0] - 1) // 2
-
-    def window(t):
-        return src[r + t : r + t + size] if axis == 0 else src[:, r + t : r + t + size]
-
-    combine = np.add if even else np.subtract
+    # along axis 1, work on the transposes: the same elements, windows taken along axis 0
+    s, o, w = (src, out, tmp) if axis == 0 else (src.T, out.T, tmp.T)
     if even:
-        np.multiply(window(0), taps[r], out=out)
+        np.multiply(s[r : r + size], taps[r], out=o)
+        combine, first = np.add, 1
     else:
-        combine(window(1), window(-1), out=out)
-        out *= taps[r + 1]
-    for t in range(1 if even else 2, r + 1):
-        combine(window(t), window(-t), out=tmp)
-        tmp *= taps[r + t]
-        out += tmp
+        np.subtract(s[r + 1 : r + 1 + size], s[r - 1 : r - 1 + size], out=o)
+        o *= taps[r + 1]
+        combine, first = np.subtract, 2
+    for t in range(first, r + 1):
+        combine(s[r + t : r + t + size], s[r - t : r - t + size], out=w)
+        w *= taps[r + t]
+        o += w
     return out
 
 
-@lru_cache(maxsize=32)
-def _mirror(size: int, r: int) -> np.ndarray:
-    """Read-only source of samples -r .. size+r-1 in the symmetric (edge-repeating) extension."""
-    i = np.arange(-r, size + r) % (2 * size)
-    source = np.minimum(i, 2 * size - 1 - i)
-    source.flags.writeable = False
-    return source
-
-
 def _pad_symmetric(px: np.ndarray, r: int) -> np.ndarray:
-    """``np.pad(px, r, mode="symmetric")``, column-major: one block copy and four border copies."""
+    """``np.pad(px, r, mode="symmetric")``, column-major, by slice copies.
+
+    Each border is filled outward one block of up to an image width at a
+    time, each block the mirror image of the one inside it, so a border wider
+    than the image is mirrored repeatedly, as ``np.pad`` does.
+    """
     m, n = px.shape
     pad = np.empty((m + 2 * r, n + 2 * r), order="F")
     pad[r : m + r, r : n + r] = px
-    for outer in (slice(0, r), slice(m + r, None)):
-        pad[outer, r : n + r] = px[_mirror(m, r)[outer]]
-    for outer in (slice(0, r), slice(n + r, None)):
-        pad[:, outer] = pad[:, r + _mirror(n, r)[outer]]
+    # the rows of the interior columns, then whole columns: the rows of the transpose
+    for a, size in ((pad[:, r : n + r], m), (pad.T, n)):
+        for b in range(r, 0, -size):
+            w = min(size, b)
+            a[b - w : b] = a[b : b + w][::-1]
+        for b in range(r + size, a.shape[0], size):
+            w = min(size, a.shape[0] - b)
+            a[b : b + w] = a[b - w : b][::-1]
     return pad
 
 
@@ -190,13 +189,18 @@ def _midpoint_coefficients(gx, gy, shift, epsilon, expo):
     return coeff
 
 
+def constant_diffusivity(p: float) -> bool:
+    """True when the coefficient is 1 for every image: (p-2)/2 = 0 and x**0 == 1 for every x."""
+    return p == 2.0
+
+
 def diffusivity_half(u: ImageGrid, epsilon: float, p: float, kernel: GaussianKernel) -> DiffusivityField:
     """Evaluate a = (epsilon + |smoothed gradient|^2)^((p-2)/2) at interior edge midpoints.
 
     Midpoint gradient components are the mean of the two adjacent node
     values, mirroring the midpoint averaging used for the image itself.
     The coefficients come in the stencil's layout (see DiffusivityField).
-    p = 2 gives a = 1 exactly (x**0 == 1 for every x), without a gradient.
+    p = 2 gives a = 1 exactly (see constant_diffusivity), without a gradient.
     """
     if not (epsilon > 0):
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
@@ -204,7 +208,7 @@ def diffusivity_half(u: ImageGrid, epsilon: float, p: float, kernel: GaussianKer
         raise ParameterError(f"p must lie in [1, 2], got {p}")
     u.require_min_size(2)
     m, n = u.shape
-    if p == 2.0:
+    if constant_diffusivity(p):
         a_i, a_j = np.ones((m, n), order="F"), np.ones((m, n), order="F")
     else:
         # huge gradients overflow to inf and give the correct limit a -> 0

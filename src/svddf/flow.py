@@ -14,11 +14,11 @@ explicitly.  Both runners share the stopping rules and emit a per-step
 trajectory log, or, on request, only the reason and step they stopped at.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diffusivity import _cached_kernel, diffusivity_half
+from .diffusivity import _cached_kernel, constant_diffusivity, diffusivity_half
 from .errors import DegenerateInputError, DivergenceError, ParameterError
 from .grid import ImageGrid, array, vec
 from .stencil import SparseOperator, apply, assemble, lambda_max
@@ -179,7 +179,13 @@ def initial_state(u0: ImageGrid, config: SolverConfig) -> FlowState:
 
 
 def _reassemble(state: FlowState, config: SolverConfig) -> SparseOperator:
-    """Stencil of the state's iterate ``u``; ``u`` was checked finite when it was formed."""
+    """Stencil of the state's iterate ``u``; ``u`` was checked finite when it was formed.
+
+    That is the carried stencil at k = 0, which was assembled from this same
+    ``u``, and at every k when the diffusivity is constant.
+    """
+    if state.k == 0 or constant_diffusivity(config.exponent_p):
+        return state.F_prev
     return _assemble_from(state.u, (state.F_prev.rows, state.F_prev.cols), state.spacing, config)
 
 
@@ -217,25 +223,15 @@ def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
         Fu = apply(state.F_prev, u) if state.Fu is None else state.Fu
         v_half = (v + 0.5 * dt * Fu) / (1.0 + 0.5 * config.eta * dt)
         u_new = u + dt * v_half
-        if not np.all(np.isfinite(u_new)):
+        if not np.isfinite(u_new).all():
             raise DivergenceError(f"non-finite iterate at step {state.k}", step=state.k)
-        # k = 0 reuses the startup stencil, which was assembled from this same u
-        F_new = state.F_prev if state.k == 0 else _reassemble(state, config)
+        F_new = _reassemble(state, config)
         Fu_new = apply(F_new, u_new)
         v_new = v_half + 0.5 * dt * (Fu_new - config.eta * v_half)
-    if not np.all(np.isfinite(v_new)):
+    if not np.isfinite(v_new).all():
         raise DivergenceError(f"non-finite velocity at step {state.k}", step=state.k)
-    return replace(
-        state,
-        u=u_new,
-        v=v_new,
-        k=state.k + 1,
-        t=state.t + dt,
-        F_prev=F_new,
-        last_dt=dt,
-        last_lambda=lam,
-        Fu=Fu_new,
-    )
+    return FlowState(u=u_new, v=v_new, k=state.k + 1, t=state.t + dt, F_prev=F_new, spacing=state.spacing,
+                     last_dt=dt, last_lambda=lam, Fu=Fu_new)
 
 
 def energies(state: FlowState, config: SolverConfig, vv: float | None = None) -> tuple[float, float]:
@@ -305,11 +301,12 @@ class _StopTracker:
     def stops(self, state: FlowState, config: SolverConfig) -> bool:
         """Logs the step that produced ``state``; True if the rule fires on it."""
         rde_val = sig = float("nan")
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.with_rde:
-                rde_val = self._rde(state.u)
-            if self.with_sigma:
-                sig = discrepancy(state.u, self.u0, 0.0, u0_norm=self.u0_norm).sigma
+        if self.with_rde or self.with_sigma:
+            with np.errstate(over="ignore", invalid="ignore"):
+                if self.with_rde:
+                    rde_val = self._rde(state.u)
+                if self.with_sigma:
+                    sig = discrepancy(state.u, self.u0, 0.0, u0_norm=self.u0_norm).sigma
         if self.keep_trajectory:
             self.log.records.append(self._record(state, config, rde_val, sig))
         self.log.steps = state.k
@@ -372,7 +369,7 @@ def run_svddf(
 
 def _first_order_step(state: FlowState, config: SolverConfig) -> FlowState:
     """Explicit step of the first-order flow u_t = div(a(u) grad u)."""
-    F = state.F_prev if state.k == 0 else _reassemble(state, config)
+    F = _reassemble(state, config)
     if config.dt_rule == "theorem":
         lam = lambda_max(F)
         # classical explicit-Euler stability for a symmetric negative operator
@@ -382,19 +379,11 @@ def _first_order_step(state: FlowState, config: SolverConfig) -> FlowState:
     with np.errstate(over="ignore", invalid="ignore"):
         rate = apply(F, state.u)
         u_new = state.u + dt * rate
-    if not np.all(np.isfinite(u_new)):
+    if not np.isfinite(u_new).all():
         raise DivergenceError(f"non-finite iterate at step {state.k}", step=state.k)
-    return replace(
-        state,
-        u=u_new,
-        v=rate,  # finite-difference rate, logged as the velocity proxy
-        k=state.k + 1,
-        t=state.t + dt,
-        F_prev=F,
-        last_dt=dt,
-        last_lambda=lam,
-        Fu=None,  # F was assembled from the old u, not u_new
-    )
+    # v: the finite-difference rate, logged as the velocity proxy; no Fu, as F is the old u's stencil
+    return FlowState(u=u_new, v=rate, k=state.k + 1, t=state.t + dt, F_prev=F, spacing=state.spacing,
+                     last_dt=dt, last_lambda=lam)
 
 
 def run_first_order(

@@ -26,12 +26,19 @@ class SparseOperator:
     ``ci[i, j]`` couples pixels (i, j) and (i+1, j), ``cj[i, j]`` couples
     (i, j) and (i, j+1); both carry the 1/h^2 factor and have the layout of
     ``DiffusivityField``, zero across the border.  On the column-stacked
-    vector they couple q with q+1 and with q+rows.  The shape and the
+    vector they couple q with q+1 and with q+rows, so a nonzero there would
+    couple the ends of adjacent columns; it is rejected.  The shape and the
     diagonal are read from these couplings.
     """
 
     ci: np.ndarray
     cj: np.ndarray
+
+    def __post_init__(self):
+        if self.ci.ndim != 2 or self.ci.shape != self.cj.shape:
+            raise ParameterError(f"couplings ci {self.ci.shape} and cj {self.cj.shape} must be one 2-D shape")
+        if np.count_nonzero(self.ci[-1]) or np.count_nonzero(self.cj[:, -1]):
+            raise ParameterError("couplings across the border (last row of ci, last column of cj) must be 0")
 
     @property
     def rows(self) -> int:
@@ -75,7 +82,7 @@ def apply(op: SparseOperator, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (op.dim,):
         raise DimensionError(f"vector of shape {x.shape} does not match operator dim {op.dim}")
-    out = np.zeros_like(x)
+    out = np.zeros(x.shape)
     for c, shift in zip(op._flat_couplings(), (1, op.rows)):
         f = np.subtract(x[shift:], x[:-shift])
         f *= c

@@ -180,6 +180,42 @@ def naive_dft_energy(pixels, n0):
     return total
 
 
+def reassembling_flow(u0, config, steps, first_order=False):
+    """(u, v) after ``steps`` steps of either flow, every stencil assembled afresh.
+
+    The program carries its stencil from step to step and reuses it where it
+    cannot change; this loop rebuilds each one from the iterate it belongs
+    to.  It checks that carry, not the stencil, so it builds stencils with
+    the package's own diffusivity, assemble and apply, in the program's
+    arithmetic order: where the reuse is exact, the bits must agree.
+    """
+    from svddf import ImageGrid, apply, assemble, diffusivity_half, lambda_max, make_kernel
+
+    kernel = make_kernel(config.sigma)
+
+    def stencil(u):
+        image = ImageGrid(u.reshape(u0.shape, order="F"), spacing=u0.spacing)
+        return assemble(diffusivity_half(image, config.epsilon, config.exponent_p, kernel))
+
+    fixed = config.dt_rule == "fixed"
+    u = u0.pixels.flatten(order="F")
+    v, u_pre = np.zeros_like(u), u
+    for _ in range(steps):
+        if first_order:
+            F = stencil(u)
+            dt = config.dt_fixed if fixed else config.safety * 2.0 / lambda_max(F)
+            v = apply(F, u)
+            u = u + dt * v
+        else:
+            # the opening half-kick uses the stencil of the iterate before the last drift
+            F_prev, F_new = stencil(u_pre), stencil(u)
+            dt = config.dt_fixed if fixed else float(config.safety * config.eta / np.sqrt(lambda_max(F_prev)))
+            v_half = (v + 0.5 * dt * apply(F_prev, u)) / (1.0 + 0.5 * config.eta * dt)
+            u, u_pre = u + dt * v_half, u
+            v = v_half + 0.5 * dt * (apply(F_new, u) - config.eta * v_half)
+    return u, v
+
+
 def dense_A(F, eta, dt):
     """Half-kick-and-drift factor of the one-step map (implicit damping)."""
     n = F.shape[0]

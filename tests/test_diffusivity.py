@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 import svddf
 from svddf import ImageGrid, check_bounds, diffusivity_half, grad_gaussian, h1_norm, make_kernel
+from svddf.diffusivity import _pad_symmetric
 
 from conftest import random_grid
 from oracles import dense_correlate_symmetric, halfpoint_diffusivity
@@ -75,6 +76,21 @@ class TestGradGaussian:
         gx_b, gy_b = grad_gaussian(b, k)
         assert np.max(np.abs(gx_c - 2 * gx_a - 3 * gx_b)) <= 1e-12
         assert np.max(np.abs(gy_c - 2 * gy_a - 3 * gy_b)) <= 1e-12
+
+
+def test_pad_symmetric_is_np_pad_bit_for_bit():
+    # every grid up to 13 x 13 and every r up to 20, so r > rows and r > cols
+    # (the repeated reflections the benchmark never reaches) are covered
+    rng = np.random.default_rng(7)
+    for m in range(1, 14):
+        for n in range(1, 14):
+            px = rng.standard_normal((m, n))
+            px[0, 0] = -0.0
+            for src in (np.ascontiguousarray(px), np.asfortranarray(px)):
+                for r in range(21):
+                    got, want = _pad_symmetric(src, r), np.pad(src, r, mode="symmetric")
+                    assert got.flags.f_contiguous, (m, n, r)
+                    assert got.shape == want.shape and got.tobytes() == want.tobytes(), (m, n, r)
 
 
 class TestDiffusivityHalf:

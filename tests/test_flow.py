@@ -7,6 +7,7 @@ import svddf
 from svddf import (
     AprioriStop,
     DiscrepancyStop,
+    FlowState,
     ImageGrid,
     MaxStepsOnly,
     RdeStop,
@@ -16,6 +17,7 @@ from svddf import (
     diffusivity_half,
     energies,
     initial_state,
+    lambda_max,
     make_kernel,
     run_first_order,
     run_svddf,
@@ -27,7 +29,14 @@ from svddf import (
 from svddf.flow import _first_order_step, _StopTracker
 
 from conftest import random_grid
-from oracles import damped_oscillator, dense_A, dense_B, dense_stencil, mode_amplification_formula
+from oracles import (
+    damped_oscillator,
+    dense_A,
+    dense_B,
+    dense_stencil,
+    mode_amplification_formula,
+    reassembling_flow,
+)
 
 
 def fixed_cfg(dt, steps=10, **kw):
@@ -183,6 +192,43 @@ class TestCarriedProduct:
             assert state.Fu is None or np.array_equal(state.Fu, apply(state.F_prev, state.u))
 
 
+class TestStencilReuse:
+    """For p = 2 the coefficients are 1 for every image, so the startup stencil is kept for the run."""
+
+    STEPPERS = {"svddf": (sv_step, False), "first-order": (_first_order_step, True)}
+
+    @pytest.mark.parametrize("method", sorted(STEPPERS))
+    @pytest.mark.parametrize("p", [1.5, 2.0])
+    @pytest.mark.parametrize("dt_rule", ["fixed", "theorem"])
+    def test_steps_match_a_loop_that_reassembles_every_step(self, rng, method, p, dt_rule):
+        g = random_grid(rng, 7, 9, spacing=0.8)
+        step, first_order = self.STEPPERS[method]
+        timing = {"dt_fixed": 0.02} if dt_rule == "fixed" else {}
+        cfg = SolverConfig(exponent_p=p, eta=1.5, dt_rule=dt_rule, max_steps=12, stopping=MaxStepsOnly(), **timing)
+        state = initial_state(g, cfg)
+        for _ in range(cfg.max_steps):
+            state = step(state, cfg)
+        u, v = reassembling_flow(g, cfg, cfg.max_steps, first_order)
+        assert np.array_equal(state.u, u)
+        assert np.array_equal(state.v, v)
+
+    @pytest.mark.parametrize("runner", [run_svddf, run_first_order])
+    @pytest.mark.parametrize("p,assembled", [(2.0, 1), (1.5, 20)])
+    def test_assemble_calls_per_run(self, rng, monkeypatch, runner, p, assembled):
+        calls = []
+        real = svddf.flow.assemble
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(svddf.flow, "assemble", counting)
+        _, log = runner(random_grid(rng, 6, 8), fixed_cfg(0.02, steps=20, exponent_p=p))
+        assert log.final_step() == 20
+        # otherwise once at start-up and once per step after the first
+        assert len(calls) == assembled
+
+
 class TestModeDynamics:
     @staticmethod
     def cosine_mode_grid(m_pixels, mode_index, cols=2):
@@ -251,6 +297,38 @@ class TestStability:
             cur = np.hypot(np.linalg.norm(state.u), np.linalg.norm(state.v))
             assert cur <= prev * (1.0 + 1e-9)
             prev = cur
+
+    @staticmethod
+    def one_step_matrix(shape, spacing, cfg):
+        """The matrix of sv_step on (u, v) for p = 2, one column per stepped unit vector."""
+        F = initial_state(ImageGrid(np.zeros(shape), spacing=spacing), cfg).F_prev
+        n = F.dim
+        columns = []
+        for e in np.eye(2 * n):
+            # k = 1: past the start-up step, so the step takes its stencil from the reuse rule
+            state = sv_step(FlowState(u=e[:n], v=e[n:], k=1, t=0.0, F_prev=F, spacing=spacing), cfg)
+            columns.append(np.concatenate([state.u, state.v]))
+        return np.array(columns).T, F
+
+    @pytest.mark.parametrize("shape,spacing", [((2, 2), 1.0), ((3, 5), 0.7), ((8, 8), 1.0), ((8, 4), 1.3)])
+    @pytest.mark.parametrize("eta", [0.001, 1.0, 10.0, 300.0])
+    def test_program_step_non_expansive_when_dt2_lambda_at_most_4(self, shape, spacing, eta):
+        # dt^2 * lambda_top <= 4 for every eta (README, Jury analysis); lambda_max
+        # bounds lambda_top from above, so dt = 0.9 * 2 / sqrt(lambda_max) qualifies
+        probe = SolverConfig(exponent_p=2.0)
+        F = initial_state(ImageGrid(np.zeros(shape), spacing=spacing), probe).F_prev
+        dt = 0.9 * 2.0 / np.sqrt(lambda_max(F))
+        cfg = SolverConfig(exponent_p=2.0, eta=eta, dt_rule="fixed", dt_fixed=dt)
+        M, _ = self.one_step_matrix(shape, spacing, cfg)
+        assert np.max(np.abs(np.linalg.eigvals(M))) <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("shape", [(3, 5), (8, 8)])
+    def test_program_step_expands_under_theorem_rule_at_eta_10(self, shape):
+        # dt = 0.9 * eta / sqrt(lambda_max) puts dt^2 * lambda_top far above 4 at eta = 10
+        cfg = SolverConfig(exponent_p=2.0, eta=10.0, safety=0.9, dt_rule="theorem")
+        M, F = self.one_step_matrix(shape, 1.0, cfg)
+        assert M.shape == (2 * F.dim, 2 * F.dim)
+        assert np.max(np.abs(np.linalg.eigvals(M))) > 1.0
 
 
 class TestEnergies:

@@ -81,6 +81,38 @@ class TestAssemble:
         assert np.all(np.abs(diag) >= off.sum(axis=1) - 1e-12)
 
 
+def _single_entry(index, value=1.0):
+    a = np.zeros((3, 3), order="F")
+    a[index] = value
+    return a
+
+
+class TestCouplingChecks:
+    def test_assembled_operators_pass(self, rng):
+        op = assemble(random_field(rng, 5, 4))
+        assert svddf.SparseOperator(op.ci, op.cj).dim == 20
+
+    @pytest.mark.parametrize(
+        "ci,cj",
+        [
+            # every coupling 1.0: the last pixel of each column would couple to the next column's first
+            (np.ones((3, 3), order="F"), np.ones((3, 3), order="F")),
+            (_single_entry((2, 1)), np.zeros((3, 3))),
+            (np.zeros((3, 3)), _single_entry((1, 2))),
+            (_single_entry((2, 0), np.nan), np.zeros((3, 3))),
+        ],
+        ids=["all-ones", "ci-last-row", "cj-last-column", "nan-in-ci-last-row"],
+    )
+    def test_couplings_across_the_border_rejected(self, ci, cj):
+        with pytest.raises(svddf.ParameterError, match="across the border"):
+            svddf.SparseOperator(ci, cj)
+
+    @pytest.mark.parametrize("ci,cj", [(np.zeros((3, 3)), np.zeros((3, 4))), (np.zeros(9), np.zeros(9))])
+    def test_couplings_of_other_shapes_rejected(self, ci, cj):
+        with pytest.raises(svddf.ParameterError, match="one 2-D shape"):
+            svddf.SparseOperator(ci, cj)
+
+
 class TestApply:
     def test_annihilates_constants(self, rng):
         op = assemble(random_field(rng, 9, 4, spacing=2.0))
