@@ -39,7 +39,7 @@ from .flow import (
     sv_step,
 )
 from .grid import ImageGrid, NoiseSpec, add_noise, array, rel_l2, synth_image, vec
-from .metrics import EvalReport, SsimConfig, evaluate, ssim
+from .metrics import EvalReport, evaluate, ssim
 from .pgm import read_pgm, write_pgm
 from .stencil import (
     SparseOperator,

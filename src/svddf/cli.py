@@ -16,7 +16,7 @@ from pathlib import Path
 from .errors import DivergenceError, SvddfError
 from .flow import SolverConfig, run_first_order, run_svddf
 from .grid import ImageGrid, NoiseSpec, add_noise
-from .metrics import EVAL_CSV_HEADER, SsimConfig, evaluate, report_csv_row, ssim
+from .metrics import EVAL_CSV_HEADER, evaluate, report_csv_row, ssim
 from .pgm import read_pgm, write_pgm
 from .stopping import AprioriStop, DiscrepancyStop, MaxStepsOnly, RdeStop
 
@@ -264,7 +264,7 @@ def _cmd_metrics(args) -> int:
     clean = read_pgm(_require_file(args.clean))
     noisy = read_pgm(_require_file(args.noisy))
     denoised = read_pgm(_require_file(args.denoised))
-    report = evaluate(clean, noisy, denoised, SsimConfig())
+    report = evaluate(clean, noisy, denoised)
     row = report_csv_row(Path(args.denoised).stem, float("nan"), float("nan"), 0, report)
     print(EVAL_CSV_HEADER)
     print(row)

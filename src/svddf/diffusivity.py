@@ -22,19 +22,21 @@ class GaussianKernel:
     """Sampled Gaussian and derivative-of-Gaussian tap vectors.
 
     ``sigma`` is the variance of the kernel exp(-x^2 / (2*sigma)); taps are
-    sampled at integer offsets in [-radius, radius].  The base kernel is
-    renormalised to unit sum after truncation, the derivative taps are
-    t/sigma times the base taps.  The 2-D kernels outer(dg, g), outer(g, dg) are never formed.
+    sampled at integer offsets in [-radius, radius], so ``g`` and ``dg`` have
+    one odd length 2*radius + 1.  The base kernel is renormalised to unit
+    sum after truncation, the derivative taps are t/sigma times the base
+    taps.  The 2-D kernels outer(dg, g), outer(g, dg) are never formed.
     """
 
     sigma: float
-    radius: int
     g: np.ndarray
     dg: np.ndarray
 
     def __post_init__(self):
         if not (self.sigma > 0):
             raise ParameterError(f"sigma must be positive, got {self.sigma}")
+        if len(self.g) != len(self.dg) or len(self.g) % 2 == 0:
+            raise ParameterError(f"g and dg must have the same odd length, got {len(self.g)} and {len(self.dg)}")
         if self.radius < math.ceil(3.0 * math.sqrt(self.sigma)):
             raise ParameterError(
                 f"radius {self.radius} below 3*sqrt(sigma) = {3.0 * math.sqrt(self.sigma):.3f}"
@@ -45,18 +47,22 @@ class GaussianKernel:
         if not np.array_equal(self.dg, -self.dg[::-1]):
             raise ParameterError("dg must be mirror-odd")
 
+    @property
+    def radius(self) -> int:
+        return (len(self.g) - 1) // 2
 
-def make_kernel(sigma: float = 1.0, radius: int | None = None) -> GaussianKernel:
+
+def make_kernel(sigma: float = 1.0) -> GaussianKernel:
+    """Taps of G_sigma and its derivative out to radius ceil(3*sqrt(sigma)), three standard deviations."""
     if not (sigma > 0):
         raise ParameterError(f"sigma must be positive, got {sigma}")
-    if radius is None:
-        radius = math.ceil(3.0 * math.sqrt(sigma))
+    radius = math.ceil(3.0 * math.sqrt(sigma))
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     g = np.exp(-(t**2) / (2.0 * sigma))
     g /= g.sum()
     # correlation taps: response to a unit ramp is sum(t * dg) ~ 1
     dg = t / sigma * g
-    return GaussianKernel(sigma=float(sigma), radius=int(radius), g=g, dg=dg)
+    return GaussianKernel(sigma=float(sigma), g=g, dg=dg)
 
 
 @lru_cache(maxsize=32)
@@ -206,7 +212,7 @@ def diffusivity_half(u: ImageGrid, epsilon: float, p: float, kernel: GaussianKer
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
     if not (1.0 <= p <= 2.0):
         raise ParameterError(f"p must lie in [1, 2], got {p}")
-    u.require_min_size(2)
+    u.require_min_size()
     m, n = u.shape
     if constant_diffusivity(p):
         a_i, a_j = np.ones((m, n), order="F"), np.ones((m, n), order="F")

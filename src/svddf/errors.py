@@ -31,7 +31,7 @@ class FormatError(SvddfError, ValueError):
 
 
 class DivergenceError(SvddfError, ArithmeticError):
-    """The iteration produced non-finite values.
+    """The iteration, or the SSIM of its result, produced non-finite values.
 
     ``step`` records the step index at which divergence was detected and
     ``partial_log`` keeps whatever trajectory log had been accumulated.

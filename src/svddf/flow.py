@@ -14,7 +14,8 @@ explicitly.  Both runners share the stopping rules and emit a per-step
 trajectory log, or, on request, only the reason and step they stopped at.
 """
 
-from dataclasses import dataclass, field
+import operator
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -34,8 +35,6 @@ from .stopping import (
 )
 
 _TINY_LAMBDA = 1e-14
-
-CSV_HEADER = "step,t,dt,lambda_max,vnorm,rde,sigma,kinetic,potential"
 
 
 @dataclass(frozen=True)
@@ -123,6 +122,12 @@ class TrajectoryRecord:
     potential: float
 
 
+# one CSV column per record field, in field order: the step as its digits, each float round-trip exact
+CSV_HEADER = ",".join(f.name for f in fields(TrajectoryRecord))
+_CSV_ROW = ",".join("{}" if f.type is int else "{:.17g}" for f in fields(TrajectoryRecord)) + "\n"
+_csv_values = operator.attrgetter(*CSV_HEADER.split(","))
+
+
 class TrajectoryLog:
     """Per-step records of a run plus the reason and step it stopped at.
 
@@ -143,21 +148,12 @@ class TrajectoryLog:
     def final_step(self) -> int:
         return self.steps
 
-    def to_csv(self, target) -> None:
-        def _write(fh):
+    def to_csv(self, path) -> None:
+        """Write the records to the file at ``path``: a CSV_HEADER line, then one line per step."""
+        with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(CSV_HEADER + "\n")
             for r in self.records:
-                fh.write(
-                    f"{r.step},{r.t:.17g},{r.dt:.17g},{r.lambda_max:.17g},"
-                    f"{r.vnorm:.17g},{r.rde:.17g},{r.sigma:.17g},"
-                    f"{r.kinetic:.17g},{r.potential:.17g}\n"
-                )
-
-        if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-            with open(target, "w", encoding="ascii", newline="\n") as fh:
-                _write(fh)
-        else:
-            _write(target)
+                fh.write(_CSV_ROW.format(*_csv_values(r)))
 
 
 def _assemble_from(u: np.ndarray, shape, spacing: float, config: SolverConfig) -> SparseOperator:

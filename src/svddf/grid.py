@@ -13,6 +13,7 @@ import numpy as np
 from .errors import DegenerateInputError, DimensionError, ParameterError
 
 KINDS = ("piecewise-constant", "ramp", "disk")
+MIN_SIZE = 2
 
 
 @dataclass(frozen=True)
@@ -62,10 +63,10 @@ class ImageGrid:
     def shape(self):
         return self.pixels.shape
 
-    def require_min_size(self, n: int = 2) -> "ImageGrid":
-        """Raise unless both dimensions are at least ``n`` (solvers need neighbours)."""
-        if self.rows < n or self.cols < n:
-            raise DimensionError(f"operation needs a grid of at least {n}x{n}, got {self.shape}")
+    def require_min_size(self) -> "ImageGrid":
+        """Raise unless both dimensions are at least MIN_SIZE (solvers need neighbours)."""
+        if self.rows < MIN_SIZE or self.cols < MIN_SIZE:
+            raise DimensionError(f"operation needs a grid of at least {MIN_SIZE}x{MIN_SIZE}, got {self.shape}")
         return self
 
 
@@ -109,8 +110,8 @@ def add_noise(clean: ImageGrid, spec: NoiseSpec) -> ImageGrid:
     return ImageGrid(clean.pixels * factor, spacing=clean.spacing)
 
 
-def synth_image(kind: str, rows: int, cols: int, spacing: float = 1.0) -> ImageGrid:
-    """Deterministic test image with known edges.
+def synth_image(kind: str, rows: int, cols: int) -> ImageGrid:
+    """Deterministic test image with known edges, on the unit lattice.
 
     ``piecewise-constant``: left half 0.25, right half 0.75.
     ``ramp``: u(i, j) = j / (cols - 1).
@@ -130,7 +131,7 @@ def synth_image(kind: str, rows: int, cols: int, spacing: float = 1.0) -> ImageG
         px = ((ii - ci) ** 2 + (jj - cj) ** 2 <= radius**2).astype(np.float64)
     else:
         raise ParameterError(f"unknown synthetic image kind {kind!r}; choose from {KINDS}")
-    return ImageGrid(px, spacing=spacing)
+    return ImageGrid(px)
 
 
 def rel_l2(u: np.ndarray, ref: np.ndarray) -> float:

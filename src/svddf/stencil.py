@@ -19,6 +19,9 @@ import numpy as np
 from .diffusivity import DiffusivityField
 from .errors import DimensionError, ParameterError
 
+DENSE_LIMIT = 4096  # the largest dimension spectrum_check forms densely: a 64 x 64 grid
+
+
 @dataclass(frozen=True)
 class SparseOperator:
     """Matrix-free symmetric five-point stencil on a rows x cols grid.
@@ -110,10 +113,10 @@ class SpectrumReport:
     passed: bool
 
 
-def spectrum_check(op: SparseOperator, dense_limit: int = 4096) -> SpectrumReport:
+def spectrum_check(op: SparseOperator) -> SpectrumReport:
     """Dense symmetric eigensolve; passes iff every eigenvalue of F <= 1e-10."""
-    if op.dim > dense_limit:
-        raise DimensionError(f"dense diagnostic refused for dim {op.dim} > {dense_limit}")
+    if op.dim > DENSE_LIMIT:
+        raise DimensionError(f"dense diagnostic refused for dim {op.dim} > {DENSE_LIMIT}")
     w = np.linalg.eigvalsh(to_dense(op))
     return SpectrumReport(float(w[-1]), float(w[0]), bool(w[-1] <= 1e-10))
 
@@ -128,30 +131,22 @@ def to_dense(op: SparseOperator) -> np.ndarray:
     return dense
 
 
-def dump_coo(op: SparseOperator, target) -> None:
-    """Write one "row col value" line per stencil entry (0-based indices).
+def dump_coo(op: SparseOperator, stream) -> None:
+    """Write one "row col value" line per stencil entry (0-based indices) to an open text stream.
 
     Rows ascend, and within a row the columns ascend: north, west, centre,
     east, south neighbour.
     """
     m, n = op.rows, op.cols
     diag = op.diagonal
-
-    def _write(fh):
-        for q in range(op.dim):
-            i, j = q % m, q // m
-            if j > 0:
-                fh.write(f"{q} {q - m} {op.cj[i, j - 1]:.17g}\n")
-            if i > 0:
-                fh.write(f"{q} {q - 1} {op.ci[i - 1, j]:.17g}\n")
-            fh.write(f"{q} {q} {diag[q]:.17g}\n")
-            if i < m - 1:
-                fh.write(f"{q} {q + 1} {op.ci[i, j]:.17g}\n")
-            if j < n - 1:
-                fh.write(f"{q} {q + m} {op.cj[i, j]:.17g}\n")
-
-    if isinstance(target, (str, bytes)) or hasattr(target, "__fspath__"):
-        with open(target, "w", encoding="ascii") as fh:
-            _write(fh)
-    else:
-        _write(target)
+    for q in range(op.dim):
+        i, j = q % m, q // m
+        if j > 0:
+            stream.write(f"{q} {q - m} {op.cj[i, j - 1]:.17g}\n")
+        if i > 0:
+            stream.write(f"{q} {q - 1} {op.ci[i - 1, j]:.17g}\n")
+        stream.write(f"{q} {q} {diag[q]:.17g}\n")
+        if i < m - 1:
+            stream.write(f"{q} {q + 1} {op.ci[i, j]:.17g}\n")
+        if j < n - 1:
+            stream.write(f"{q} {q + m} {op.cj[i, j]:.17g}\n")

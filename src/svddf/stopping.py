@@ -63,10 +63,7 @@ class AprioriStop:
     delta: float
 
     def __post_init__(self):
-        if not (self.c1 > 0 and self.c2 > 0 and self.gamma > 0):
-            raise ParameterError("c1, c2 and gamma must be positive")
-        if self.delta < 0:
-            raise ParameterError(f"delta must be non-negative, got {self.delta}")
+        self.horizon()  # a_priori_T validates c1, c2, gamma and delta
 
     def horizon(self) -> float:
         return a_priori_T(self.delta, self.c1, self.c2, self.gamma)

@@ -1,3 +1,4 @@
+import math
 import types
 
 import numpy as np
@@ -18,6 +19,22 @@ def disk_pgm(tmp_path):
     path = tmp_path / "disk.pgm"
     write_pgm(remapped, path)
     return path
+
+
+@pytest.fixture
+def disk64_pgms(tmp_path):
+    """The benchmark's 64 x 64 sweep input at seed 1: clean and noisy 16-bit PGMs."""
+    clean = ImageGrid(0.25 + 0.5 * synth_image("disk", 64, 64).pixels)
+    noisy = svddf.add_noise(clean, svddf.NoiseSpec(delta=0.54, seed=1))
+    paths = tmp_path / "disk.pgm", tmp_path / "disk_noisy.pgm"
+    for grid, path in zip((clean, noisy), paths):
+        write_pgm(grid, path, maxval=65535)
+    return paths
+
+
+# p = 2 at eta = 100 under --dt auto grows for 300 steps without a
+# non-finite iterate, to values whose SSIM moments overflow
+OVERFLOWING_RUN = ["--dt", "auto", "--stop", "none", "--max-steps", "300"]
 
 
 @pytest.fixture
@@ -173,6 +190,16 @@ class TestDenoise:
         assert rc == 1
         assert (out / "disk_noisy_trajectory.csv").exists()
         assert not (out / "disk_noisy_denoised.pgm").exists()
+
+    def test_overflowing_ssim_exits_1_after_writing_outputs(self, tmp_path, disk64_pgms, capsys):
+        clean, noisy = disk64_pgms
+        out = tmp_path / "over"
+        argv = ["denoise", str(noisy), "--clean", str(clean), "--p", "2", "--eta", "100", "--out", str(out)]
+        assert main(argv + OVERFLOWING_RUN) == 1
+        assert "error: SSIM is not finite" in capsys.readouterr().err
+        assert (out / "disk_noisy_denoised.pgm").exists()
+        assert len((out / "disk_noisy_trajectory.csv").read_text().splitlines()) == 301
+        assert not (out / "disk_noisy_metrics.csv").exists()
 
     def test_deterministic_byte_identical_outputs(self, tmp_path, disk_pgm, noisy_pgm):
         payloads = []
@@ -530,8 +557,6 @@ class TestSweep:
         assert (out / "sweep.csv").read_text().splitlines()[0] == "p\\eta,2"
 
     def test_failed_cell_recorded_as_nan(self, tmp_path, disk_pgm, noisy_pgm):
-        import math
-
         out = tmp_path / "sweepnan"
         rc = main(
             [
@@ -557,6 +582,18 @@ class TestSweep:
         row = (out / "sweep.csv").read_text().splitlines()[1].split(",")
         assert row[1] == "nan"
         assert not math.isnan(float(row[2]))
+
+    def test_overflowing_ssim_cell_fails(self, tmp_path, disk64_pgms, capsys):
+        clean, noisy = disk64_pgms
+        out = tmp_path / "over"
+        argv = ["sweep", str(noisy), "--clean", str(clean), "--ps", "2", "--etas", "1,100", "--out", str(out)]
+        assert main(argv + OVERFLOWING_RUN) == 0
+        captured = capsys.readouterr()
+        assert "p=2 eta=1: ssim=" in captured.out
+        assert "p=2 eta=100: failed (SSIM is not finite" in captured.err
+        row = (out / "sweep.csv").read_text().splitlines()[1].split(",")
+        assert row[0] == "2" and row[2] == "nan"
+        assert not math.isnan(float(row[1]))
 
     def test_auto_dt_stability_warning_per_cell(self, tmp_path, disk_pgm, noisy_pgm, capsys):
         argv = ["sweep", str(noisy_pgm), "--clean", str(disk_pgm), "--etas", "1,3", "--ps", "1,2"]
@@ -643,14 +680,9 @@ class TestSweepCells:
             assert table[p, eta] == f"{svddf.ssim(out, clean):.17g}"
             assert steps[p, eta] == log.final_step()
 
-    def test_cells_stopping_at_different_steps(self, tmp_path, capsys):
-        # the 64 x 64 sweep input of the benchmark, seed 1: under rde with a
-        # 300-step budget the p = 1.5, eta = 0.001 cell stops early
-        clean = ImageGrid(0.25 + 0.5 * synth_image("disk", 64, 64).pixels)
-        noisy = svddf.add_noise(clean, svddf.NoiseSpec(delta=0.54, seed=1))
-        paths = tmp_path / "disk.pgm", tmp_path / "disk_noisy.pgm"
-        for grid, path in zip((clean, noisy), paths):
-            write_pgm(grid, path, maxval=65535)
+    def test_cells_stopping_at_different_steps(self, tmp_path, disk64_pgms, capsys):
+        # under rde with a 300-step budget the p = 1.5, eta = 0.001 cell stops early
+        paths = disk64_pgms
         flags = ["--stop", "rde", "--dt", "0.15", "--max-steps", "300"]
         table, steps = run_sweep(tmp_path, paths[1], paths[0], (1.5,), (0.001, 1.0), flags, capsys)
         assert steps == {(1.5, 0.001): 57, (1.5, 1.0): 300}

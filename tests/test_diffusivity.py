@@ -26,8 +26,23 @@ class TestKernel:
         assert make_kernel(1.7).g.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_radius_below_truncation_rejected(self):
-        with pytest.raises(svddf.ParameterError):
-            make_kernel(4.0, radius=5)
+        # sigma = 4 needs radius 6 (13 taps); 11 taps reach only radius 5
+        t = np.arange(-5, 6, dtype=np.float64)
+        g = np.exp(-(t**2) / 8.0)
+        with pytest.raises(svddf.ParameterError, match="radius 5 below"):
+            svddf.GaussianKernel(sigma=4.0, g=g / g.sum(), dg=t / 4.0 * g)
+
+    @pytest.mark.parametrize("sigma", [0.3, 1.0, 1.7, 4.0])
+    def test_radius_is_read_from_the_taps(self, sigma):
+        k = make_kernel(sigma)
+        assert k.radius == (len(k.g) - 1) // 2 == (len(k.dg) - 1) // 2
+
+    @pytest.mark.parametrize("lengths", [(7, 5), (5, 7), (6, 6)])
+    def test_tap_lengths_must_agree_and_be_odd(self, lengths):
+        # the passes centre on the middle tap, so both vectors need one
+        g, dg = (np.zeros(n) for n in lengths)
+        with pytest.raises(svddf.ParameterError, match="same odd length"):
+            svddf.GaussianKernel(sigma=1.0, g=g, dg=dg)
 
     @pytest.mark.parametrize("taps", ["g", "dg"])
     def test_asymmetric_taps_rejected(self, taps):
@@ -35,7 +50,7 @@ class TestKernel:
         k = make_kernel(1.0)
         skewed = getattr(k, taps).copy()
         skewed[0] *= 1.0 + 1e-15
-        fields = {"sigma": k.sigma, "radius": k.radius, "g": k.g, "dg": k.dg, taps: skewed}
+        fields = {"sigma": k.sigma, "g": k.g, "dg": k.dg, taps: skewed}
         with pytest.raises(svddf.ParameterError):
             svddf.GaussianKernel(**fields)
 

@@ -68,7 +68,7 @@ class TestImageGrid:
     def test_min_size_gate(self):
         g = ImageGrid(np.zeros((1, 4)))
         with pytest.raises(svddf.DimensionError):
-            g.require_min_size(2)
+            g.require_min_size()
 
     def test_of_finite_wraps_column_major_view_without_copy(self, rng):
         u = rng.standard_normal(12)

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import svddf
-from svddf import ImageGrid, SsimConfig, evaluate, rel_l2, ssim, vec
+from svddf import ImageGrid, evaluate, rel_l2, ssim, vec
+from svddf.metrics import DYNAMIC_RANGE, K1, K2, WINDOW, WINDOW_SIGMA
 
 from conftest import random_grid
 from oracles import ssim_reference
@@ -23,18 +24,16 @@ class TestSsim:
     def test_constant_pair_closed_form(self):
         a = ImageGrid(np.full((16, 16), 0.5))
         b = ImageGrid(np.full((16, 16), 0.75))
-        cfg = SsimConfig()
-        c1 = (cfg.k1 * cfg.dynamic_range) ** 2
-        c2 = (cfg.k2 * cfg.dynamic_range) ** 2
+        c1 = (K1 * DYNAMIC_RANGE) ** 2
+        c2 = (K2 * DYNAMIC_RANGE) ** 2
         expected = ((2 * 0.5 * 0.75 + c1) * c2) / ((0.25 + 0.5625 + c1) * c2)
-        assert ssim(a, b, cfg) == pytest.approx(expected, rel=1e-12)
+        assert ssim(a, b) == pytest.approx(expected, rel=1e-12)
 
     def test_matches_windowed_reference(self, rng):
         a = random_grid(rng, 16, 14)
         b = random_grid(rng, 16, 14)
-        cfg = SsimConfig()
-        ref = ssim_reference(a.pixels, b.pixels, cfg.window, cfg.window_sigma, cfg.k1, cfg.k2, 1.0)
-        assert ssim(a, b, cfg) == pytest.approx(ref, abs=1e-10)
+        ref = ssim_reference(a.pixels, b.pixels, WINDOW, WINDOW_SIGMA, K1, K2, DYNAMIC_RANGE)
+        assert ssim(a, b) == pytest.approx(ref, abs=1e-10)
 
     def test_bounded(self, rng):
         for _ in range(5):
@@ -65,15 +64,13 @@ class TestSsim:
         with pytest.raises(svddf.ParameterError):
             ssim(random_grid(rng, 8, 8), random_grid(rng, 8, 8))  # smaller than window
 
-    def test_smaller_window_config(self, rng):
-        a = random_grid(rng, 9, 9)
-        assert ssim(a, a, SsimConfig(window=5)) == pytest.approx(1.0, abs=1e-12)
-
-    def test_config_validation(self):
-        with pytest.raises(svddf.ParameterError):
-            SsimConfig(window=4)
-        with pytest.raises(svddf.ParameterError):
-            SsimConfig(k1=0.0)
+    def test_overflowing_moments_raise_divergence(self, rng):
+        # finite pixels whose squares overflow, scored without a RuntimeWarning
+        huge = ImageGrid(rng.uniform(-1.0, 1.0, size=(16, 16)) * 1e200)
+        with pytest.raises(svddf.DivergenceError, match="SSIM is not finite"):
+            ssim(huge, random_grid(rng, 16, 16))
+        with pytest.raises(svddf.DivergenceError):
+            evaluate(random_grid(rng, 16, 16), random_grid(rng, 16, 16), huge)
 
 
 class TestEvaluate:
@@ -130,20 +127,43 @@ def test_cross_check_against_skimage(rng):
     assert ours == pytest.approx(theirs, abs=5e-3)
 
 
-@st.composite
-def _window_and_shape(draw):
-    window = draw(st.sampled_from([3, 5, 7, 11]))
-    # from one valid window position up to 20 x 20
-    return window, (draw(st.integers(window, 20)), draw(st.integers(window, 20)))
+# from one valid window position up to 20 x 20
+_shapes = st.tuples(st.integers(WINDOW, 20), st.integers(WINDOW, 20))
 
 
-@given(case=_window_and_shape(), seed=st.integers(0, 2**32 - 1))
+@given(shape=_shapes, seed=st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
-def test_ssim_matches_windowed_reference_over_windows_and_shapes(case, seed):
-    window, shape = case
+def test_ssim_matches_windowed_reference_over_windows_and_shapes(shape, seed):
     rng = np.random.default_rng(seed)
     a = random_grid(rng, *shape)
     b = random_grid(rng, *shape)
-    cfg = SsimConfig(window=window)
-    ref = ssim_reference(a.pixels, b.pixels, window, cfg.window_sigma, cfg.k1, cfg.k2, 1.0)
-    assert ssim(a, b, cfg) == pytest.approx(ref, abs=1e-10)
+    ref = ssim_reference(a.pixels, b.pixels, WINDOW, WINDOW_SIGMA, K1, K2, DYNAMIC_RANGE)
+    assert ssim(a, b) == pytest.approx(ref, abs=1e-10)
+
+
+class TestPinnedBits:
+    """Exact SSIM floats, recorded from the windowed implementation; any change to its arithmetic shows here."""
+
+    def test_ssim_16x14_pair(self):
+        rng = np.random.default_rng(20260101)
+        a = ImageGrid(rng.uniform(size=(16, 14)))
+        b = ImageGrid(rng.uniform(size=(16, 14)))
+        assert ssim(a, b) == float.fromhex("-0x1.ab2621126ecd5p-5")
+        assert ssim(b, a) == float.fromhex("-0x1.ab2621126ecd5p-5")
+
+    def test_ssim_64x64_pair(self):
+        rng = np.random.default_rng(20260102)
+        ref = ImageGrid(rng.uniform(size=(64, 64)))
+        u = ImageGrid(np.clip(ref.pixels + 0.1 * rng.standard_normal((64, 64)), 0.0, 1.0))
+        assert ssim(u, ref) == float.fromhex("0x1.e58889e8f6c69p-1")
+
+    def test_evaluate_fields(self):
+        clean = ImageGrid(0.25 + 0.5 * svddf.synth_image("disk", 24, 24).pixels)
+        noisy = svddf.add_noise(clean, svddf.NoiseSpec(0.3, seed=4))
+        denoised = ImageGrid(0.5 * (noisy.pixels + clean.pixels))
+        rep = evaluate(clean, noisy, denoised)
+        assert rep.ssim_noisy == float.fromhex("0x1.9886afb8d3b59p-1")
+        assert rep.ssim_denoised == float.fromhex("0x1.d0b53ff8a18a2p-1")
+        assert rep.rel_err_noisy == float.fromhex("0x1.691ab88473339p-3")
+        assert rep.rel_err_denoised == float.fromhex("0x1.691ab88473338p-4")
+        assert rep.improved

@@ -162,6 +162,22 @@ class TestAprioriT:
         with pytest.raises(svddf.ParameterError):
             a_priori_T(0.1, -1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ((0.0, 1.0, 1.0, 0.1), "c1, c2 and gamma must be positive"),
+            ((1.0, -1.0, 1.0, 0.1), "c1, c2 and gamma must be positive"),
+            ((1.0, 1.0, 0.0, 0.1), "c1, c2 and gamma must be positive"),
+            ((1.0, 1.0, 1.0, -0.1), "delta must be non-negative, got -0.1"),
+        ],
+    )
+    def test_rule_rejects_what_the_horizon_rejects(self, params, message):
+        c1, c2, gamma, delta = params
+        for make in (lambda: AprioriStop(c1, c2, gamma, delta), lambda: a_priori_T(delta, c1, c2, gamma)):
+            with pytest.raises(svddf.ParameterError) as err:
+                make()
+            assert str(err.value) == message
+
     def test_runner_stops_at_horizon(self, rng):
         g = random_grid(rng, 10, 10)
         rule = AprioriStop(c1=1.0, c2=1.0, gamma=1.0, delta=np.e - 1.0)  # T = 1.0
