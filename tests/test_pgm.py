@@ -75,3 +75,119 @@ def test_write_clips_out_of_range(tmp_path):
     path = tmp_path / "clip.pgm"
     write_pgm(g, path, maxval=255)
     assert list(path.read_bytes()[-2:]) == [0, 255]
+
+
+def _read_bytes(tmp_path, data: bytes):
+    path = tmp_path / "in.pgm"
+    path.write_bytes(data)
+    return read_pgm(path)
+
+
+def _format_error(tmp_path, data: bytes):
+    with pytest.raises(svddf.FormatError) as err:
+        _read_bytes(tmp_path, data)
+    return err.value
+
+
+class TestFormatErrors:
+    """Message and byte offset of every way a file can fail to parse."""
+
+    @pytest.mark.parametrize(
+        "data, message, offset",
+        [
+            (b"P7\n2 2\n255\n" + bytes(4), "not a PGM file: magic b'P7'", 0),
+            (b"P6 2 1 255 ", "not a PGM file: magic b'P6'", 0),
+            (b"", "unexpected end of header", 0),
+            (b" \n\t", "unexpected end of header", 3),
+            (b"P2 2 1", "unexpected end of header", 6),
+            (b"P2 2 1 255 3\n", "unexpected end of header", 13),
+            (b"# no newline", "unterminated comment", 0),
+            (b"P2 # no newline", "unterminated comment", 3),
+            (b"P2 2 1 255 3 # tail", "unterminated comment", 13),
+            (b"P2 0 1 255", "bad dimensions 0x1", 10),
+            (b"P2 2 0 255 1", "bad dimensions 2x0", 10),
+            (b"P2 2 1 0 1 1", "maxval 0 outside (0, 65535]", 8),
+            (b"P2 2 1 65536 1 1", "maxval 65536 outside (0, 65535]", 12),
+            (b"P5 2 1 255", "missing separator before binary payload", 10),
+            (b"P5\n4 4\n255\n" + bytes(7), "truncated payload: expected 16 bytes, found 7", 18),
+            (b"P5\n2 1\n1000\n" + bytes(3), "truncated payload: expected 4 bytes, found 3", 15),
+            (b"P2 2 1 10 3 11", "sample exceeds maxval 10", 14),
+            (b"P2 2 1 10 11 3 99", "sample exceeds maxval 10", 14),
+            (b"P5 2 1 10\n\x03\x0b", "sample exceeds maxval 10", 9),
+        ],
+    )
+    def test_message_and_offset(self, tmp_path, data, message, offset):
+        err = _format_error(tmp_path, data)
+        assert err.offset == offset
+        assert str(err) == f"{message} (at byte offset {offset})"
+
+    @pytest.mark.parametrize(
+        "data, message, offset",
+        [
+            (b"P2 x 1 255 3 1", "invalid width b'x'", 2),
+            (b"P2 2 y 255 3 1", "invalid height b'y'", 4),
+            (b"P5 2 1 255#c\n\x01\x02", "invalid maxval b'255#c'", 6),
+            (b"P2 2 1 255 3 1e1", "invalid sample b'1e1'", 12),
+            (b"P2 2 1 255 3\n\n0x1", "invalid sample b'0x1'", 12),
+            (b"P2 2 1 255 \xd9\xa3 1", "invalid sample b'\\xd9\\xa3'", 10),
+        ],
+    )
+    def test_invalid_token(self, tmp_path, data, message, offset):
+        err = _format_error(tmp_path, data)
+        assert err.offset == offset
+        assert str(err) == f"{message} (at byte offset {offset})"
+
+
+class TestExactPixels:
+    """Files that parse, read to exactly these float64 pixels."""
+
+    @staticmethod
+    def _assert_pixels(grid, samples, maxval):
+        expected = np.array(samples, dtype=np.float64) / float(maxval)
+        assert grid.pixels.dtype == np.float64
+        assert grid.pixels.flags.c_contiguous
+        assert grid.shape == expected.shape
+        assert grid.pixels.tobytes() == expected.tobytes()
+
+    def test_ascii_with_comments_between_tokens(self, tmp_path):
+        data = (
+            b"#lead\nP2 # magic\n3\t#w\n2\v#h\n# own line\n10\f#m\n"
+            b"0 # first sample\n5 10\r\n# raster line\n7\n3 #\n1\n"
+        )
+        g = _read_bytes(tmp_path, data)
+        self._assert_pixels(g, [[0, 5, 10], [7, 3, 1]], 10)
+
+    def test_ascii_leading_zeros_and_trailing_tokens(self, tmp_path):
+        g = _read_bytes(tmp_path, b"P2 2 1 0255 007 010 trailing tokens")
+        self._assert_pixels(g, [[7, 10]], 255)
+
+    def test_binary_8bit(self, tmp_path):
+        samples = [[0, 1, 128], [255, 7, 200]]
+        g = _read_bytes(tmp_path, b"P5\n3 2\n255\n" + bytes(sum(samples, [])))
+        self._assert_pixels(g, samples, 255)
+
+    def test_binary_8bit_below_255(self, tmp_path):
+        g = _read_bytes(tmp_path, b"P5 2 2 200\t" + bytes([0, 200, 100, 3]))
+        self._assert_pixels(g, [[0, 200], [100, 3]], 200)
+
+    def test_binary_16bit(self, tmp_path):
+        samples = [[0, 1, 256], [65535, 1000, 4097]]
+        payload = b"".join(s.to_bytes(2, "big") for s in sum(samples, []))
+        g = _read_bytes(tmp_path, b"P5\n3 2\n65535\n" + payload)
+        self._assert_pixels(g, samples, 65535)
+
+    def test_binary_with_trailing_bytes(self, tmp_path):
+        g = _read_bytes(tmp_path, b"P5\n2 1\n255 \x01\x02trailing bytes\n")
+        self._assert_pixels(g, [[1, 2]], 255)
+
+    def test_binary_separator_is_one_byte(self, tmp_path):
+        # the second newline is the first sample (10), not more header whitespace
+        g = _read_bytes(tmp_path, b"P5 2 1 255\n\n\x20")
+        self._assert_pixels(g, [[10, 32]], 255)
+
+    def test_written_file_reads_back_exactly(self, tmp_path, rng):
+        for maxval in (255, 65535):
+            samples = rng.integers(0, maxval + 1, size=(5, 4))
+            path = tmp_path / f"w{maxval}.pgm"
+            write_pgm(ImageGrid(samples / float(maxval)), path, maxval=maxval)
+            self._assert_pixels(read_pgm(path), samples, maxval)
