@@ -124,15 +124,16 @@ class TestFormatErrors:
     @pytest.mark.parametrize(
         "data, message, offset",
         [
-            (b"P2 x 1 255 3 1", "invalid width b'x'", 2),
-            (b"P2 2 y 255 3 1", "invalid height b'y'", 4),
-            (b"P5 2 1 255#c\n\x01\x02", "invalid maxval b'255#c'", 6),
-            (b"P2 2 1 255 3 1e1", "invalid sample b'1e1'", 12),
-            (b"P2 2 1 255 3\n\n0x1", "invalid sample b'0x1'", 12),
-            (b"P2 2 1 255 \xd9\xa3 1", "invalid sample b'\\xd9\\xa3'", 10),
+            (b"P2 x 1 255 3 1", "invalid width b'x'", 3),
+            (b"P2 2 y 255 3 1", "invalid height b'y'", 5),
+            (b"P5 2 1 255#c\n\x01\x02", "invalid maxval b'255#c'", 7),
+            (b"P2 2 1 255 3 1e1", "invalid sample b'1e1'", 13),
+            (b"P2 2 1 255 3\n\n0x1", "invalid sample b'0x1'", 14),
+            (b"P2 2 1 255 \xd9\xa3 1", "invalid sample b'\\xd9\\xa3'", 11),
         ],
     )
     def test_invalid_token(self, tmp_path, data, message, offset):
+        # the offset is the token's first byte, not the separator before it
         err = _format_error(tmp_path, data)
         assert err.offset == offset
         assert str(err) == f"{message} (at byte offset {offset})"
@@ -191,3 +192,36 @@ class TestExactPixels:
             path = tmp_path / f"w{maxval}.pgm"
             write_pgm(ImageGrid(samples / float(maxval)), path, maxval=maxval)
             self._assert_pixels(read_pgm(path), samples, maxval)
+
+
+class TestUnsignedDecimalOnly:
+    """Tokens Python's int() would take but PGM's ASCII decimal does not."""
+
+    @pytest.mark.parametrize(
+        "data, message, offset",
+        [
+            (b"P2 2 1 255 -5 7", "invalid sample b'-5'", 11),
+            (b"P2 2 1 255 1_0 7", "invalid sample b'1_0'", 11),
+            (b"P2 2 1 +255 1 7", "invalid maxval b'+255'", 7),
+            (b"P2 2 -1 255 1 1", "invalid height b'-1'", 5),
+        ],
+    )
+    def test_rejected_at_the_token(self, tmp_path, data, message, offset):
+        err = _format_error(tmp_path, data)
+        assert err.offset == offset
+        assert str(err) == f"{message} (at byte offset {offset})"
+
+    def test_denoise_exits_2_and_writes_nothing(self, tmp_path, capsys):
+        from svddf.cli import main
+
+        path = tmp_path / "neg.pgm"
+        path.write_bytes(b"P2 3 3 255 " + b" ".join([b"9"] * 4 + [b"-5"] + [b"9"] * 4))
+        out = tmp_path / "out"
+        assert main(["denoise", str(path), "--out", str(out)]) == 2
+        assert "error: invalid sample b'-5' (at byte offset 19)" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_sample_beyond_float_range_exceeds_maxval(self, tmp_path):
+        # 400 digits overflow a float: the sample still reads as above maxval
+        err = _format_error(tmp_path, b"P2 2 1 255 7 " + b"9" * 400)
+        assert str(err) == "sample exceeds maxval 255 (at byte offset 413)"
