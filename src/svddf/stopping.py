@@ -49,8 +49,7 @@ class DiscrepancyStop:
     delta: float
 
     def __post_init__(self):
-        if self.delta < 0:
-            raise ParameterError(f"delta must be non-negative, got {self.delta}")
+        _check_delta(self.delta)
 
 
 @dataclass(frozen=True)
@@ -155,10 +154,22 @@ def discrepancy(
     return DiscrepancyResult(sigma=sigma, chi=chi, fired=chi >= 0.0)
 
 
-def a_priori_T(delta: float, c1: float, c2: float, gamma: float) -> float:
-    """Terminating time T = c1 * ln(1 + c2 * delta^gamma); T(0) = 0."""
-    if not (c1 > 0 and c2 > 0 and gamma > 0):
-        raise ParameterError("c1, c2 and gamma must be positive")
+def _check_delta(delta: float) -> None:
     if delta < 0:
         raise ParameterError(f"delta must be non-negative, got {delta}")
-    return float(c1 * math.log1p(c2 * delta**gamma))
+    if not math.isfinite(delta):
+        raise ParameterError(f"delta must be finite, got {delta}")
+
+
+def a_priori_T(delta: float, c1: float, c2: float, gamma: float) -> float:
+    """Terminating time T = c1 * ln(1 + c2 * delta^gamma); T(0) = 0.  A T that is not finite raises."""
+    if not (c1 > 0 and c2 > 0 and gamma > 0):
+        raise ParameterError("c1, c2 and gamma must be positive")
+    _check_delta(delta)
+    try:
+        horizon = c1 * math.log1p(c2 * delta**gamma)
+    except OverflowError:
+        horizon = math.inf
+    if not math.isfinite(horizon):
+        raise ParameterError(f"T(delta) is not finite for delta={delta}, c1={c1}, c2={c2}, gamma={gamma}")
+    return float(horizon)

@@ -327,6 +327,21 @@ class TestDenoise:
         assert "dt_max must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--stop", "a-priori", "--delta", "10", "--gamma", "400"], "error: T(delta) is not finite for delta=10.0"),
+            (["--stop", "a-priori", "--delta", "inf"], "error: delta must be finite, got inf"),
+            (["--stop", "discrepancy", "--delta", "nan"], "error: delta must be finite, got nan"),
+            (["--stop", "discrepancy", "--delta", "inf"], "error: delta must be finite, got inf"),
+        ],
+    )
+    def test_stop_rule_without_reachable_threshold_exits_2(self, tmp_path, noisy_pgm, capsys, flags, message):
+        out = tmp_path / "bad"
+        assert main(["denoise", str(noisy_pgm), "--max-steps", "30", "--out", str(out)] + flags) == 2
+        assert capsys.readouterr().err.startswith(message)
+        assert not out.exists()
+
     def test_seed_flag_rejected(self, tmp_path, noisy_pgm, capsys):
         out = tmp_path / "bad"
         assert main(["denoise", str(noisy_pgm), "--seed", "3", "--out", str(out)]) == 2

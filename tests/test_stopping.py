@@ -124,6 +124,16 @@ class TestDiscrepancy:
         given = discrepancy(u, u0, 0.1, u0_norm=float(np.linalg.norm(u0)))
         assert given == discrepancy(u, u0, 0.1)
 
+    @pytest.mark.parametrize("delta, message", [
+        (-0.1, "delta must be non-negative, got -0.1"),
+        (np.nan, "delta must be finite, got nan"),
+        (np.inf, "delta must be finite, got inf"),
+    ])
+    def test_rule_rejects_delta(self, delta, message):
+        with pytest.raises(svddf.ParameterError) as err:
+            DiscrepancyStop(delta=delta)
+        assert str(err.value) == message
+
     def test_fires_at_finite_step_on_noisy_disk(self):
         clean = synth_image("disk", 32, 32)
         noisy = add_noise(clean, svddf.NoiseSpec(delta=0.3, seed=5))
@@ -172,6 +182,23 @@ class TestAprioriT:
         ],
     )
     def test_rule_rejects_what_the_horizon_rejects(self, params, message):
+        c1, c2, gamma, delta = params
+        for make in (lambda: AprioriStop(c1, c2, gamma, delta), lambda: a_priori_T(delta, c1, c2, gamma)):
+            with pytest.raises(svddf.ParameterError) as err:
+                make()
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ((1.0, 1e200, 1.0, 1e200), "T(delta) is not finite for delta=1e+200, c1=1.0, c2=1e+200, gamma=1.0"),
+            ((1.0, 1.0, 400.0, 10.0), "T(delta) is not finite for delta=10.0, c1=1.0, c2=1.0, gamma=400.0"),
+            ((1.0, 1.0, 1.0, np.inf), "delta must be finite, got inf"),
+            ((1.0, 1.0, 1.0, np.nan), "delta must be finite, got nan"),
+        ],
+    )
+    def test_horizon_no_run_can_reach_rejected(self, params, message):
+        # delta**gamma overflowing raised OverflowError; the others returned inf or nan
         c1, c2, gamma, delta = params
         for make in (lambda: AprioriStop(c1, c2, gamma, delta), lambda: a_priori_T(delta, c1, c2, gamma)):
             with pytest.raises(svddf.ParameterError) as err:
