@@ -13,6 +13,7 @@ inspection.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,8 +31,9 @@ class SparseOperator:
     (i, j) and (i, j+1); both carry the 1/h^2 factor and have the layout of
     ``DiffusivityField``, zero across the border.  On the column-stacked
     vector they couple q with q+1 and with q+rows, so a nonzero there would
-    couple the ends of adjacent columns; it is rejected.  The shape and the
-    diagonal are read from these couplings.
+    couple the ends of adjacent columns; it is rejected.  The shape, the
+    diagonal and the spectral bound are read from these couplings, which
+    are not changed once the operator is built.
     """
 
     ci: np.ndarray
@@ -68,6 +70,10 @@ class SparseOperator:
             diag[:-shift] -= c
         return diag
 
+    @cached_property
+    def _lambda_max(self) -> float:
+        return float(2.0 * np.max(np.abs(self.diagonal)))
+
 
 def assemble(field: DiffusivityField, spacing: float | None = None) -> SparseOperator:
     """Build F from midpoint coefficients: couplings a/h^2, h = field.spacing (= ``spacing`` if given)."""
@@ -102,8 +108,9 @@ def lambda_max(op: SparseOperator) -> float:
     |diag_q|, and the spectrum of -F lies in [0, 2 * max|diag|].  The top
     eigenvalue is at least the largest diagonal entry of -F (Rayleigh
     quotient of a unit vector), so the bound is within a factor 2 of it.
+    It is formed on the first call for ``op`` and kept on it.
     """
-    return float(2.0 * np.max(np.abs(op.diagonal)))
+    return op._lambda_max
 
 
 @dataclass(frozen=True)

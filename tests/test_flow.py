@@ -229,6 +229,32 @@ class TestStencilReuse:
         assert len(calls) == assembled
 
 
+    @pytest.mark.parametrize("runner", [run_svddf, run_first_order])
+    @pytest.mark.parametrize("p", [2.0, 1.5])
+    def test_bound_formed_once_per_operator(self, rng, monkeypatch, runner, p):
+        ops, diagonals = [], []
+        real_bound, real_diagonal = svddf.flow.lambda_max, svddf.SparseOperator.diagonal
+
+        def recording(op):
+            ops.append(op)  # a reference, as id() values are reused once an operator is freed
+            return real_bound(op)
+
+        def counting(op):
+            diagonals.append(op)
+            return real_diagonal.fget(op)
+
+        monkeypatch.setattr(svddf.flow, "lambda_max", recording)
+        monkeypatch.setattr(svddf.SparseOperator, "diagonal", property(counting))
+        cfg = SolverConfig(exponent_p=p, eta=1.5, max_steps=20, stopping=MaxStepsOnly())
+        _, log = runner(random_grid(rng, 6, 8), cfg)
+        assert log.final_step() == len(ops) == 20
+        distinct = {id(op) for op in ops}  # stable while ``ops`` holds the operators
+        assert len(diagonals) == len(distinct)
+        assert {id(op) for op in diagonals} == distinct
+        if p == 2.0:
+            assert len(distinct) == 1
+
+
 class TestModeDynamics:
     @staticmethod
     def cosine_mode_grid(m_pixels, mode_index, cols=2):
