@@ -2,11 +2,9 @@
 
 Reads both the binary (P5) and ASCII (P2) variants with maxval up to
 65535; binary 16-bit samples are big-endian as in the netpbm convention.
-Header numbers and P2 samples are unsigned ASCII decimal tokens, and a
-``#`` comment runs to the end of its line.  Intensities are scaled to
-[0, 1] on read.  Writing emits P5 with the exact header
-``P5\\n<W> <H>\\n<maxval>\\n``; intensities are clipped to [0, 1], scaled
-back and rounded half to even.
+Intensities are scaled to [0, 1] on read.  Writing emits P5 with the exact
+header ``P5\\n<W> <H>\\n<maxval>\\n``; intensities are clipped to [0, 1],
+scaled back and rounded half to even.
 """
 
 import itertools
@@ -28,19 +26,20 @@ def _sample_type(maxval: int, error=ParameterError, **where) -> np.dtype:
     return np.dtype(">u2" if maxval > 255 else np.uint8)
 
 
-def _tokens(matches, names) -> tuple[list[bytes], int]:
-    """The next token for each name, unsigned decimal but for the magic, and the offset after the last."""
-    tokens = []
+def _tokens(matches, names, number) -> tuple[list, int]:
+    """``number`` of the next token for each name, and the offset after the last; only ``bytes`` takes any token."""
+    values = []
     for name, m in zip(names, matches):
         tok = m[1]
-        if not tok:
-            raise FormatError("unexpected end of header", offset=m.start(1))
-        if tok[:1] == b"#":  # a comment with no newline after it
-            raise FormatError("unterminated comment", offset=m.start(1))
-        if not (tok.isdigit() or name == "magic"):
-            raise FormatError(f"invalid {name} {tok!r}", offset=m.start(1))
-        tokens.append(tok)
-    return tokens, m.end()
+        if not tok or tok[:1] == b"#":  # the end of the data, or a comment with no newline after it
+            raise FormatError("unterminated comment" if tok else "unexpected end of header", offset=m.start(1))
+        try:
+            if not (number is bytes or tok.isdigit()):  # int() and float() also take signs and '_'
+                raise ValueError(tok)
+            values.append(number(tok))
+        except ValueError:  # also raised by int() beyond its limit of digits
+            raise FormatError(f"invalid {name} {tok!r}", offset=m.start(1)) from None
+    return values, m.end()
 
 
 def read_pgm(path) -> ImageGrid:
@@ -48,11 +47,10 @@ def read_pgm(path) -> ImageGrid:
     with open(path, "rb") as fh:
         data = fh.read()
     matches = _TOKEN.finditer(data)
-    (magic,), _ = _tokens(matches, ("magic",))
+    (magic,), _ = _tokens(matches, ("magic",), bytes)
     if magic not in (b"P2", b"P5"):
         raise FormatError(f"not a PGM file: magic {magic!r}", offset=0)
-    header, end = _tokens(matches, ("width", "height", "maxval"))
-    width, height, maxval = map(int, header)
+    (width, height, maxval), end = _tokens(matches, ("width", "height", "maxval"), int)
     if width < 1 or height < 1:
         raise FormatError(f"bad dimensions {width}x{height}", offset=end)
     dtype = _sample_type(maxval, FormatError, offset=end)
@@ -68,8 +66,9 @@ def read_pgm(path) -> ImageGrid:
                               offset=len(data))
         raw = np.frombuffer(data, dtype, count=n, offset=end + 1).astype(np.float64)
     else:
-        samples, end = _tokens(matches, itertools.repeat("sample", n))
-        raw = np.array(samples).astype(np.float64)
+        # a sample too long for a float reads as inf, above every maxval
+        samples, end = _tokens(matches, itertools.repeat("sample", n), float)
+        raw = np.array(samples)
     if raw.max(initial=0.0) > maxval:
         raise FormatError(f"sample exceeds maxval {maxval}", offset=end)
     pixels = raw.reshape((height, width)) / float(maxval)

@@ -225,3 +225,9 @@ class TestUnsignedDecimalOnly:
         # 400 digits overflow a float: the sample still reads as above maxval
         err = _format_error(tmp_path, b"P2 2 1 255 7 " + b"9" * 400)
         assert str(err) == "sample exceeds maxval 255 (at byte offset 413)"
+
+    def test_token_beyond_int_digit_limit_is_invalid(self, tmp_path):
+        # int() refuses more than 4300 digits by default; that width is an invalid token, not a ValueError
+        err = _format_error(tmp_path, b"P2 " + b"1" * 5000 + b" 1 255 7")
+        assert str(err).startswith("invalid width b'1111")
+        assert err.offset == 3
