@@ -228,7 +228,6 @@ class TestStencilReuse:
         # otherwise once at start-up and once per step after the first
         assert len(calls) == assembled
 
-
     @pytest.mark.parametrize("runner", [run_svddf, run_first_order])
     @pytest.mark.parametrize("p", [2.0, 1.5])
     def test_bound_formed_once_per_operator(self, rng, monkeypatch, runner, p):
