@@ -278,6 +278,14 @@ class TestDenoise:
         assert f"{conf}:2: unknown key 'etaa'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_config_line_without_equals_exits_2(self, tmp_path, noisy_pgm, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("\n# eta=3\n   \neta 2\n")  # blank and comment-only lines are skipped
+        out = tmp_path / "bad"
+        assert main(["denoise", str(noisy_pgm), "--config", str(conf), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {conf}:4: expected key=value, got 'eta 2'\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb", ["denoise", "sweep"])
     def test_config_file_seed_key_exits_2(self, tmp_path, disk_pgm, noisy_pgm, capsys, verb):
         conf = tmp_path / "run.conf"
@@ -648,6 +656,14 @@ class TestSweep:
         argv = ["sweep", str(noisy_pgm), "--clean", str(disk_pgm), "--etas", "1,abc", "--ps", "1"]
         assert main(argv) == 2
         assert "invalid value for etas: 'abc'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("lists", [["--etas", ",", "--ps", "1"], ["--etas", "1", "--ps", ","]])
+    def test_empty_list_exits_2(self, tmp_path, disk_pgm, noisy_pgm, capsys, lists):
+        out = tmp_path / "s"
+        argv = ["sweep", str(noisy_pgm), "--clean", str(disk_pgm), "--out", str(out)] + lists
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: eta and p lists must be non-empty\n"
+        assert not out.exists()
 
 
 SWEEP_RULES = {

@@ -25,6 +25,16 @@ class TestKernel:
     def test_base_kernel_normalised(self):
         assert make_kernel(1.7).g.sum() == pytest.approx(1.0, abs=1e-15)
 
+    @pytest.mark.parametrize("sigma", [0.0, -1.0])
+    def test_non_positive_sigma_rejected(self, sigma):
+        with pytest.raises(svddf.ParameterError) as err:
+            make_kernel(sigma)
+        assert str(err.value) == f"sigma must be positive, got {sigma}"
+        k = make_kernel(1.0)
+        with pytest.raises(svddf.ParameterError) as err:
+            svddf.GaussianKernel(sigma=sigma, g=k.g, dg=k.dg)
+        assert str(err.value) == f"sigma must be positive, got {sigma}"
+
     def test_radius_below_truncation_rejected(self):
         # sigma = 4 needs radius 6 (13 taps); 11 taps reach only radius 5
         t = np.arange(-5, 6, dtype=np.float64)

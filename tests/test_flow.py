@@ -1,4 +1,5 @@
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -76,6 +77,42 @@ class TestStepSize:
     def test_dt_fixed_rejected_under_theorem_rule(self):
         with pytest.raises(svddf.ParameterError, match="dt_fixed has no effect"):
             SolverConfig(dt_rule="theorem", dt_fixed=0.15)
+
+
+# one case per check in SolverConfig.__post_init__: the field it guards, settings that fail it, its message
+CONFIG_REJECTIONS = [
+    ("exponent_p", {"exponent_p": 0.5}, "p must lie in [1, 2], got 0.5"),
+    ("exponent_p", {"exponent_p": 2.5}, "p must lie in [1, 2], got 2.5"),
+    ("exponent_p", {"exponent_p": math.nan}, "p must lie in [1, 2], got nan"),
+    ("eta", {"eta": 0.0}, "eta must be positive, got 0.0"),
+    ("eta", {"eta": math.nan}, "eta must be positive, got nan"),
+    ("epsilon", {"epsilon": -1e-3}, "epsilon must be positive, got -0.001"),
+    ("sigma", {"sigma": 0.0}, "sigma must be positive, got 0.0"),
+    ("safety", {"safety": 0.0}, "safety must lie in (0, 1], got 0.0"),
+    ("safety", {"safety": 1.5}, "safety must lie in (0, 1], got 1.5"),
+    ("dt_rule", {"dt_rule": "auto"}, "dt_rule must be 'theorem' or 'fixed', got 'auto'"),
+    ("dt_fixed", {"dt_rule": "fixed"}, "dt_rule 'fixed' needs a positive dt_fixed"),
+    ("dt_fixed", {"dt_rule": "fixed", "dt_fixed": 0.0}, "dt_rule 'fixed' needs a positive dt_fixed"),
+    ("dt_fixed", {"dt_rule": "fixed", "dt_fixed": -0.1}, "dt_rule 'fixed' needs a positive dt_fixed"),
+    ("dt_fixed", {"dt_fixed": 0.15}, "dt_fixed has no effect under dt_rule 'theorem'"),
+    (
+        "dt_max",
+        {"dt_rule": "fixed", "dt_fixed": 0.15, "dt_max": 0.01},
+        "dt_max caps the theorem rule and has no effect under dt_rule 'fixed'",
+    ),
+    ("dt_max", {"dt_max": 0.0}, "dt_max must be positive, got 0.0"),
+    ("max_steps", {"max_steps": 0}, "max_steps must be at least 1, got 0"),
+]
+
+
+class TestConfigRejections:
+    @pytest.mark.parametrize(
+        "settings, message", [case[1:] for case in CONFIG_REJECTIONS], ids=[case[0] for case in CONFIG_REJECTIONS]
+    )
+    def test_rejected_with_its_message(self, settings, message):
+        with pytest.raises(svddf.ParameterError) as err:
+            SolverConfig(**settings)
+        assert str(err.value) == message
 
 
 class TestSvStep:
@@ -432,6 +469,17 @@ class TestFirstOrder:
         _, log = run_first_order(g, cfg)
         lam = log.records[0].lambda_max
         assert log.records[0].dt == pytest.approx(0.5 * 2.0 / lam, rel=1e-12)
+
+    def test_divergence_raises_with_partial_log(self, rng):
+        # p = 2 and dt = 1: explicit Euler amplifies the top modes by up to |1 - 8| per step
+        g = random_grid(rng, 6, 6)
+        with pytest.raises(svddf.DivergenceError) as err:
+            run_first_order(g, fixed_cfg(1.0, steps=1000, exponent_p=2.0))
+        step, log = err.value.step, err.value.partial_log
+        assert str(err.value) == f"non-finite iterate at step {step}"
+        assert 0 < step < 1000
+        assert log.final_step() == len(log) == step
+        assert [r.step for r in log.records] == list(range(1, step + 1))
 
 
 class TestTrajectoryLog:

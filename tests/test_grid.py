@@ -70,6 +70,15 @@ class TestImageGrid:
         with pytest.raises(svddf.DimensionError):
             g.require_min_size()
 
+    @pytest.mark.parametrize(
+        "shape, message",
+        [((2, 3, 4), "pixels must be 2-D, got ndim=3"), ((0, 4), "grid must be at least 1x1, got (0, 4)")],
+    )
+    def test_rejects_shape(self, shape, message):
+        with pytest.raises(svddf.DimensionError) as err:
+            ImageGrid(np.zeros(shape))
+        assert str(err.value) == message
+
     def test_of_finite_wraps_column_major_view_without_copy(self, rng):
         u = rng.standard_normal(12)
         view = u.reshape((3, 4), order="F")
@@ -135,6 +144,12 @@ class TestSynthImage:
         with pytest.raises(svddf.ParameterError):
             synth_image("stripes", 8, 8)
 
+    @pytest.mark.parametrize("rows, cols", [(1, 5), (5, 1)])
+    def test_below_2x2_rejected(self, rows, cols):
+        with pytest.raises(svddf.DimensionError) as err:
+            synth_image("disk", rows, cols)
+        assert str(err.value) == f"synthetic images need at least 2x2, got {rows}x{cols}"
+
 
 class TestRelL2:
     def test_identical(self, rng):
@@ -155,3 +170,8 @@ class TestRelL2:
     def test_zero_reference(self):
         with pytest.raises(svddf.DegenerateInputError):
             rel_l2(np.ones(4), np.zeros(4))
+
+    def test_length_mismatch(self):
+        with pytest.raises(svddf.DimensionError) as err:
+            rel_l2(np.ones(3), np.ones(4))
+        assert str(err.value) == "length mismatch: (3,) vs (4,)"

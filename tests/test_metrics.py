@@ -98,6 +98,12 @@ class TestEvaluate:
         assert fields[3] == "42"
         assert float(fields[5]) == pytest.approx(1.0)
 
+    def test_shape_mismatch_rejected(self, rng):
+        clean, noisy = random_grid(rng, 16, 16), random_grid(rng, 16, 16)
+        with pytest.raises(svddf.DimensionError) as err:
+            evaluate(clean, noisy, random_grid(rng, 16, 15))
+        assert str(err.value) == "shape mismatch: clean (16, 16), noisy (16, 16), denoised (16, 15)"
+
 
 def test_rel_l2_triangle_consistency(rng):
     for _ in range(10):

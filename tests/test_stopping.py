@@ -92,6 +92,16 @@ class TestRde:
         explicit = RdeStop(tolerance=1e-4, n0=7)
         assert explicit.band_threshold(64, 64) == 7
 
+    def test_zero_tolerance_rejected(self):
+        with pytest.raises(svddf.ParameterError) as err:
+            RdeStop(tolerance=0)
+        assert str(err.value) == "tolerance must be positive, got 0"
+
+    def test_shape_mismatch_rejected(self, rng):
+        with pytest.raises(svddf.ParameterError) as err:
+            rde(random_grid(rng, 4, 4), random_grid(rng, 4, 5), 2)
+        assert str(err.value) == "shape mismatch: (4, 4) vs (4, 5)"
+
 
 class TestDiscrepancy:
     def test_at_start_chi_is_minus_delta(self, rng):
