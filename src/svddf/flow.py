@@ -16,6 +16,7 @@ trajectory log, or, on request, only the reason and step they stopped at.
 
 import operator
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 
@@ -92,10 +93,8 @@ class FlowState:
     """Stacked iterate (u, v) plus the stencil assembled from the previous iterate.
 
     The grid shape is the stencil's; ``spacing`` is the input image's grid step h.
-
-    ``Fu`` is ``F_prev @ u``, or None; a step that computes this product
-    anyway carries it so that the next step need not form it again.  Code
-    that replaces ``u`` or ``F_prev`` must also set ``Fu=None``.
+    ``Fu`` is ``F_prev @ u``, formed on first read unless the step that made
+    the state formed it already.
     """
 
     u: np.ndarray
@@ -106,7 +105,10 @@ class FlowState:
     spacing: float
     last_dt: float = float("nan")
     last_lambda: float = float("nan")
-    Fu: np.ndarray | None = None
+
+    @cached_property
+    def Fu(self) -> np.ndarray:
+        return apply(self.F_prev, self.u)
 
 
 @dataclass(frozen=True)
@@ -207,8 +209,8 @@ def step_size(lam: float, config: SolverConfig) -> float:
 def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
     """One damped Stormer-Verlet step; returns the new state carrying its stencil.
 
-    The closing half-kick's ``F_new @ u_new`` is the next step's
-    ``F_prev @ u``, so it is carried as ``Fu``: one stencil product per step.
+    The closing half-kick's ``F_new @ u_new`` is the next state's ``Fu``,
+    so it is stored there: one stencil product per step.
     """
     lam = lambda_max(state.F_prev) if config.dt_rule == "theorem" else float("nan")
     dt = step_size(lam, config)
@@ -216,8 +218,7 @@ def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
     u, v = state.u, state.v
     # transient infs on a diverging run are caught below, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
-        Fu = apply(state.F_prev, u) if state.Fu is None else state.Fu
-        v_half = (v + 0.5 * dt * Fu) / (1.0 + 0.5 * config.eta * dt)
+        v_half = (v + 0.5 * dt * state.Fu) / (1.0 + 0.5 * config.eta * dt)
         u_new = u + dt * v_half
         if not np.isfinite(u_new).all():
             raise DivergenceError(f"non-finite iterate at step {state.k}", step=state.k)
@@ -226,8 +227,10 @@ def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
         v_new = v_half + 0.5 * dt * (Fu_new - config.eta * v_half)
     if not np.isfinite(v_new).all():
         raise DivergenceError(f"non-finite velocity at step {state.k}", step=state.k)
-    return FlowState(u=u_new, v=v_new, k=state.k + 1, t=state.t + dt, F_prev=F_new, spacing=state.spacing,
-                     last_dt=dt, last_lambda=lam, Fu=Fu_new)
+    new = FlowState(u=u_new, v=v_new, k=state.k + 1, t=state.t + dt, F_prev=F_new, spacing=state.spacing,
+                    last_dt=dt, last_lambda=lam)
+    object.__setattr__(new, "Fu", Fu_new)  # fills the cache, as the first read of ``Fu`` would
+    return new
 
 
 def energies(state: FlowState, config: SolverConfig, vv: float | None = None) -> tuple[float, float]:
@@ -377,7 +380,7 @@ def _first_order_step(state: FlowState, config: SolverConfig) -> FlowState:
         u_new = state.u + dt * rate
     if not np.isfinite(u_new).all():
         raise DivergenceError(f"non-finite iterate at step {state.k}", step=state.k)
-    # v: the finite-difference rate, logged as the velocity proxy; no Fu, as F is the old u's stencil
+    # v: the finite-difference rate, logged as the velocity proxy
     return FlowState(u=u_new, v=rate, k=state.k + 1, t=state.t + dt, F_prev=F, spacing=state.spacing,
                      last_dt=dt, last_lambda=lam)
 

@@ -8,8 +8,8 @@ off-diagonal and the diagonal).  All eigenvalues are therefore real and
 non-positive.
 
 F is never assembled: ``apply`` forms F @ u as differences of edge fluxes
-on the pixel array.  ``to_dense`` and ``dump_coo`` rebuild the matrix for
-inspection.
+on the pixel array.  For inspection, ``to_dense`` forms the matrix with
+``apply`` and ``dump_coo`` writes the stored couplings.
 """
 
 from dataclasses import dataclass
@@ -129,12 +129,13 @@ def spectrum_check(op: SparseOperator) -> SpectrumReport:
 
 
 def to_dense(op: SparseOperator) -> np.ndarray:
-    """The MN x MN matrix F, exactly symmetric."""
-    dense = np.diag(op.diagonal)
-    q = np.arange(op.dim).reshape((op.rows, op.cols), order="F")
-    for a, b, c in ((q[:-1], q[1:], op.ci[:-1]), (q[:, :-1], q[:, 1:], op.cj[:, :-1])):
-        dense[a, b] = c
-        dense[b, a] = c
+    """The MN x MN matrix F, exactly symmetric and column-major: column q is ``apply`` of unit vector q."""
+    dense = np.empty((op.dim, op.dim), order="F")
+    unit = np.zeros(op.dim)
+    for q in range(op.dim):
+        unit[q] = 1.0
+        dense[:, q] = apply(op, unit)
+        unit[q] = 0.0
     return dense
 
 

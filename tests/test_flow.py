@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 
@@ -226,7 +227,24 @@ class TestCarriedProduct:
         state = sv_step(initial_state(g, cfg), cfg)
         for _ in range(5):
             state = _first_order_step(state, cfg)
-            assert state.Fu is None or np.array_equal(state.Fu, apply(state.F_prev, state.u))
+            assert np.array_equal(state.Fu, apply(state.F_prev, state.u))
+
+    def test_product_is_not_a_settable_field(self):
+        assert "Fu" not in {f.name for f in dataclasses.fields(FlowState)}
+
+    @pytest.mark.parametrize("replaced", ["u", "F_prev"])
+    def test_replaced_state_steps_like_one_built_fresh(self, rng, replaced):
+        cfg = SolverConfig(exponent_p=1.5, eta=1.5, max_steps=3, stopping=MaxStepsOnly())
+        state = initial_state(random_grid(rng, 8, 9), cfg)
+        for _ in range(2):
+            state = sv_step(state, cfg)
+        changes = {"u": 1.01 * state.u, "F_prev": initial_state(random_grid(rng, 8, 9), cfg).F_prev}
+        state = dataclasses.replace(state, **{replaced: changes[replaced]})
+        fresh = FlowState(u=state.u, v=state.v, k=state.k, t=state.t, F_prev=state.F_prev, spacing=state.spacing)
+        stepped, expected = sv_step(state, cfg), sv_step(fresh, cfg)
+        for name in ("u", "v", "Fu"):
+            assert np.array_equal(getattr(stepped, name), getattr(expected, name))
+        assert (stepped.t, stepped.last_dt, stepped.last_lambda) == (expected.t, expected.last_dt, expected.last_lambda)
 
 
 class TestStencilReuse:
