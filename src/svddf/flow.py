@@ -14,6 +14,7 @@ explicitly.  Both runners share the stopping rules and emit a per-step
 trajectory log, or, on request, only the reason and step they stopped at.
 """
 
+import math
 import operator
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -46,7 +47,9 @@ class SolverConfig:
     for the second-order flow, safety * 2 / lambda_max for the baseline) or
     ``"fixed"`` (dt = dt_fixed).  ``dt_max`` caps the theorem rule and is
     required when the spectral bound degenerates to zero.  Each of
-    ``dt_fixed`` and ``dt_max`` is rejected under the other rule.
+    ``dt_fixed`` and ``dt_max`` is rejected under the other rule.  Every
+    float setting must be finite, ``max_steps`` an integer and ``stopping``
+    one of the four rules.
     """
 
     exponent_p: float = 1.0
@@ -81,8 +84,20 @@ class SolverConfig:
             raise ParameterError("dt_fixed has no effect under dt_rule 'theorem'")
         if self.dt_max is not None and not (self.dt_max > 0):
             raise ParameterError(f"dt_max must be positive, got {self.dt_max}")
+        for name in ("eta", "epsilon", "sigma", "dt_fixed", "dt_max"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ParameterError(f"{name} must be finite, got {value}")
+        try:
+            operator.index(self.max_steps)
+        except TypeError:
+            raise ParameterError(f"max_steps must be an integer, got {self.max_steps!r}") from None
         if self.max_steps < 1:
             raise ParameterError(f"max_steps must be at least 1, got {self.max_steps}")
+        if not isinstance(self.stopping, StoppingRule):
+            raise ParameterError(
+                f"stopping must be RdeStop, DiscrepancyStop, AprioriStop or MaxStepsOnly, got {self.stopping!r}"
+            )
 
     def kernel(self):
         return _cached_kernel(self.sigma)

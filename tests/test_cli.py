@@ -335,6 +335,26 @@ class TestDenoise:
         assert "dt_max must be positive" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["denoise", "sweep"])
+    @pytest.mark.parametrize(
+        "flag, field",
+        [
+            ("--eta", "eta"),
+            ("--epsilon", "epsilon"),
+            ("--sigma", "sigma"),
+            ("--dt", "dt_fixed"),
+            ("--dt-max", "dt_max"),
+        ],
+    )
+    def test_infinite_solver_value_exits_2(self, tmp_path, disk_pgm, noisy_pgm, capsys, verb, flag, field):
+        out = tmp_path / "bad"
+        argv = [verb, str(noisy_pgm), "--stop", "none", "--max-steps", "3", "--out", str(out), flag, "inf"]
+        if verb == "sweep":
+            argv += ["--clean", str(disk_pgm), "--etas", "2", "--ps", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {field} must be finite, got inf\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [

@@ -103,6 +103,18 @@ CONFIG_REJECTIONS = [
     ),
     ("dt_max", {"dt_max": 0.0}, "dt_max must be positive, got 0.0"),
     ("max_steps", {"max_steps": 0}, "max_steps must be at least 1, got 0"),
+    ("eta", {"eta": math.inf}, "eta must be finite, got inf"),
+    ("epsilon", {"epsilon": math.inf}, "epsilon must be finite, got inf"),
+    ("sigma", {"sigma": math.inf}, "sigma must be finite, got inf"),
+    ("dt_fixed", {"dt_rule": "fixed", "dt_fixed": math.inf}, "dt_fixed must be finite, got inf"),
+    ("dt_max", {"dt_max": math.inf}, "dt_max must be finite, got inf"),
+    ("max_steps", {"max_steps": 2.5}, "max_steps must be an integer, got 2.5"),
+    ("max_steps", {"max_steps": "9"}, "max_steps must be an integer, got '9'"),
+    (
+        "stopping",
+        {"stopping": "rde"},
+        "stopping must be RdeStop, DiscrepancyStop, AprioriStop or MaxStepsOnly, got 'rde'",
+    ),
 ]
 
 
@@ -114,6 +126,14 @@ class TestConfigRejections:
         with pytest.raises(svddf.ParameterError) as err:
             SolverConfig(**settings)
         assert str(err.value) == message
+
+    def test_cases_cover_every_field(self):
+        assert {case[0] for case in CONFIG_REJECTIONS} == {f.name for f in dataclasses.fields(SolverConfig)}
+
+    @pytest.mark.parametrize("steps", [3, np.int64(3), np.uint8(3)])
+    def test_integer_step_budgets_accepted(self, rng, steps):
+        _, log = run_svddf(random_grid(rng, 6, 6), fixed_cfg(0.1, steps=steps))
+        assert log.final_step() == 3
 
 
 class TestSvStep:
