@@ -237,13 +237,15 @@ def _cmd_sweep(args) -> int:
     noisy = read_pgm(src)
     clean = read_pgm(clean_path)
     base = _build_config(args)
+    # every cell's settings are checked before anything is written
+    configs = {(p, eta): dataclasses.replace(base, exponent_p=p, eta=eta) for p in ps for eta in etas}
     out = _out_dir(args)
 
     lines = ["p\\eta," + ",".join(f"{e:g}" for e in etas)]
     for p in ps:
         cells = []
         for eta in etas:
-            config = dataclasses.replace(base, exponent_p=p, eta=eta)
+            config = configs[p, eta]
             try:
                 # the table reports SSIM and the step count; no trajectory is written
                 denoised, log = _run_method(noisy, config, args.method, keep_trajectory=False)

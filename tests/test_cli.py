@@ -677,6 +677,21 @@ class TestSweep:
         assert main(argv) == 2
         assert "invalid value for etas: 'abc'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "lists, message",
+        [
+            (["--etas", "1,inf", "--ps", "1"], "eta must be finite, got inf"),
+            (["--etas", "1", "--ps", "1,3"], "p must lie in [1, 2], got 3.0"),
+        ],
+    )
+    def test_invalid_cell_exits_2_before_writing(self, tmp_path, disk_pgm, noisy_pgm, capsys, lists, message):
+        out = tmp_path / "s"
+        argv = ["sweep", str(noisy_pgm), "--clean", str(disk_pgm), "--out", str(out), "--max-steps", "3"] + lists
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("lists", [["--etas", ",", "--ps", "1"], ["--etas", "1", "--ps", ","]])
     def test_empty_list_exits_2(self, tmp_path, disk_pgm, noisy_pgm, capsys, lists):
         out = tmp_path / "s"
