@@ -9,13 +9,10 @@ SSIM-based evaluation against a first-order diffusion baseline.
 import types
 
 from .diffusivity import (
-    BoundsReport,
     DiffusivityField,
     GaussianKernel,
-    check_bounds,
     diffusivity_half,
     grad_gaussian,
-    h1_norm,
     make_kernel,
 )
 from .errors import (
@@ -35,7 +32,6 @@ from .flow import (
     initial_state,
     run_first_order,
     run_svddf,
-    step_size,
     sv_step,
 )
 from .grid import ImageGrid, NoiseSpec, add_noise, array, rel_l2, synth_image, vec
@@ -45,7 +41,6 @@ from .stencil import (
     SparseOperator,
     apply,
     assemble,
-    dump_coo,
     lambda_max,
     spectrum_check,
     to_dense,

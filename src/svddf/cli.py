@@ -8,7 +8,6 @@ deterministic for a fixed seed.
 
 import argparse
 import ctypes
-import dataclasses
 import math
 import sys
 from pathlib import Path
@@ -56,6 +55,8 @@ _OPTIONS = {
 }
 _NOISE_KEYS = ("delta", "seed")
 _SOLVER_KEYS = tuple(key for key in _OPTIONS if key != "seed")
+# each sweep cell takes its p and eta from --ps and --etas
+_SWEEP_KEYS = tuple(key for key in _SOLVER_KEYS if key not in ("p", "eta"))
 
 
 def _flag_type(key: str, cast):
@@ -121,11 +122,11 @@ def _build_stopping(args):
     return MaxStepsOnly()
 
 
-def _build_config(args) -> SolverConfig:
+def _build_config(args, p: float, eta: float) -> SolverConfig:
     fixed = args.dt != "auto"
     return SolverConfig(
-        exponent_p=args.p,
-        eta=args.eta,
+        exponent_p=p,
+        eta=eta,
         epsilon=args.epsilon,
         sigma=args.sigma,
         dt_rule="fixed" if fixed else "theorem",
@@ -188,7 +189,7 @@ def _run_method(noisy: ImageGrid, config: SolverConfig, method: str, keep_trajec
 def _cmd_denoise(args) -> int:
     src = _require_file(args.input)
     clean_path = _require_file(args.clean) if args.clean else None
-    config = _build_config(args)
+    config = _build_config(args, args.p, args.eta)
     noisy = read_pgm(src)
     out = _out_dir(args)
     stem = src.stem
@@ -236,9 +237,8 @@ def _cmd_sweep(args) -> int:
         raise SvddfError("eta and p lists must be non-empty")
     noisy = read_pgm(src)
     clean = read_pgm(clean_path)
-    base = _build_config(args)
     # every cell's settings are checked before anything is written
-    configs = {(p, eta): dataclasses.replace(base, exponent_p=p, eta=eta) for p in ps for eta in etas}
+    configs = {(p, eta): _build_config(args, p, eta) for p in ps for eta in etas}
     out = _out_dir(args)
 
     lines = ["p\\eta," + ",".join(f"{e:g}" for e in etas)]
@@ -303,7 +303,8 @@ def build_parser():
     _add_options(p_den, _SOLVER_KEYS)
     p_den.set_defaults(func=_cmd_denoise)
 
-    p_sweep = subs.add_parser("sweep", help="grid of (p, eta) runs, SSIM table out")
+    # no abbreviations: --p and --eta would otherwise be read as --ps and --etas
+    p_sweep = subs.add_parser("sweep", help="grid of (p, eta) runs, SSIM table out", allow_abbrev=False)
     p_sweep.add_argument("input", help="noisy PGM image")
     p_sweep.add_argument("--clean", required=True, help="clean reference")
     p_sweep.add_argument(
@@ -311,7 +312,7 @@ def build_parser():
     )
     p_sweep.add_argument("--ps", required=True, type=_float_list("ps"), help="comma-separated exponents")
     p_sweep.add_argument("--out", help="output directory")
-    _add_options(p_sweep, _SOLVER_KEYS)
+    _add_options(p_sweep, _SWEEP_KEYS)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_met = subs.add_parser("metrics", help="evaluate a denoised image against references")

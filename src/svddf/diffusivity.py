@@ -83,8 +83,6 @@ class DiffusivityField:
 
     ai: np.ndarray
     aj: np.ndarray
-    epsilon: float
-    exponent_p: float
     spacing: float
 
     @property
@@ -98,10 +96,6 @@ class DiffusivityField:
     def coefficient_arrays(self):
         """The interior midpoints: views without the zero border row and column."""
         return (self.ai[:-1], self.aj[:, :-1])
-
-    def upper_bound(self) -> float:
-        """Largest value any coefficient can take: epsilon^((p-2)/2)."""
-        return float(self.epsilon ** ((self.exponent_p - 2.0) / 2.0))
 
 
 def _paired_pass(src, axis, size, taps, even, out, tmp):
@@ -227,31 +221,5 @@ def diffusivity_half(u: ImageGrid, epsilon: float, p: float, kernel: GaussianKer
     # the flat pairs across the border: last row and next column's first row, last column and none
     a_i[-1] = 0.0
     a_j[:, -1] = 0.0
-    return DiffusivityField(a_i, a_j, float(epsilon), float(p), u.spacing)
+    return DiffusivityField(a_i, a_j, u.spacing)
 
-
-@dataclass(frozen=True)
-class BoundsReport:
-    min_coefficient: float
-    max_coefficient: float
-    lower_bound: float
-    upper_bound: float
-    passed: bool
-
-
-def check_bounds(field: DiffusivityField, u0_h1_norm: float, c: float) -> BoundsReport:
-    """Check epsilon^((p-2)/2) >= a >= (epsilon + (c*||u0||_H1)^2)^((p-2)/2) pointwise."""
-    expo = (field.exponent_p - 2.0) / 2.0
-    upper = field.epsilon**expo
-    lower = (field.epsilon + (c * u0_h1_norm) ** 2) ** expo
-    lo = min(float(a.min()) for a in field.coefficient_arrays())
-    hi = max(float(a.max()) for a in field.coefficient_arrays())
-    passed = (hi <= upper + 1e-14) and (lo >= lower - 1e-14)
-    return BoundsReport(lo, hi, lower, upper, passed)
-
-
-def h1_norm(u: ImageGrid) -> float:
-    """Discrete H1 norm: sqrt(h^2 * (sum u^2 + sum |grad u|^2)) with central differences."""
-    gx, gy = np.gradient(u.pixels, u.spacing)
-    h2 = u.spacing**2
-    return float(np.sqrt(h2 * (np.sum(u.pixels**2) + np.sum(gx**2) + np.sum(gy**2))))

@@ -202,23 +202,22 @@ def _reassemble(state: FlowState, config: SolverConfig) -> SparseOperator:
     return _assemble_from(state.u, (state.F_prev.rows, state.F_prev.cols), state.spacing, config)
 
 
-def _spectral_step(lam: float, config: SolverConfig, stable_dt) -> float:
-    """``stable_dt(lam)`` capped by dt_max; a vanishing bound requires dt_max."""
+def _step_length(F: SparseOperator, config: SolverConfig, stable_dt) -> tuple[float, float]:
+    """Step length and spectral bound ``(dt, lam)`` under the configured rule (see SolverConfig).
+
+    The fixed rule forms no bound (nan); the theorem rule caps ``stable_dt(lambda_max(F))`` by dt_max.
+    """
+    if config.dt_rule == "fixed":
+        return float(config.dt_fixed), float("nan")
+    lam = lambda_max(F)
     if lam < _TINY_LAMBDA:
         if config.dt_max is None:
             raise ParameterError("spectral bound is zero and no dt_max is configured")
-        return float(config.dt_max)
+        return float(config.dt_max), lam
     dt = stable_dt(lam)
     if config.dt_max is not None:
         dt = min(dt, config.dt_max)
-    return float(dt)
-
-
-def step_size(lam: float, config: SolverConfig) -> float:
-    """Step length under the configured rule (see SolverConfig), given the bound ``lam``."""
-    if config.dt_rule == "fixed":
-        return float(config.dt_fixed)
-    return _spectral_step(lam, config, lambda lam: config.safety * config.eta / np.sqrt(lam))
+    return float(dt), lam
 
 
 def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
@@ -227,8 +226,7 @@ def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
     The closing half-kick's ``F_new @ u_new`` is the next state's ``Fu``,
     so it is stored there: one stencil product per step.
     """
-    lam = lambda_max(state.F_prev) if config.dt_rule == "theorem" else float("nan")
-    dt = step_size(lam, config)
+    dt, lam = _step_length(state.F_prev, config, lambda lam: config.safety * config.eta / np.sqrt(lam))
 
     u, v = state.u, state.v
     # transient infs on a diverging run are caught below, not warned about
@@ -384,12 +382,8 @@ def run_svddf(
 def _first_order_step(state: FlowState, config: SolverConfig) -> FlowState:
     """Explicit step of the first-order flow u_t = div(a(u) grad u)."""
     F = _reassemble(state, config)
-    if config.dt_rule == "theorem":
-        lam = lambda_max(F)
-        # classical explicit-Euler stability for a symmetric negative operator
-        dt = _spectral_step(lam, config, lambda lam: config.safety * 2.0 / lam)
-    else:
-        lam, dt = float("nan"), float(config.dt_fixed)
+    # classical explicit-Euler stability for a symmetric negative operator
+    dt, lam = _step_length(F, config, lambda lam: config.safety * 2.0 / lam)
     with np.errstate(over="ignore", invalid="ignore"):
         rate = apply(F, state.u)
         u_new = state.u + dt * rate

@@ -9,7 +9,7 @@ non-positive.
 
 F is never assembled: ``apply`` forms F @ u as differences of edge fluxes
 on the pixel array.  For inspection, ``to_dense`` forms the matrix with
-``apply`` and ``dump_coo`` writes the stored couplings.
+``apply``.
 """
 
 from dataclasses import dataclass
@@ -138,23 +138,3 @@ def to_dense(op: SparseOperator) -> np.ndarray:
         unit[q] = 0.0
     return dense
 
-
-def dump_coo(op: SparseOperator, stream) -> None:
-    """Write one "row col value" line per stencil entry (0-based indices) to an open text stream.
-
-    Rows ascend, and within a row the columns ascend: north, west, centre,
-    east, south neighbour.
-    """
-    m, n = op.rows, op.cols
-    diag = op.diagonal
-    for q in range(op.dim):
-        i, j = q % m, q // m
-        if j > 0:
-            stream.write(f"{q} {q - m} {op.cj[i, j - 1]:.17g}\n")
-        if i > 0:
-            stream.write(f"{q} {q - 1} {op.ci[i - 1, j]:.17g}\n")
-        stream.write(f"{q} {q} {diag[q]:.17g}\n")
-        if i < m - 1:
-            stream.write(f"{q} {q + 1} {op.ci[i, j]:.17g}\n")
-        if j < n - 1:
-            stream.write(f"{q} {q + m} {op.cj[i, j]:.17g}\n")

@@ -8,6 +8,7 @@ A fourth pseudo-rule runs until the step budget is exhausted.
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +26,8 @@ def default_band_threshold(rows: int, cols: int) -> int:
 class RdeStop:
     """Stop once the relative change of high-frequency energy drops below tolerance.
 
-    ``n0`` overrides the band threshold explicitly; by default it is
-    ``default_band_threshold``.
+    ``n0``, a non-negative integer, overrides the band threshold explicitly;
+    by default it is ``default_band_threshold``.
     """
 
     tolerance: float
@@ -35,10 +36,17 @@ class RdeStop:
     def __post_init__(self):
         if not (self.tolerance > 0):
             raise ParameterError(f"tolerance must be positive, got {self.tolerance}")
+        if self.n0 is not None:
+            try:
+                operator.index(self.n0)
+            except TypeError:
+                raise ParameterError(f"n0 must be an integer, got {self.n0!r}") from None
+            if self.n0 < 0:
+                raise ParameterError(f"n0 must be non-negative, got {self.n0}")
 
     def band_threshold(self, rows: int, cols: int) -> int:
         if self.n0 is not None:
-            return int(self.n0)
+            return self.n0
         return default_band_threshold(rows, cols)
 
 
@@ -134,7 +142,6 @@ def rde(u_k: ImageGrid, u_km1: ImageGrid, n0: int) -> float:
 class DiscrepancyResult:
     sigma: float
     chi: float
-    fired: bool
 
 
 def discrepancy(
@@ -151,7 +158,7 @@ def discrepancy(
         raise DegenerateInputError("noisy data has zero norm")
     sigma = float(np.linalg.norm(u_k - u0) / denom)
     chi = sigma - delta
-    return DiscrepancyResult(sigma=sigma, chi=chi, fired=chi >= 0.0)
+    return DiscrepancyResult(sigma=sigma, chi=chi)
 
 
 def _check_delta(delta: float) -> None:

@@ -270,13 +270,18 @@ class TestDenoise:
         assert trajectories[0] == trajectories[1]
         assert trajectories[0] != trajectories[2]
 
-    def test_config_file_unknown_key_exits_2(self, tmp_path, noisy_pgm, capsys):
-        conf = tmp_path / "run.conf"
-        conf.write_text("eta=2\netaa=1\n")
-        out = tmp_path / "bad"
-        assert main(["denoise", str(noisy_pgm), "--config", str(conf), "--out", str(out)]) == 2
-        assert f"{conf}:2: unknown key 'etaa'" in capsys.readouterr().err
-        assert not out.exists()
+    def test_config_file_unknown_key_exits_2(self, tmp_path, disk_pgm, noisy_pgm, capsys):
+        # sweep takes p and eta from --ps and --etas only
+        sweep = ["sweep", "--clean", str(disk_pgm), "--etas", "1", "--ps", "1"]
+        cases = [(["denoise"], "eta=2\netaa=1\n", "2: unknown key 'etaa'")]
+        cases += [(sweep, "p=1.5\n", "1: unknown key 'p' for sweep"), (sweep, "eta=3\n", "1: unknown key 'eta' for sweep")]
+        for i, (verb, conf_text, message) in enumerate(cases):
+            conf = tmp_path / f"run{i}.conf"
+            conf.write_text(conf_text)
+            out = tmp_path / f"bad{i}"
+            assert main(verb + [str(noisy_pgm), "--config", str(conf), "--out", str(out)]) == 2
+            assert f"{conf}:{message}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_config_line_without_equals_exits_2(self, tmp_path, noisy_pgm, capsys):
         conf = tmp_path / "run.conf"
@@ -305,8 +310,9 @@ class TestDenoise:
             ("n0=abc\n", [], "invalid value for n0: 'abc'"),
             ("stop=bogus\n", [], "invalid value for stop: 'bogus'"),
             ("method=bogus\n", [], "invalid value for method: 'bogus'"),
+            ("", ["--n0", "-1"], "n0 must be non-negative, got -1"),
         ],
-        ids=["flag-dt", "config-n0", "config-stop", "config-method"],
+        ids=["flag-dt", "config-n0", "config-stop", "config-method", "flag-negative-n0"],
     )
     def test_malformed_value_exits_2(self, tmp_path, noisy_pgm, capsys, conf_text, flags, message):
         conf = tmp_path / "run.conf"
@@ -335,15 +341,20 @@ class TestDenoise:
         assert "dt_max must be positive" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("verb", ["denoise", "sweep"])
     @pytest.mark.parametrize(
-        "flag, field",
+        "flag, field, verb",
         [
-            ("--eta", "eta"),
-            ("--epsilon", "epsilon"),
-            ("--sigma", "sigma"),
-            ("--dt", "dt_fixed"),
-            ("--dt-max", "dt_max"),
+            (flag, field, verb)
+            for verb in ("denoise", "sweep")
+            for flag, field in (
+                ("--eta", "eta"),
+                ("--epsilon", "epsilon"),
+                ("--sigma", "sigma"),
+                ("--dt", "dt_fixed"),
+                ("--dt-max", "dt_max"),
+            )
+            # sweep has no --eta; TestSweep checks an infinite --etas value
+            if (flag, verb) != ("--eta", "sweep")
         ],
     )
     def test_infinite_solver_value_exits_2(self, tmp_path, disk_pgm, noisy_pgm, capsys, verb, flag, field):
@@ -682,6 +693,7 @@ class TestSweep:
         [
             (["--etas", "1,inf", "--ps", "1"], "eta must be finite, got inf"),
             (["--etas", "1", "--ps", "1,3"], "p must lie in [1, 2], got 3.0"),
+            (["--etas", "1", "--ps", "1", "--n0", "-1"], "n0 must be non-negative, got -1"),
         ],
     )
     def test_invalid_cell_exits_2_before_writing(self, tmp_path, disk_pgm, noisy_pgm, capsys, lists, message):
@@ -690,6 +702,14 @@ class TestSweep:
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", [["--eta", "3"], ["--p", "1.5"]])
+    def test_single_p_or_eta_flag_exits_2(self, tmp_path, disk_pgm, noisy_pgm, capsys, flag):
+        out = tmp_path / "s"
+        argv = ["sweep", str(noisy_pgm), "--clean", str(disk_pgm), "--etas", "1", "--ps", "1", "--out", str(out)]
+        assert main(argv + flag) == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("lists", [["--etas", ",", "--ps", "1"], ["--etas", "1", "--ps", ","]])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import svddf
-from svddf import ImageGrid, check_bounds, diffusivity_half, grad_gaussian, h1_norm, make_kernel
+from svddf import ImageGrid, diffusivity_half, grad_gaussian, make_kernel
 from svddf.diffusivity import _pad_symmetric
 
 from conftest import random_grid
@@ -160,7 +160,7 @@ class TestDiffusivityHalf:
         g = random_grid(rng, 10, 10)
         for p in np.linspace(1.0, 2.0, 7):
             fld = diffusivity_half(g, 1e-2, p, make_kernel(1.0))
-            bound = fld.upper_bound()
+            bound = 1e-2 ** ((p - 2.0) / 2.0)
             for arr in fld.coefficient_arrays():
                 assert arr.max() <= bound + 1e-14
                 assert arr.min() > 0.0
@@ -181,31 +181,6 @@ class TestDiffusivityHalf:
             diffusivity_half(g, 0.0, 1.0, k)
         with pytest.raises(svddf.ParameterError):
             diffusivity_half(g, 1e-2, 2.5, k)
-
-
-class TestCheckBounds:
-    def test_constant_image(self):
-        g = ImageGrid(np.full((8, 8), 0.5))
-        fld = diffusivity_half(g, 1e-2, 1.0, make_kernel(1.0))
-        rep = check_bounds(fld, h1_norm(g), 1.0)
-        assert rep.passed
-        assert rep.min_coefficient == pytest.approx(rep.max_coefficient, rel=1e-12)
-        assert rep.max_coefficient == pytest.approx((1e-2) ** -0.5, rel=1e-12)
-
-    def test_p2_trivial(self, rng):
-        fld = diffusivity_half(random_grid(rng, 6, 6), 1e-2, 2.0, make_kernel(1.0))
-        rep = check_bounds(fld, 10.0, 3.0)
-        assert rep.passed and rep.lower_bound == rep.upper_bound == 1.0
-
-    def test_empirical_constant_passes(self, rng):
-        g = random_grid(rng, 12, 12)
-        k = make_kernel(1.0)
-        fld = diffusivity_half(g, 1e-2, 1.0, k)
-        gx, gy = grad_gaussian(g, k)
-        gmax = float(np.sqrt(gx**2 + gy**2).max())
-        norm = h1_norm(g)
-        rep = check_bounds(fld, norm, gmax / norm)
-        assert rep.passed
 
 
 def test_separable_matches_dense_on_16x16(rng):

@@ -14,6 +14,7 @@ from svddf import (
     MaxStepsOnly,
     RdeStop,
     SolverConfig,
+    SparseOperator,
     apply,
     array,
     diffusivity_half,
@@ -23,7 +24,6 @@ from svddf import (
     make_kernel,
     run_first_order,
     run_svddf,
-    step_size,
     sv_step,
     to_dense,
     vec,
@@ -47,24 +47,53 @@ def fixed_cfg(dt, steps=10, **kw):
     return SolverConfig(dt_rule="fixed", dt_fixed=dt, max_steps=steps, stopping=MaxStepsOnly(), **kw)
 
 
+# each flow's step and whether it is the first-order baseline
+STEPPERS = {"svddf": (sv_step, False), "first-order": (_first_order_step, True)}
+
+
+def one_step(method, config, coupling):
+    """``(last_dt, last_lambda)`` after one ``method`` step from k = 0 on a 3 x 3 grid of equal couplings.
+
+    The centre pixel has four couplings, so lambda_max is 8 * ``coupling``; at k = 0 both flows step with this stencil.
+    """
+    ci, cj = np.full((2, 3, 3), coupling)
+    ci[-1] = 0.0
+    cj[:, -1] = 0.0
+    op = SparseOperator(ci, cj)
+    state = FlowState(u=np.linspace(0.0, 1.0, 9), v=np.zeros(9), k=0, t=0.0, F_prev=op, spacing=1.0)
+    new = STEPPERS[method][0](state, config)
+    return new.last_dt, new.last_lambda
+
+
 class TestStepSize:
+    """Each check runs both flows; the step length is read from the state the step returns."""
+
     def test_theorem_formula(self):
         cfg = SolverConfig(eta=300.0, safety=1.0)
-        assert step_size(8.0, cfg) == pytest.approx(300.0 / np.sqrt(8.0), rel=1e-15)
-        assert step_size(8.0, cfg) == pytest.approx(106.066, rel=1e-4)
+        # eta / sqrt(lam) for the damped flow, explicit-Euler 2 / lam for the baseline
+        expected = {"svddf": 300.0 / np.sqrt(8.0), "first-order": 2.0 / 8.0}
+        for method in STEPPERS:
+            dt, lam = one_step(method, cfg, 1.0)
+            assert lam == 8.0
+            assert dt == pytest.approx(expected[method], rel=1e-15)
 
     def test_safety_scales_linearly(self):
-        full = step_size(4.0, SolverConfig(eta=10.0, safety=1.0))
-        half = step_size(4.0, SolverConfig(eta=10.0, safety=0.5))
-        assert half == pytest.approx(0.5 * full, rel=1e-15)
+        for method in STEPPERS:
+            full, _ = one_step(method, SolverConfig(eta=10.0, safety=1.0), 0.5)
+            half, _ = one_step(method, SolverConfig(eta=10.0, safety=0.5), 0.5)
+            assert half == pytest.approx(0.5 * full, rel=1e-15)
 
     def test_zero_bound_requires_dt_max(self):
-        with pytest.raises(svddf.ParameterError):
-            step_size(0.0, SolverConfig(eta=1.0))
-        assert step_size(0.0, SolverConfig(eta=1.0, dt_max=0.125)) == 0.125
+        for method in STEPPERS:
+            with pytest.raises(svddf.ParameterError) as err:
+                one_step(method, SolverConfig(eta=1.0), 0.0)
+            assert str(err.value) == "spectral bound is zero and no dt_max is configured"
+            assert one_step(method, SolverConfig(eta=1.0, dt_max=0.125), 0.0) == (0.125, 0.0)
 
     def test_fixed_rule(self):
-        assert step_size(8.0, fixed_cfg(0.07)) == 0.07
+        for method in STEPPERS:
+            dt, lam = one_step(method, fixed_cfg(0.07), 1.0)
+            assert dt == 0.07 and math.isnan(lam)
 
     @pytest.mark.parametrize("dt_max", [-0.1, 0.0, float("nan")])
     def test_non_positive_dt_max_rejected(self, dt_max):
@@ -270,14 +299,12 @@ class TestCarriedProduct:
 class TestStencilReuse:
     """For p = 2 the coefficients are 1 for every image, so the startup stencil is kept for the run."""
 
-    STEPPERS = {"svddf": (sv_step, False), "first-order": (_first_order_step, True)}
-
     @pytest.mark.parametrize("method", sorted(STEPPERS))
     @pytest.mark.parametrize("p", [1.5, 2.0])
     @pytest.mark.parametrize("dt_rule", ["fixed", "theorem"])
     def test_steps_match_a_loop_that_reassembles_every_step(self, rng, method, p, dt_rule):
         g = random_grid(rng, 7, 9, spacing=0.8)
-        step, first_order = self.STEPPERS[method]
+        step, first_order = STEPPERS[method]
         timing = {"dt_fixed": 0.02} if dt_rule == "fixed" else {}
         cfg = SolverConfig(exponent_p=p, eta=1.5, dt_rule=dt_rule, max_steps=12, stopping=MaxStepsOnly(), **timing)
         state = initial_state(g, cfg)

@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,17 +160,6 @@ class TestSpectrumCheck:
         for _ in range(5):
             rep = spectrum_check(assemble(random_field(rng, 6, 6, p=1.0), 1.0))
             assert rep.passed
-
-
-def test_coo_dump_round_trip(rng):
-    op = assemble(random_field(rng, 4, 4), 1.0)
-    buf = io.StringIO()
-    svddf.dump_coo(op, buf)
-    rebuilt = np.zeros((op.dim, op.dim))
-    for line in buf.getvalue().splitlines():
-        r, c, v = line.split()
-        rebuilt[int(r), int(c)] = float(v)
-    assert np.array_equal(rebuilt, to_dense(op))
 
 
 def test_apply_used_in_runner_matches_grid_laplacian(rng):

@@ -97,6 +97,16 @@ class TestRde:
             RdeStop(tolerance=0)
         assert str(err.value) == "tolerance must be positive, got 0"
 
+    @pytest.mark.parametrize("n0, message", [
+        (-1, "n0 must be non-negative, got -1"),
+        (2.5, "n0 must be an integer, got 2.5"),
+        ("7", "n0 must be an integer, got '7'"),
+    ])
+    def test_rule_rejects_n0(self, n0, message):
+        with pytest.raises(svddf.ParameterError) as err:
+            RdeStop(tolerance=1e-4, n0=n0)
+        assert str(err.value) == message
+
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(svddf.ParameterError) as err:
             rde(random_grid(rng, 4, 4), random_grid(rng, 4, 5), 2)
@@ -109,16 +119,15 @@ class TestDiscrepancy:
         res = discrepancy(u0, u0, 0.25)
         assert res.sigma == 0.0
         assert res.chi == -0.25
-        assert not res.fired
 
     def test_scaled_vector_fires_exactly_at_delta(self, rng):
         u0 = rng.uniform(size=36) + 0.5
         res = discrepancy((1.0 + 0.2) * u0, u0, 0.2)
         assert res.sigma == pytest.approx(0.2, rel=1e-12)
         assert res.chi == pytest.approx(0.0, abs=1e-12)
-        # firing is a sharp threshold on sigma - delta
-        assert discrepancy((1.0 + 0.2) * u0, u0, 0.2 - 1e-9).fired
-        assert not discrepancy((1.0 + 0.2) * u0, u0, 0.2 + 1e-9).fired
+        # the rule fires on chi = sigma - delta >= 0, a sharp threshold
+        assert discrepancy((1.0 + 0.2) * u0, u0, 0.2 - 1e-9).chi >= 0.0
+        assert discrepancy((1.0 + 0.2) * u0, u0, 0.2 + 1e-9).chi < 0.0
 
     def test_zero_data_rejected(self):
         with pytest.raises(svddf.DegenerateInputError):
