@@ -138,6 +138,12 @@ def _build_config(args, p: float, eta: float) -> SolverConfig:
     )
 
 
+def _check_band(config: SolverConfig, image: ImageGrid) -> None:
+    """Refuse, before any output is written, an rde n0 whose band is empty on ``image``."""
+    if isinstance(config.stopping, RdeStop):
+        config.stopping.band_threshold(*image.shape)
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -191,6 +197,7 @@ def _cmd_denoise(args) -> int:
     clean_path = _require_file(args.clean) if args.clean else None
     config = _build_config(args, args.p, args.eta)
     noisy = read_pgm(src)
+    _check_band(config, noisy)
     out = _out_dir(args)
     stem = src.stem
     csv_path = out / f"{stem}_trajectory.csv"
@@ -239,6 +246,7 @@ def _cmd_sweep(args) -> int:
     clean = read_pgm(clean_path)
     # every cell's settings are checked before anything is written
     configs = {(p, eta): _build_config(args, p, eta) for p in ps for eta in etas}
+    _check_band(configs[ps[0], etas[0]], noisy)  # the cells share one stopping rule
     out = _out_dir(args)
 
     lines = ["p\\eta," + ",".join(f"{e:g}" for e in etas)]
@@ -290,20 +298,20 @@ def build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p_noise = subs.add_parser("add-noise", help="apply multiplicative uniform noise")
+    # no verb takes abbreviated flags: one could land on another option, as sweep's --p on --ps
+    p_noise = subs.add_parser("add-noise", help="apply multiplicative uniform noise", allow_abbrev=False)
     p_noise.add_argument("input", help="clean PGM image")
     p_noise.add_argument("--out", help="output directory")
     _add_options(p_noise, _NOISE_KEYS)
     p_noise.set_defaults(func=_cmd_add_noise)
 
-    p_den = subs.add_parser("denoise", help="run a denoising flow")
+    p_den = subs.add_parser("denoise", help="run a denoising flow", allow_abbrev=False)
     p_den.add_argument("input", help="noisy PGM image")
     p_den.add_argument("--clean", help="clean reference for metrics")
     p_den.add_argument("--out", help="output directory")
     _add_options(p_den, _SOLVER_KEYS)
     p_den.set_defaults(func=_cmd_denoise)
 
-    # no abbreviations: --p and --eta would otherwise be read as --ps and --etas
     p_sweep = subs.add_parser("sweep", help="grid of (p, eta) runs, SSIM table out", allow_abbrev=False)
     p_sweep.add_argument("input", help="noisy PGM image")
     p_sweep.add_argument("--clean", required=True, help="clean reference")
@@ -315,7 +323,7 @@ def build_parser():
     _add_options(p_sweep, _SWEEP_KEYS)
     p_sweep.set_defaults(func=_cmd_sweep)
 
-    p_met = subs.add_parser("metrics", help="evaluate a denoised image against references")
+    p_met = subs.add_parser("metrics", help="evaluate a denoised image against references", allow_abbrev=False)
     p_met.add_argument("--clean", required=True)
     p_met.add_argument("--noisy", required=True)
     p_met.add_argument("--denoised", required=True)

@@ -246,34 +246,19 @@ def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
     return new
 
 
-def energies(state: FlowState, config: SolverConfig, vv: float | None = None) -> tuple[float, float]:
-    """Kinetic and (regularised) p-Dirichlet potential energy of the state.
+def energies(state: FlowState, vv: float | None = None) -> tuple[float, float]:
+    """Kinetic and potential energy, h^2/2 * v.v and -h^2/2 * u.(F_prev u), of the state.
 
-    Kinetic is h^2/2 * ||v||^2, from ``vv = v @ v`` when the caller has
-    formed it already.  The potential integrates
-    (|grad u|^2 + epsilon)^(p/2) / p over all nodes with central
-    differences (one-sided at the border), the epsilon keeping p = 1
-    differentiable.  These are ``np.gradient``'s differences, taken as
-    shifts of the column-stacked iterate: by 1 down a column, by rows across.
+    ``vv`` is v @ v when the caller has formed it.  The potential reads the
+    state's ``Fu``, which ``sv_step`` stores, so an SV-DDF state forms no
+    stencil product here; a first-order state forms F_k u_{k+1} on first read.
     """
-    h, h2 = state.spacing, state.spacing**2
-    m, n, u = state.F_prev.rows, state.F_prev.cols, state.u
+    h2 = state.spacing**2
     with np.errstate(over="ignore", invalid="ignore"):
         if vv is None:
             vv = float(state.v @ state.v)
-        kinetic = 0.5 * h2 * vv
-        gx, gy = np.empty((2, m * n))
-        for g, s in ((gx, 1), (gy, m)):
-            g[s:-s] = (u[2 * s :] - u[: -2 * s]) / (2.0 * h)
-        # one-sided at the first and last row and column, over the central
-        # differences that straddle the column boundaries and the array ends
-        px, gx2, gy2 = (a.reshape((m, n), order="F") for a in (u, gx, gy))
-        for edges, grid in ((gx2, px), (gy2.T, px.T)):
-            edges[0] = (grid[1] - grid[0]) / h
-            edges[-1] = (grid[-1] - grid[-2]) / h
-        p = config.exponent_p
-        potential = h2 * float(np.sum((gx**2 + gy**2 + config.epsilon) ** (p / 2.0)) / p)
-    return kinetic, potential
+        # 0.0 - x: a constant image, whose F u is zero, logs +0, not -0
+        return 0.5 * h2 * vv, 0.5 * h2 * float(0.0 - state.u @ state.Fu)
 
 
 class _StopTracker:
@@ -310,7 +295,7 @@ class _StopTracker:
             self.log.degenerate_rde = True
         return rde_val
 
-    def stops(self, state: FlowState, config: SolverConfig) -> bool:
+    def stops(self, state: FlowState) -> bool:
         """Logs the step that produced ``state``; True if the rule fires on it."""
         rde_val = sig = float("nan")
         if self.with_rde or self.with_sigma:
@@ -320,7 +305,7 @@ class _StopTracker:
                 if self.with_sigma:
                     sig = discrepancy(state.u, self.u0, 0.0, u0_norm=self.u0_norm).sigma
         if self.keep_trajectory:
-            self.log.records.append(self._record(state, config, rde_val, sig))
+            self.log.records.append(self._record(state, rde_val, sig))
         self.log.steps = state.k
         reason = None
         if isinstance(self.rule, RdeStop) and rde_val < self.rule.tolerance:
@@ -334,12 +319,12 @@ class _StopTracker:
         return reason is not None
 
     @staticmethod
-    def _record(state: FlowState, config: SolverConfig, rde_val: float, sig: float):
+    def _record(state: FlowState, rde_val: float, sig: float):
         with np.errstate(over="ignore", invalid="ignore"):
             vv = float(state.v @ state.v)
             # np.linalg.norm(v) is exactly sqrt(v @ v)
             vnorm = float(np.sqrt(vv))
-        kinetic, potential = energies(state, config, vv)
+        kinetic, potential = energies(state, vv)
         return TrajectoryRecord(
             step=state.k,
             t=state.t,
@@ -359,7 +344,7 @@ def _run(u0: ImageGrid, config: SolverConfig, advance, keep_trajectory: bool):
     try:
         for _ in range(config.max_steps):
             state = advance(state, config)
-            if tracker.stops(state, config):
+            if tracker.stops(state):
                 break
     except DivergenceError as err:
         err.partial_log = tracker.log

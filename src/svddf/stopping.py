@@ -45,9 +45,13 @@ class RdeStop:
                 raise ParameterError(f"n0 must be non-negative, got {self.n0}")
 
     def band_threshold(self, rows: int, cols: int) -> int:
-        if self.n0 is not None:
-            return self.n0
-        return default_band_threshold(rows, cols)
+        """The threshold on a rows x cols image; an explicit n0 above its largest index sum raises."""
+        if self.n0 is None:
+            return default_band_threshold(rows, cols)
+        if self.n0 > rows + cols - 2:
+            raise ParameterError(f"n0 = {self.n0} leaves the band empty: the largest index sum "
+                                 f"of a {rows} x {cols} image is {rows + cols - 2}")
+        return self.n0
 
 
 @dataclass(frozen=True)

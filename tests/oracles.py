@@ -158,12 +158,6 @@ def windowed_diagonal(ci, cj):
     return diag.ravel(order="F")
 
 
-def gradient_potential(pixels, h, epsilon, p):
-    """h^2 * sum((|grad u|^2 + epsilon)^(p/2)) / p with ``np.gradient``'s differences."""
-    gx, gy = np.gradient(np.asfortranarray(pixels), h)
-    return h**2 * float(np.sum((gx**2 + gy**2 + epsilon) ** (p / 2.0)) / p)
-
-
 def naive_dft_energy(pixels, n0):
     """High-frequency energy from an O(M^2 N^2) direct DFT double sum."""
     m, n = pixels.shape

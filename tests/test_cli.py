@@ -311,8 +311,9 @@ class TestDenoise:
             ("stop=bogus\n", [], "invalid value for stop: 'bogus'"),
             ("method=bogus\n", [], "invalid value for method: 'bogus'"),
             ("", ["--n0", "-1"], "n0 must be non-negative, got -1"),
+            ("", ["--n0", "47"], "n0 = 47 leaves the band empty: the largest index sum of a 24 x 24 image is 46"),
         ],
-        ids=["flag-dt", "config-n0", "config-stop", "config-method", "flag-negative-n0"],
+        ids=["flag-dt", "config-n0", "config-stop", "config-method", "flag-negative-n0", "flag-empty-band-n0"],
     )
     def test_malformed_value_exits_2(self, tmp_path, noisy_pgm, capsys, conf_text, flags, message):
         conf = tmp_path / "run.conf"
@@ -694,6 +695,8 @@ class TestSweep:
             (["--etas", "1,inf", "--ps", "1"], "eta must be finite, got inf"),
             (["--etas", "1", "--ps", "1,3"], "p must lie in [1, 2], got 3.0"),
             (["--etas", "1", "--ps", "1", "--n0", "-1"], "n0 must be non-negative, got -1"),
+            (["--etas", "1,2", "--ps", "1", "--n0", "47"],
+             "n0 = 47 leaves the band empty: the largest index sum of a 24 x 24 image is 46"),
         ],
     )
     def test_invalid_cell_exits_2_before_writing(self, tmp_path, disk_pgm, noisy_pgm, capsys, lists, message):
@@ -783,7 +786,7 @@ class TestSweepCells:
     def test_sweep_evaluates_only_the_stopping_quantity(
         self, tmp_path, disk_pgm, noisy_pgm, capsys, monkeypatch, stop
     ):
-        calls = dict.fromkeys(("energies", "high_freq_energy", "discrepancy"), 0)
+        calls = dict.fromkeys(("energies", "high_freq_energy", "discrepancy", "apply"), 0)
         for name in calls:
             original = getattr(svddf.flow, name)
 
@@ -798,7 +801,7 @@ class TestSweepCells:
         expected = {
             "rde": {"high_freq_energy": total + len(steps)},  # once per step plus once at start
             "discrepancy": {"discrepancy": total},
-        }.get(stop, {})
+        }.get(stop, {}) | {"apply": total + len(steps)}  # one stencil product per step, one per startup state
         assert calls == {name: expected.get(name, 0) for name in calls}
 
         # denoise keeps every trajectory column
@@ -806,7 +809,8 @@ class TestSweepCells:
         out = tmp_path / "denoise"
         assert main(["denoise", str(noisy_pgm), "--out", str(out)] + flags) == 0
         n = len((out / "disk_noisy_trajectory.csv").read_text().splitlines()) - 1
-        assert calls == {"energies": n, "high_freq_energy": n + 1, "discrepancy": n}
+        # the logged potential reads the step's stored product: no extra apply
+        assert calls == {"energies": n, "high_freq_energy": n + 1, "discrepancy": n, "apply": n + 1}
 
 
 class TestMetrics:
@@ -833,3 +837,18 @@ class TestMetrics:
 
     def test_usage_error_exit_code(self):
         assert main(["metrics", "--clean", "x.pgm"]) == 2
+
+
+def test_abbreviated_flag_exits_2(tmp_path, disk_pgm, noisy_pgm, capsys):
+    # no verb reads an abbreviation as the flag it abbreviates
+    cases = [
+        (["add-noise", str(disk_pgm), "--del", "0.3"], "unrecognized arguments: --del 0.3"),
+        (["denoise", str(noisy_pgm), "--stop", "none", "--max", "5"], "unrecognized arguments: --max 5"),
+        (["metrics", "--clean", str(disk_pgm), "--noisy", str(noisy_pgm), "--den", str(disk_pgm)],
+         "the following arguments are required: --denoised"),
+    ]
+    for i, (argv, message) in enumerate(cases):
+        out = tmp_path / f"bad{i}"
+        assert main(argv + ["--out", str(out)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()

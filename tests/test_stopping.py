@@ -107,6 +107,21 @@ class TestRde:
             RdeStop(tolerance=1e-4, n0=n0)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize("runner", [run_svddf, svddf.run_first_order])
+    @pytest.mark.parametrize("rows, cols", [(6, 6), (4, 9)])
+    def test_n0_with_an_empty_band_rejected(self, rng, runner, rows, cols):
+        # n0 = rows + cols - 2 keeps one frequency, the largest index sum, in the band
+        largest = rows + cols - 2
+        g = random_grid(rng, rows, cols)
+        configs = [SolverConfig(dt_rule="fixed", dt_fixed=0.01, max_steps=3, stopping=RdeStop(tolerance=1e-9, n0=n0))
+                   for n0 in (largest, largest + 1)]
+        assert runner(g, configs[0])[1].final_step() == 3
+        with pytest.raises(svddf.ParameterError) as err:
+            runner(g, configs[1])
+        assert str(err.value) == (
+            f"n0 = {largest + 1} leaves the band empty: the largest index sum of a {rows} x {cols} image is {largest}"
+        )
+
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(svddf.ParameterError) as err:
             rde(random_grid(rng, 4, 4), random_grid(rng, 4, 5), 2)
