@@ -53,11 +53,18 @@ class GaussianKernel:
 
 
 def make_kernel(sigma: float = 1.0) -> GaussianKernel:
-    """Taps of G_sigma and its derivative out to radius ceil(3*sqrt(sigma)), three standard deviations."""
+    """Taps of G_sigma and its derivative out to radius ceil(3*sqrt(sigma)), three standard deviations.
+
+    A sigma whose taps numpy cannot index or allocate raises ParameterError.
+    """
     if not (sigma > 0):
         raise ParameterError(f"sigma must be positive, got {sigma}")
     radius = math.ceil(3.0 * math.sqrt(sigma))
-    t = np.arange(-radius, radius + 1, dtype=np.float64)
+    try:
+        t = np.arange(-radius, radius + 1, dtype=np.float64)
+    except (ValueError, MemoryError):  # more taps than numpy can index or allocate
+        raise ParameterError(f"sigma = {sigma:g} is too large: radius {radius:g} needs {2 * radius + 1:g} "
+                             "taps, more than numpy can allocate") from None
     g = np.exp(-(t**2) / (2.0 * sigma))
     g /= g.sum()
     # correlation taps: response to a unit ramp is sum(t * dg) ~ 1
@@ -200,24 +207,20 @@ def diffusivity_half(u: ImageGrid, epsilon: float, p: float, kernel: GaussianKer
     Midpoint gradient components are the mean of the two adjacent node
     values, mirroring the midpoint averaging used for the image itself.
     The coefficients come in the stencil's layout (see DiffusivityField).
-    p = 2 gives a = 1 exactly (see constant_diffusivity), without a gradient.
     """
     if not (epsilon > 0):
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
     if not (1.0 <= p <= 2.0):
         raise ParameterError(f"p must lie in [1, 2], got {p}")
     u.require_min_size()
-    m, n = u.shape
-    if constant_diffusivity(p):
-        a_i, a_j = np.ones((m, n), order="F"), np.ones((m, n), order="F")
-    else:
-        # huge gradients overflow to inf and give the correct limit a -> 0
-        # for p < 2; keep that path silent
-        with np.errstate(over="ignore", invalid="ignore"):
-            gx, gy = grad_gaussian(u, kernel)
-            expo = (p - 2.0) / 2.0
-            # shifts of 1 pair row neighbours, shifts of m column neighbours
-            a_i, a_j = (_midpoint_coefficients(gx, gy, s, epsilon, expo) for s in (1, m))
+    m = u.shape[0]
+    # huge gradients overflow to inf and give the correct limit a -> 0
+    # for p < 2, and a = 1 for p = 2 (x**0 is 1 for inf and nan); keep that path silent
+    with np.errstate(over="ignore", invalid="ignore"):
+        gx, gy = grad_gaussian(u, kernel)
+        expo = (p - 2.0) / 2.0
+        # shifts of 1 pair row neighbours, shifts of m column neighbours
+        a_i, a_j = (_midpoint_coefficients(gx, gy, s, epsilon, expo) for s in (1, m))
     # the flat pairs across the border: last row and next column's first row, last column and none
     a_i[-1] = 0.0
     a_j[:, -1] = 0.0

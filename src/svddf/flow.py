@@ -98,6 +98,7 @@ class SolverConfig:
             raise ParameterError(
                 f"stopping must be RdeStop, DiscrepancyStop, AprioriStop or MaxStepsOnly, got {self.stopping!r}"
             )
+        self.kernel()  # a sigma whose taps numpy cannot form is refused here, before any run
 
     def kernel(self):
         return _cached_kernel(self.sigma)
@@ -261,95 +262,78 @@ def energies(state: FlowState, vv: float | None = None) -> tuple[float, float]:
         return 0.5 * h2 * vv, 0.5 * h2 * float(0.0 - state.u @ state.Fu)
 
 
-class _StopTracker:
-    """Evaluates the configured rule on every step and keeps the run's log.
+def _record(state: FlowState, rde_val: float, sig: float) -> TrajectoryRecord:
+    with np.errstate(over="ignore", invalid="ignore"):
+        vv = float(state.v @ state.v)
+        # np.linalg.norm(v) is exactly sqrt(v @ v)
+        vnorm = float(np.sqrt(vv))
+    kinetic, potential = energies(state, vv)
+    return TrajectoryRecord(
+        step=state.k,
+        t=state.t,
+        dt=state.last_dt,
+        lambda_max=state.last_lambda,
+        vnorm=vnorm,
+        rde=rde_val,
+        sigma=sig,
+        kinetic=kinetic,
+        potential=potential,
+    )
+
+
+def _run(u0: ImageGrid, config: SolverConfig, advance, keep_trajectory: bool):
+    """Step with ``advance`` until the configured rule fires; returns the image and its log.
 
     With ``keep_trajectory`` every step appends a full record.  Without it
     only the rule's own quantity is formed: the band energy for rde, sigma
     for the discrepancy rule, t for the a-priori rule, nothing for max-steps.
     """
-
-    def __init__(self, rule: StoppingRule, u0: ImageGrid, keep_trajectory: bool):
-        self.rule = rule
-        self.keep_trajectory = keep_trajectory
-        self.log = TrajectoryLog()
-        self.u0 = vec(u0)
-        self.u0_norm = float(np.linalg.norm(self.u0))
-        if self.u0_norm == 0.0:
-            raise DegenerateInputError("noisy data has zero norm")
-        self.shape = u0.shape
-        self.with_rde = keep_trajectory or isinstance(rule, RdeStop)
-        self.with_sigma = keep_trajectory or isinstance(rule, DiscrepancyStop)
-        if self.with_rde:
-            band = rule.band_threshold if isinstance(rule, RdeStop) else default_band_threshold
-            self.n0 = band(*self.shape)
-            self.prev_energy = high_freq_energy(u0.pixels, self.n0)
-        self.horizon = rule.horizon() if isinstance(rule, AprioriStop) else None
-
-    def _rde(self, uvec: np.ndarray) -> float:
-        energy = high_freq_energy(uvec.reshape(self.shape, order="F"), self.n0)
-        degenerate = self.prev_energy == 0.0
-        rde_val = 0.0 if degenerate else abs(energy - self.prev_energy) / self.prev_energy
-        self.prev_energy = energy
-        if degenerate:
-            self.log.degenerate_rde = True
-        return rde_val
-
-    def stops(self, state: FlowState) -> bool:
-        """Logs the step that produced ``state``; True if the rule fires on it."""
-        rde_val = sig = float("nan")
-        if self.with_rde or self.with_sigma:
-            with np.errstate(over="ignore", invalid="ignore"):
-                if self.with_rde:
-                    rde_val = self._rde(state.u)
-                if self.with_sigma:
-                    sig = discrepancy(state.u, self.u0, 0.0, u0_norm=self.u0_norm).sigma
-        if self.keep_trajectory:
-            self.log.records.append(self._record(state, rde_val, sig))
-        self.log.steps = state.k
-        reason = None
-        if isinstance(self.rule, RdeStop) and rde_val < self.rule.tolerance:
-            reason = "rde"
-        elif isinstance(self.rule, DiscrepancyStop) and sig - self.rule.delta >= 0.0:
-            reason = "discrepancy"
-        elif isinstance(self.rule, AprioriStop) and state.t >= self.horizon:
-            reason = "a-priori"
-        if reason is not None:
-            self.log.stopped_by = reason
-        return reason is not None
-
-    @staticmethod
-    def _record(state: FlowState, rde_val: float, sig: float):
-        with np.errstate(over="ignore", invalid="ignore"):
-            vv = float(state.v @ state.v)
-            # np.linalg.norm(v) is exactly sqrt(v @ v)
-            vnorm = float(np.sqrt(vv))
-        kinetic, potential = energies(state, vv)
-        return TrajectoryRecord(
-            step=state.k,
-            t=state.t,
-            dt=state.last_dt,
-            lambda_max=state.last_lambda,
-            vnorm=vnorm,
-            rde=rde_val,
-            sigma=sig,
-            kinetic=kinetic,
-            potential=potential,
-        )
-
-
-def _run(u0: ImageGrid, config: SolverConfig, advance, keep_trajectory: bool):
     state = initial_state(u0, config)
-    tracker = _StopTracker(config.stopping, u0, keep_trajectory)
+    rule = config.stopping
+    log = TrajectoryLog()
+    data = state.u  # vec(u0), the noisy data the discrepancy is measured against
+    data_norm = float(np.linalg.norm(data))
+    if data_norm == 0.0:
+        raise DegenerateInputError("noisy data has zero norm")
+    with_rde = keep_trajectory or isinstance(rule, RdeStop)
+    with_sigma = keep_trajectory or isinstance(rule, DiscrepancyStop)
+    if with_rde:
+        band = rule.band_threshold if isinstance(rule, RdeStop) else default_band_threshold
+        n0 = band(*u0.shape)
+        prev_energy = high_freq_energy(u0.pixels, n0)
+    horizon = rule.horizon() if isinstance(rule, AprioriStop) else None
     try:
         for _ in range(config.max_steps):
             state = advance(state, config)
-            if tracker.stops(state):
+            rde_val = sig = float("nan")
+            with np.errstate(over="ignore", invalid="ignore"):
+                if with_rde:
+                    energy = high_freq_energy(state.u.reshape(u0.shape, order="F"), n0)
+                    if prev_energy == 0.0:
+                        rde_val = 0.0
+                        log.degenerate_rde = True
+                    else:
+                        rde_val = abs(energy - prev_energy) / prev_energy
+                    prev_energy = energy
+                if with_sigma:
+                    sig = discrepancy(state.u, data, 0.0, u0_norm=data_norm).sigma
+            if keep_trajectory:
+                log.records.append(_record(state, rde_val, sig))
+            log.steps = state.k
+            reason = None
+            if isinstance(rule, RdeStop) and rde_val < rule.tolerance:
+                reason = "rde"
+            elif isinstance(rule, DiscrepancyStop) and sig - rule.delta >= 0.0:
+                reason = "discrepancy"
+            elif isinstance(rule, AprioriStop) and state.t >= horizon:
+                reason = "a-priori"
+            if reason is not None:
+                log.stopped_by = reason
                 break
     except DivergenceError as err:
-        err.partial_log = tracker.log
+        err.partial_log = log
         raise
-    return array(state.u, state.F_prev.rows, state.F_prev.cols, spacing=state.spacing), tracker.log
+    return array(state.u, state.F_prev.rows, state.F_prev.cols, spacing=state.spacing), log
 
 
 def run_svddf(
@@ -357,9 +341,7 @@ def run_svddf(
 ) -> tuple[ImageGrid, TrajectoryLog]:
     """Iterate the damped Stormer-Verlet flow until the stopping rule fires.
 
-    ``keep_trajectory=False`` skips the per-step records and every quantity
-    the stopping rule does not read; the log then holds only the stop
-    reason and step.
+    ``keep_trajectory=False`` keeps no per-step records; see :func:`_run`.
     """
     return _run(u0, config, sv_step, keep_trajectory)
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, ParameterError
+from .errors import DegenerateInputError, DimensionError, ParameterError
 from .grid import ImageGrid
 
 
@@ -157,6 +157,8 @@ def discrepancy(
     """
     u_k = np.asarray(u_k, dtype=np.float64).ravel()
     u0 = np.asarray(u0, dtype=np.float64).ravel()
+    if u_k.shape != u0.shape:
+        raise DimensionError(f"length mismatch: {u_k.shape} vs {u0.shape}")
     denom = np.linalg.norm(u0) if u0_norm is None else u0_norm
     if denom == 0.0:
         raise DegenerateInputError("noisy data has zero norm")

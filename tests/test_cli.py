@@ -367,6 +367,21 @@ class TestDenoise:
         assert capsys.readouterr().err == f"error: {field} must be finite, got inf\n"
         assert not out.exists()
 
+    # numpy refuses the taps of both: an index range past its limit, then an allocation of 42.6 PiB
+    @pytest.mark.parametrize("verb", ["denoise", "sweep"])
+    @pytest.mark.parametrize("sigma, message", [
+        ("1e300", "sigma = 1e+300 is too large: radius 3e+150 needs 6e+150 taps"),
+        ("1e30", "sigma = 1e+30 is too large: radius 3e+15 needs 6e+15 taps"),
+    ])
+    def test_sigma_without_formable_taps_exits_2(self, tmp_path, disk_pgm, noisy_pgm, capsys, verb, sigma, message):
+        out = tmp_path / "bad"
+        argv = [verb, str(noisy_pgm), "--stop", "none", "--max-steps", "3", "--out", str(out), "--sigma", sigma]
+        if verb == "sweep":
+            argv += ["--clean", str(disk_pgm), "--etas", "2", "--ps", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: {message}, more than numpy can allocate\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flags, message",
         [

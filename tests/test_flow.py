@@ -28,7 +28,7 @@ from svddf import (
     to_dense,
     vec,
 )
-from svddf.flow import _first_order_step, _StopTracker
+from svddf.flow import _first_order_step, _record
 
 from conftest import random_grid
 from oracles import (
@@ -135,6 +135,11 @@ CONFIG_REJECTIONS = [
     ("eta", {"eta": math.inf}, "eta must be finite, got inf"),
     ("epsilon", {"epsilon": math.inf}, "epsilon must be finite, got inf"),
     ("sigma", {"sigma": math.inf}, "sigma must be finite, got inf"),
+    (
+        "sigma",
+        {"sigma": 1e300},
+        "sigma = 1e+300 is too large: radius 3e+150 needs 6e+150 taps, more than numpy can allocate",
+    ),
     ("dt_fixed", {"dt_rule": "fixed", "dt_fixed": math.inf}, "dt_fixed must be finite, got inf"),
     ("dt_max", {"dt_max": math.inf}, "dt_max must be finite, got inf"),
     ("max_steps", {"max_steps": 2.5}, "max_steps must be an integer, got 2.5"),
@@ -583,6 +588,21 @@ class TestTrajectoryLog:
         assert log.stopped_by == "rde"
         assert log.final_step() == 1
 
+    @pytest.mark.parametrize("keep", [True, False])
+    @pytest.mark.parametrize("runner", [run_svddf, run_first_order])
+    @pytest.mark.parametrize("n", [8, 9])
+    def test_constant_image_band_energy_is_degenerate(self, n, runner, keep):
+        # the band energy of a constant image is exactly 0.0, so the first relative change reads 0.0
+        cfg = SolverConfig(dt_rule="fixed", dt_fixed=0.1, max_steps=50, stopping=RdeStop(tolerance=1e-6))
+        _, log = runner(ImageGrid(np.full((n, n), 0.6)), cfg, keep_trajectory=keep)
+        assert (log.stopped_by, log.final_step(), log.degenerate_rde) == ("rde", 1, True)
+
+    def test_noisy_image_band_energy_is_not_degenerate(self):
+        cfg = SolverConfig(dt_rule="fixed", dt_fixed=0.15, max_steps=120, stopping=RdeStop(tolerance=1e-2))
+        _, log = run_svddf(noisy_disk(), cfg)
+        assert log.final_step() > 1
+        assert not log.degenerate_rde
+
 
 STOP_RULES = [
     RdeStop(tolerance=1e-2),
@@ -647,7 +667,7 @@ class TestWithoutTrajectory:
             return apply(*args)
 
         monkeypatch.setattr(svddf.flow, "apply", counted)
-        record = _StopTracker._record(state, 0.0, 0.0)
+        record = _record(state, 0.0, 0.0)
         # the potential reads the product sv_step stored; the log forms none
         assert products == []
         assert record.vnorm == float(np.linalg.norm(state.v))

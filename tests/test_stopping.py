@@ -152,6 +152,13 @@ class TestDiscrepancy:
         with pytest.raises(svddf.DegenerateInputError):
             discrepancy(np.ones(4), np.zeros(4), 0.1, u0_norm=0.0)
 
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_length_mismatch_rejected(self, size):
+        # a length-1 iterate would broadcast against the data
+        with pytest.raises(svddf.DimensionError) as err:
+            discrepancy(np.ones(size), np.full(4, 2.0), 0.1)
+        assert str(err.value) == f"length mismatch: ({size},) vs (4,)"
+
     def test_given_data_norm_gives_same_bits(self, rng):
         u0 = rng.uniform(size=50)
         u = u0 + 0.1 * rng.standard_normal(50)
