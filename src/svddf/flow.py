@@ -31,6 +31,7 @@ from .stopping import (
     MaxStepsOnly,
     RdeStop,
     StoppingRule,
+    _rde_change,
     default_band_threshold,
     discrepancy,
     high_freq_energy,
@@ -310,10 +311,8 @@ def _run(u0: ImageGrid, config: SolverConfig, advance, keep_trajectory: bool):
                 if with_rde:
                     energy = high_freq_energy(state.u.reshape(u0.shape, order="F"), n0)
                     if prev_energy == 0.0:
-                        rde_val = 0.0
                         log.degenerate_rde = True
-                    else:
-                        rde_val = abs(energy - prev_energy) / prev_energy
+                    rde_val = _rde_change(energy, prev_energy)
                     prev_energy = energy
                 if with_sigma:
                     sig = discrepancy(state.u, data, 0.0, u0_norm=data_norm).sigma

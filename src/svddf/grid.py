@@ -134,13 +134,18 @@ def synth_image(kind: str, rows: int, cols: int) -> ImageGrid:
     return ImageGrid(px)
 
 
-def rel_l2(u: np.ndarray, ref: np.ndarray) -> float:
-    """Relative Euclidean distance ||u - ref||_2 / ||ref||_2."""
+def _relative_distance(u, ref, ref_norm: float | None = None, ref_name: str = "reference vector") -> float:
+    """||u - ref||_2 / ||ref||_2 of equal-length flat views; ``ref_norm`` is ||ref||_2 if the caller holds it."""
     u = np.asarray(u, dtype=np.float64).ravel()
     ref = np.asarray(ref, dtype=np.float64).ravel()
     if u.shape != ref.shape:
         raise DimensionError(f"length mismatch: {u.shape} vs {ref.shape}")
-    denom = np.linalg.norm(ref)
+    denom = np.linalg.norm(ref) if ref_norm is None else ref_norm
     if denom == 0.0:
-        raise DegenerateInputError("reference vector has zero norm")
+        raise DegenerateInputError(f"{ref_name} has zero norm")
     return float(np.linalg.norm(u - ref) / denom)
+
+
+def rel_l2(u: np.ndarray, ref: np.ndarray) -> float:
+    """Relative Euclidean distance ||u - ref||_2 / ||ref||_2."""
+    return _relative_distance(u, ref)

@@ -77,13 +77,12 @@ def ssim(u: ImageGrid, ref: ImageGrid) -> float:
 class EvalReport:
     ssim_noisy: float
     ssim_denoised: float
-    rel_err_noisy: float
     rel_err_denoised: float
     improved: bool
 
 
 def evaluate(clean: ImageGrid, noisy: ImageGrid, denoised: ImageGrid) -> EvalReport:
-    """SSIM and relative error of both the noisy input and the result against clean."""
+    """SSIM of both the noisy input and the result against clean, and the result's relative error."""
     if not (clean.shape == noisy.shape == denoised.shape):
         raise DimensionError(
             f"shape mismatch: clean {clean.shape}, noisy {noisy.shape}, denoised {denoised.shape}"
@@ -93,7 +92,6 @@ def evaluate(clean: ImageGrid, noisy: ImageGrid, denoised: ImageGrid) -> EvalRep
     return EvalReport(
         ssim_noisy=s_noisy,
         ssim_denoised=s_den,
-        rel_err_noisy=rel_l2(vec(noisy), vec(clean)),
         rel_err_denoised=rel_l2(vec(denoised), vec(clean)),
         improved=s_den > s_noisy,
     )

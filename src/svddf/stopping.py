@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateInputError, DimensionError, ParameterError
-from .grid import ImageGrid
+from .errors import DimensionError, ParameterError
+from .grid import ImageGrid, _relative_distance
 
 
 def default_band_threshold(rows: int, cols: int) -> int:
@@ -127,6 +127,13 @@ def high_freq_energy(u: ImageGrid | np.ndarray, n0: int) -> float:
     return float(np.vdot(_band_weights(m, n, n0), power))
 
 
+def _rde_change(energy: float, prev: float) -> float:
+    """|energy - prev| / prev, or 0.0 when the previous band energy is exactly 0.0."""
+    if prev == 0.0:
+        return 0.0
+    return abs(energy - prev) / prev
+
+
 def rde(u_k: ImageGrid, u_km1: ImageGrid, n0: int) -> float:
     """Relative change of high-frequency energy between consecutive iterates.
 
@@ -134,12 +141,10 @@ def rde(u_k: ImageGrid, u_km1: ImageGrid, n0: int) -> float:
     0.0 so that any threshold treats it as "stop".
     """
     if u_k.shape != u_km1.shape:
-        raise ParameterError(f"shape mismatch: {u_k.shape} vs {u_km1.shape}")
+        raise DimensionError(f"shape mismatch: {u_k.shape} vs {u_km1.shape}")
     prev = high_freq_energy(u_km1, n0)
     cur = high_freq_energy(u_k, n0)
-    if prev == 0.0:
-        return 0.0
-    return abs(cur - prev) / prev
+    return _rde_change(cur, prev)
 
 
 @dataclass(frozen=True)
@@ -155,16 +160,8 @@ def discrepancy(
 
     ``u0_norm`` is ||u0||, for a caller that evaluates many iterates against the same data.
     """
-    u_k = np.asarray(u_k, dtype=np.float64).ravel()
-    u0 = np.asarray(u0, dtype=np.float64).ravel()
-    if u_k.shape != u0.shape:
-        raise DimensionError(f"length mismatch: {u_k.shape} vs {u0.shape}")
-    denom = np.linalg.norm(u0) if u0_norm is None else u0_norm
-    if denom == 0.0:
-        raise DegenerateInputError("noisy data has zero norm")
-    sigma = float(np.linalg.norm(u_k - u0) / denom)
-    chi = sigma - delta
-    return DiscrepancyResult(sigma=sigma, chi=chi)
+    sigma = _relative_distance(u_k, u0, u0_norm, "noisy data")
+    return DiscrepancyResult(sigma=sigma, chi=sigma - delta)
 
 
 def _check_delta(delta: float) -> None:

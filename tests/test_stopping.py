@@ -16,6 +16,7 @@ from svddf import (
     discrepancy,
     high_freq_energy,
     rde,
+    rel_l2,
     run_svddf,
     synth_image,
     vec,
@@ -123,7 +124,7 @@ class TestRde:
         )
 
     def test_shape_mismatch_rejected(self, rng):
-        with pytest.raises(svddf.ParameterError) as err:
+        with pytest.raises(svddf.DimensionError) as err:
             rde(random_grid(rng, 4, 4), random_grid(rng, 4, 5), 2)
         assert str(err.value) == "shape mismatch: (4, 4) vs (4, 5)"
 
@@ -158,6 +159,29 @@ class TestDiscrepancy:
         with pytest.raises(svddf.DimensionError) as err:
             discrepancy(np.ones(size), np.full(4, 2.0), 0.1)
         assert str(err.value) == f"length mismatch: ({size},) vs (4,)"
+
+    @given(
+        size=st.integers(1, 50),
+        other=st.integers(1, 50),
+        spread=st.floats(0.0, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_sigma_is_rel_l2(self, size, other, spread, seed):
+        # one relative distance serves both: the same bits, and the same error for mismatched lengths
+        rng = np.random.default_rng(seed)
+        u0 = rng.standard_normal(size)
+        u = u0 + spread * rng.standard_normal(size)
+        expected = rel_l2(u, u0)
+        assert discrepancy(u, u0, 0.1).sigma == expected
+        assert discrepancy(u, u0, 0.1, u0_norm=float(np.linalg.norm(u0))).sigma == expected
+        if other != size:
+            w = rng.standard_normal(other)
+            with pytest.raises(svddf.DimensionError) as from_rel_l2:
+                rel_l2(w, u0)
+            with pytest.raises(svddf.DimensionError) as from_discrepancy:
+                discrepancy(w, u0, 0.1)
+            assert str(from_discrepancy.value) == str(from_rel_l2.value) == f"length mismatch: ({other},) vs ({size},)"
 
     def test_given_data_norm_gives_same_bits(self, rng):
         u0 = rng.uniform(size=50)
