@@ -26,10 +26,7 @@ from .errors import DegenerateInputError, DivergenceError, ParameterError
 from .grid import ImageGrid, array, vec
 from .stencil import SparseOperator, apply, assemble, lambda_max
 from .stopping import (
-    AprioriStop,
-    DiscrepancyStop,
     MaxStepsOnly,
-    RdeStop,
     StoppingRule,
     _rde_change,
     default_band_threshold,
@@ -286,8 +283,8 @@ def _run(u0: ImageGrid, config: SolverConfig, advance, keep_trajectory: bool):
     """Step with ``advance`` until the configured rule fires; returns the image and its log.
 
     With ``keep_trajectory`` every step appends a full record.  Without it
-    only the rule's own quantity is formed: the band energy for rde, sigma
-    for the discrepancy rule, t for the a-priori rule, nothing for max-steps.
+    only the quantity the rule reads (``rule.reads``) is formed.  Each step
+    ends with the one stop test ``rule.fired``.
     """
     state = initial_state(u0, config)
     rule = config.stopping
@@ -296,13 +293,12 @@ def _run(u0: ImageGrid, config: SolverConfig, advance, keep_trajectory: bool):
     data_norm = float(np.linalg.norm(data))
     if data_norm == 0.0:
         raise DegenerateInputError("noisy data has zero norm")
-    with_rde = keep_trajectory or isinstance(rule, RdeStop)
-    with_sigma = keep_trajectory or isinstance(rule, DiscrepancyStop)
+    with_rde = keep_trajectory or rule.reads == "rde"
+    with_sigma = keep_trajectory or rule.reads == "sigma"
     if with_rde:
-        band = rule.band_threshold if isinstance(rule, RdeStop) else default_band_threshold
+        band = rule.band_threshold if rule.reads == "rde" else default_band_threshold
         n0 = band(*u0.shape)
         prev_energy = high_freq_energy(u0.pixels, n0)
-    horizon = rule.horizon() if isinstance(rule, AprioriStop) else None
     try:
         for _ in range(config.max_steps):
             state = advance(state, config)
@@ -319,15 +315,8 @@ def _run(u0: ImageGrid, config: SolverConfig, advance, keep_trajectory: bool):
             if keep_trajectory:
                 log.records.append(_record(state, rde_val, sig))
             log.steps = state.k
-            reason = None
-            if isinstance(rule, RdeStop) and rde_val < rule.tolerance:
-                reason = "rde"
-            elif isinstance(rule, DiscrepancyStop) and sig - rule.delta >= 0.0:
-                reason = "discrepancy"
-            elif isinstance(rule, AprioriStop) and state.t >= horizon:
-                reason = "a-priori"
-            if reason is not None:
-                log.stopped_by = reason
+            if rule.fired(rde_val, sig, state.t):
+                log.stopped_by = rule.reason
                 break
     except DivergenceError as err:
         err.partial_log = log

@@ -32,6 +32,8 @@ class RdeStop:
 
     tolerance: float
     n0: int | None = None
+    reads = "rde"
+    reason = "rde"
 
     def __post_init__(self):
         if not (self.tolerance > 0):
@@ -53,15 +55,23 @@ class RdeStop:
                                  f"of a {rows} x {cols} image is {rows + cols - 2}")
         return self.n0
 
+    def fired(self, rde: float, sigma: float, t: float) -> bool:
+        return rde < self.tolerance
+
 
 @dataclass(frozen=True)
 class DiscrepancyStop:
     """Stop at the first step whose relative distance to the data reaches delta."""
 
     delta: float
+    reads = "sigma"
+    reason = "discrepancy"
 
     def __post_init__(self):
         _check_delta(self.delta)
+
+    def fired(self, rde: float, sigma: float, t: float) -> bool:
+        return sigma - self.delta >= 0.0
 
 
 @dataclass(frozen=True)
@@ -72,6 +82,8 @@ class AprioriStop:
     c2: float
     gamma: float
     delta: float
+    reads = "t"
+    reason = "a-priori"
 
     def __post_init__(self):
         self.horizon()  # a_priori_T validates c1, c2, gamma and delta
@@ -79,12 +91,21 @@ class AprioriStop:
     def horizon(self) -> float:
         return a_priori_T(self.delta, self.c1, self.c2, self.gamma)
 
+    def fired(self, rde: float, sigma: float, t: float) -> bool:
+        return t >= self.horizon()
+
 
 @dataclass(frozen=True)
 class MaxStepsOnly:
     """No early termination; the step budget alone ends the run."""
+    reads = None
+    reason = "max-steps"
+
+    def fired(self, rde: float, sigma: float, t: float) -> bool:
+        return False
 
 
+# reads (the TrajectoryRecord column fired tests) and reason (the stopped_by it sets) are not fields
 StoppingRule = RdeStop | DiscrepancyStop | AprioriStop | MaxStepsOnly
 
 

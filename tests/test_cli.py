@@ -1,4 +1,6 @@
 import math
+import runpy
+import sys
 import types
 
 import numpy as np
@@ -867,3 +869,15 @@ def test_abbreviated_flag_exits_2(tmp_path, disk_pgm, noisy_pgm, capsys):
         assert main(argv + ["--out", str(out)]) == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_module_run_as_a_script_exits_with_mains_code(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(sys, "argv", ["svddf", "denoise", "missing.pgm"])
+    # runpy warns when the module it runs as __main__ is already imported
+    monkeypatch.delitem(sys.modules, "svddf.cli")
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("svddf.cli", run_name="__main__")
+    assert exit_.value.code == 2
+    assert "input file not found: missing.pgm" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

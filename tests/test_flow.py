@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import importlib
 import math
@@ -605,7 +606,7 @@ class TestTrajectoryLog:
 
 
 STOP_RULES = [
-    RdeStop(tolerance=1e-2),
+    RdeStop(tolerance=5e-2),
     DiscrepancyStop(delta=0.2),
     AprioriStop(c1=5.0, c2=1.0, gamma=1.0, delta=0.3),
     MaxStepsOnly(),
@@ -617,10 +618,21 @@ def noisy_disk(n=16, seed=3):
     return svddf.add_noise(clean, svddf.NoiseSpec(delta=0.4, seed=seed))
 
 
+def replayed_stop(rule, csv_path):
+    """(step, reason) at which ``rule`` stops a run, from the trajectory CSV of a longer run."""
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    for row in rows:
+        if rule.fired(float(row["rde"]), float(row["sigma"]), float(row["t"])):
+            return int(row["step"]), rule.reason
+    return int(rows[-1]["step"]), "max-steps"
+
+
 class TestWithoutTrajectory:
-    @pytest.mark.parametrize("runner, dt", [(run_svddf, 0.15), (run_first_order, 0.05)])
+    # first-order at dt 0.02, within its explicit bound 2 / lambda = 0.025 at p = 1
+    @pytest.mark.parametrize("runner, dt", [(run_svddf, 0.15), (run_first_order, 0.02)])
     @pytest.mark.parametrize("rule", STOP_RULES, ids=lambda r: type(r).__name__)
-    def test_same_image_and_stop_as_the_full_log(self, runner, dt, rule):
+    def test_same_image_and_stop_as_the_full_log(self, runner, dt, rule, tmp_path):
         noisy = noisy_disk()
         stops = set()
         for p, eta in ((1.0, 0.001), (1.0, 2.0), (1.5, 100.0), (2.0, 1.0)):
@@ -633,6 +645,10 @@ class TestWithoutTrajectory:
             assert lean.stopped_by == full.stopped_by
             assert len(lean) == 0 and len(full) == full.final_step()
             stops.add(full.final_step())
+            # the rule's own test over a budget-only run's CSV gives the step and reason it stopped at
+            _, budget = runner(noisy, dataclasses.replace(cfg, stopping=MaxStepsOnly()))
+            budget.to_csv(tmp_path / "trajectory.csv")
+            assert replayed_stop(rule, tmp_path / "trajectory.csv") == (full.final_step(), full.stopped_by)
         if isinstance(rule, (RdeStop, DiscrepancyStop)):
             assert len(stops) > 1  # the cells stop at different steps
 

@@ -1,3 +1,6 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +14,7 @@ from svddf import (
     MaxStepsOnly,
     RdeStop,
     SolverConfig,
+    TrajectoryRecord,
     a_priori_T,
     add_noise,
     discrepancy,
@@ -281,6 +285,35 @@ class TestAprioriT:
         _, log = run_svddf(g, cfg)
         assert log.final_step() == 12
         assert log.stopped_by == "max-steps"
+
+
+HORIZON_ONE = AprioriStop(c1=1.0, c2=1.0, gamma=1.0, delta=np.e - 1.0)
+
+
+def just_below(x):
+    return math.nextafter(x, -math.inf)
+
+
+@pytest.mark.parametrize(
+    "rule, reads, field_names, cases",
+    [
+        (RdeStop(0.1), "rde", ("tolerance", "n0"), [(0.1, False), (just_below(0.1), True)]),
+        (DiscrepancyStop(0.2), "sigma", ("delta",), [(0.2, True), (just_below(0.2), False)]),
+        (HORIZON_ONE, "t", ("c1", "c2", "gamma", "delta"),
+         [(HORIZON_ONE.horizon(), True), (just_below(HORIZON_ONE.horizon()), False)]),
+        (MaxStepsOnly(), None, (), [(0.0, False), (math.nan, False), (math.inf, False), (-math.inf, False)]),
+    ],
+    ids=["RdeStop", "DiscrepancyStop", "AprioriStop", "MaxStepsOnly"],
+)
+def test_rule_fires_on_its_side_of_the_threshold(rule, reads, field_names, cases):
+    assert rule.reads == reads
+    assert reads is None or reads in {f.name for f in dataclasses.fields(TrajectoryRecord)}
+    # reads and reason are class attributes, not dataclass fields
+    assert tuple(f.name for f in dataclasses.fields(rule)) == field_names
+    for value, fires in cases:
+        # the value in the column the rule reads (every column for a rule that reads none), nan elsewhere
+        columns = {name: value if reads in (name, None) else math.nan for name in ("rde", "sigma", "t")}
+        assert rule.fired(**columns) is fires, (value, columns)
 
 
 def test_rde_matches_runner_column(rng):
