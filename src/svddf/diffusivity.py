@@ -9,7 +9,6 @@ exponent is non-positive, so every coefficient lies in (0, epsilon^((p-2)/2)].
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -55,11 +54,14 @@ class GaussianKernel:
 def make_kernel(sigma: float = 1.0) -> GaussianKernel:
     """Taps of G_sigma and its derivative out to radius ceil(3*sqrt(sigma)), three standard deviations.
 
-    A sigma whose taps numpy cannot index or allocate raises ParameterError.
+    A sigma whose taps numpy cannot index or allocate, or whose derivative
+    taps t/sigma overflow, raises ParameterError.
     """
     if not (sigma > 0):
         raise ParameterError(f"sigma must be positive, got {sigma}")
     radius = math.ceil(3.0 * math.sqrt(sigma))
+    if radius / float(sigma) == math.inf:  # the largest |t| / sigma
+        raise ParameterError(f"sigma = {sigma} is too small: the derivative taps t/sigma overflow")
     try:
         t = np.arange(-radius, radius + 1, dtype=np.float64)
     except (ValueError, MemoryError):  # more taps than numpy can index or allocate
@@ -70,11 +72,6 @@ def make_kernel(sigma: float = 1.0) -> GaussianKernel:
     # correlation taps: response to a unit ramp is sum(t * dg) ~ 1
     dg = t / sigma * g
     return GaussianKernel(sigma=float(sigma), g=g, dg=dg)
-
-
-@lru_cache(maxsize=32)
-def _cached_kernel(sigma: float) -> GaussianKernel:
-    return make_kernel(sigma)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .diffusivity import _cached_kernel, constant_diffusivity, diffusivity_half
+from .diffusivity import GaussianKernel, constant_diffusivity, diffusivity_half, make_kernel
 from .errors import DegenerateInputError, DivergenceError, ParameterError
 from .grid import ImageGrid, array, vec
 from .stencil import SparseOperator, apply, assemble, lambda_max
@@ -96,10 +96,14 @@ class SolverConfig:
             raise ParameterError(
                 f"stopping must be RdeStop, DiscrepancyStop, AprioriStop or MaxStepsOnly, got {self.stopping!r}"
             )
-        self.kernel()  # a sigma whose taps numpy cannot form is refused here, before any run
+        self._kernel  # make_kernel refuses a sigma it cannot form taps for here, before any run
 
-    def kernel(self):
-        return _cached_kernel(self.sigma)
+    @cached_property
+    def _kernel(self) -> GaussianKernel:
+        return make_kernel(self.sigma)
+
+    def kernel(self) -> GaussianKernel:
+        return self._kernel
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,7 @@ from files; in-memory operations may step outside that range (noise can
 push values slightly above 1).
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,9 @@ class ImageGrid:
             raise ParameterError("pixels contain non-finite values")
         if not (self.spacing > 0):
             raise ParameterError(f"spacing must be positive, got {self.spacing}")
+        h2 = float(self.spacing) * float(self.spacing)  # the stencil scales its couplings by 1/h^2
+        if not (0.0 < h2 < math.inf and 1.0 / h2 < math.inf):
+            raise ParameterError(f"spacing = {self.spacing}: h^2 and 1/h^2 must be finite and positive")
         px.setflags(write=False)
         object.__setattr__(self, "pixels", px)
 

@@ -86,13 +86,17 @@ class AprioriStop:
     reason = "a-priori"
 
     def __post_init__(self):
-        self.horizon()  # a_priori_T validates c1, c2, gamma and delta
+        self._horizon  # a_priori_T validates c1, c2, gamma and delta
 
-    def horizon(self) -> float:
+    @functools.cached_property
+    def _horizon(self) -> float:
         return a_priori_T(self.delta, self.c1, self.c2, self.gamma)
 
+    def horizon(self) -> float:
+        return self._horizon
+
     def fired(self, rde: float, sigma: float, t: float) -> bool:
-        return t >= self.horizon()
+        return t >= self._horizon
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,10 @@
 import math
+import os
 import runpy
+import subprocess
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -382,6 +385,17 @@ class TestDenoise:
             argv += ["--clean", str(disk_pgm), "--etas", "2", "--ps", "1"]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}, more than numpy can allocate\n"
+        assert not out.exists()
+
+    def test_sigma_whose_derivative_taps_overflow_exits_2_without_warnings(self, tmp_path, disk64_pgms):
+        # a separate process, so that numpy's warnings reach stderr as a user sees them
+        out = tmp_path / "bad"
+        argv = ["denoise", str(disk64_pgms[1]), "--sigma", "1e-320", "--max-steps", "2", "--out", str(out)]
+        src = str(Path(svddf.__file__).parents[1])
+        done = subprocess.run([sys.executable, "-m", "svddf.cli", *argv], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode == 2
+        assert done.stderr == "error: sigma = 1e-320 is too small: the derivative taps t/sigma overflow\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -35,6 +35,18 @@ class TestKernel:
             svddf.GaussianKernel(sigma=sigma, g=k.g, dg=k.dg)
         assert str(err.value) == f"sigma must be positive, got {sigma}"
 
+    @pytest.mark.parametrize("sigma", [1e-320, 5.5e-309])
+    def test_sigma_whose_derivative_taps_overflow_rejected(self, sigma):
+        # radius 1: the taps t/sigma = +-1/sigma overflow to inf, and inf * 0 would be nan
+        with pytest.raises(svddf.ParameterError) as err:
+            make_kernel(sigma)
+        assert str(err.value) == f"sigma = {sigma} is too small: the derivative taps t/sigma overflow"
+
+    def test_smallest_sigma_with_finite_taps_accepted(self):
+        k = make_kernel(6e-309)
+        assert k.g.tolist() == [0.0, 1.0, 0.0]
+        assert np.isfinite(k.dg).all()
+
     def test_radius_below_truncation_rejected(self):
         # sigma = 4 needs radius 6 (13 taps); 11 taps reach only radius 5
         t = np.arange(-5, 6, dtype=np.float64)
@@ -140,7 +152,7 @@ class TestDiffusivityHalf:
 
     def test_p2_collapses_to_one(self, rng):
         # the second image's smoothed gradients overflow to inf and nan
-        huge = ImageGrid(1e308 * rng.uniform(-1.0, 1.0, size=(8, 8)), spacing=1e-300)
+        huge = ImageGrid(1e308 * rng.uniform(-1.0, 1.0, size=(8, 8)), spacing=1e-150)
         for g in (random_grid(rng, 8, 8), huge):
             fld = diffusivity_half(g, 1e-2, 2.0, make_kernel(1.0))
             for arr in fld.coefficient_arrays():

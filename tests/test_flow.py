@@ -119,6 +119,7 @@ CONFIG_REJECTIONS = [
     ("eta", {"eta": math.nan}, "eta must be positive, got nan"),
     ("epsilon", {"epsilon": -1e-3}, "epsilon must be positive, got -0.001"),
     ("sigma", {"sigma": 0.0}, "sigma must be positive, got 0.0"),
+    ("sigma", {"sigma": 1e-320}, "sigma = 1e-320 is too small: the derivative taps t/sigma overflow"),
     ("safety", {"safety": 0.0}, "safety must lie in (0, 1], got 0.0"),
     ("safety", {"safety": 1.5}, "safety must lie in (0, 1], got 1.5"),
     ("dt_rule", {"dt_rule": "auto"}, "dt_rule must be 'theorem' or 'fixed', got 'auto'"),
@@ -164,6 +165,14 @@ class TestConfigRejections:
 
     def test_cases_cover_every_field(self):
         assert {case[0] for case in CONFIG_REJECTIONS} == {f.name for f in dataclasses.fields(SolverConfig)}
+
+    def test_config_owns_its_kernel(self):
+        cfg = SolverConfig(sigma=2.0)
+        assert cfg.kernel() is cfg.kernel()
+        assert np.array_equal(cfg.kernel().dg, make_kernel(2.0).dg)
+        # no kernel is shared between configs, and a replaced sigma forms its own taps
+        assert SolverConfig(sigma=2.0).kernel() is not cfg.kernel()
+        assert dataclasses.replace(cfg, sigma=0.5).kernel().sigma == 0.5
 
     @pytest.mark.parametrize("steps", [3, np.int64(3), np.uint8(3)])
     def test_integer_step_budgets_accepted(self, rng, steps):

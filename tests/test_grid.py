@@ -49,9 +49,17 @@ class TestImageGrid:
         with pytest.raises(svddf.ParameterError):
             ImageGrid(np.array([[1.0, np.nan], [0.0, 0.0]]))
 
-    def test_rejects_bad_spacing(self):
-        with pytest.raises(svddf.ParameterError):
-            ImageGrid(np.zeros((2, 2)), spacing=0.0)
+    @pytest.mark.parametrize("h", [0.0, 1e-200, 1e300, 1e-160, np.inf])
+    def test_rejects_bad_spacing(self, h):
+        # h^2 underflows to 0 (1e-200), overflows (1e300), or leaves 1/h^2 infinite (1e-160)
+        with pytest.raises(svddf.ParameterError) as err:
+            ImageGrid(np.zeros((8, 8)), spacing=h)
+        if h > 0:
+            assert str(err.value) == f"spacing = {h}: h^2 and 1/h^2 must be finite and positive"
+
+    @pytest.mark.parametrize("h", [0.5, 0.7, 3.0])
+    def test_accepts_the_spacings_the_suite_runs(self, h):
+        assert ImageGrid(np.zeros((8, 8)), spacing=h).spacing == h
 
     def test_pixels_are_read_only(self):
         g = ImageGrid(np.zeros((3, 3)))

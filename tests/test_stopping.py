@@ -277,6 +277,22 @@ class TestAprioriT:
         assert log.stopped_by == "a-priori"
         assert log.final_step() == 7  # first step with t = 0.15 * k >= 1.0
 
+    def test_horizon_is_formed_once_per_rule(self, rng, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return a_priori_T(*args)
+
+        monkeypatch.setattr(svddf.stopping, "a_priori_T", counted)
+        rule = AprioriStop(c1=10.0, c2=1.0, gamma=1.0, delta=1.0)  # T = 10 ln 2 = 6.93
+        assert len(calls) == 1
+        cfg = SolverConfig(dt_rule="fixed", dt_fixed=0.1, max_steps=50, stopping=rule)
+        _, log = run_svddf(random_grid(rng, 8, 8), cfg)
+        assert (log.final_step(), log.stopped_by) == (50, "max-steps")
+        assert len(calls) == 1
+        assert rule.horizon() == a_priori_T(1.0, 10.0, 1.0, 1.0)
+
     def test_max_steps_only_runs_budget(self, rng):
         g = random_grid(rng, 8, 8)
         cfg = SolverConfig(
