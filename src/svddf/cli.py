@@ -15,7 +15,7 @@ from pathlib import Path
 from .errors import DivergenceError, SvddfError
 from .flow import SolverConfig, run_first_order, run_svddf
 from .grid import ImageGrid, NoiseSpec, add_noise
-from .metrics import EVAL_CSV_HEADER, evaluate, report_csv_row, ssim
+from .metrics import EVAL_CSV_HEADER, check_ssim_inputs, evaluate, report_csv_row, ssim
 from .pgm import read_pgm, write_pgm
 from .stopping import AprioriStop, DiscrepancyStop, MaxStepsOnly, RdeStop
 
@@ -138,12 +138,6 @@ def _build_config(args, p: float, eta: float) -> SolverConfig:
     )
 
 
-def _check_band(config: SolverConfig, image: ImageGrid) -> None:
-    """Refuse, before any output is written, an rde n0 whose band is empty on ``image``."""
-    if isinstance(config.stopping, RdeStop):
-        config.stopping.band_threshold(*image.shape)
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
@@ -197,22 +191,24 @@ def _cmd_denoise(args) -> int:
     clean_path = _require_file(args.clean) if args.clean else None
     config = _build_config(args, args.p, args.eta)
     noisy = read_pgm(src)
-    _check_band(config, noisy)
-    out = _out_dir(args)
+    clean = None
+    if clean_path is not None:
+        clean = read_pgm(clean_path)
+        check_ssim_inputs(noisy, clean)  # an image pair SSIM cannot score is refused before step 1
     stem = src.stem
-    csv_path = out / f"{stem}_trajectory.csv"
+    csv_name = f"{stem}_trajectory.csv"
     try:
         denoised, log = _run_method(noisy, config, args.method)
     except DivergenceError as err:
         if err.partial_log is not None:
-            err.partial_log.to_csv(csv_path)
+            err.partial_log.to_csv(_out_dir(args) / csv_name)
         print(f"error: {err}", file=sys.stderr)
         return 1
+    out = _out_dir(args)
     write_pgm(denoised, out / f"{stem}_denoised.pgm")
-    log.to_csv(csv_path)
+    log.to_csv(out / csv_name)
     print(f"stopped by {log.stopped_by} after {log.final_step()} steps")
-    if clean_path is not None:
-        clean = read_pgm(clean_path)
+    if clean is not None:
         report = evaluate(clean, noisy, denoised)
         print(
             f"ssim noisy={report.ssim_noisy:.4f} denoised={report.ssim_denoised:.4f} "
@@ -244,10 +240,9 @@ def _cmd_sweep(args) -> int:
         raise SvddfError("eta and p lists must be non-empty")
     noisy = read_pgm(src)
     clean = read_pgm(clean_path)
-    # every cell's settings are checked before anything is written
+    check_ssim_inputs(noisy, clean)
+    # every cell's settings are checked before any cell runs
     configs = {(p, eta): _build_config(args, p, eta) for p in ps for eta in etas}
-    _check_band(configs[ps[0], etas[0]], noisy)  # the cells share one stopping rule
-    out = _out_dir(args)
 
     lines = ["p\\eta," + ",".join(f"{e:g}" for e in etas)]
     for p in ps:
@@ -259,12 +254,12 @@ def _cmd_sweep(args) -> int:
                 denoised, log = _run_method(noisy, config, args.method, keep_trajectory=False)
                 value = ssim(denoised, clean)
                 print(f"p={p:g} eta={eta:g}: ssim={value:.4f} ({log.final_step()} steps)")
-            except SvddfError as err:
+            except DivergenceError as err:  # the cell's flow or its SSIM diverged
                 value = math.nan
                 print(f"p={p:g} eta={eta:g}: failed ({err})", file=sys.stderr)
             cells.append(f"{value:.17g}")
         lines.append(f"{p:g}," + ",".join(cells))
-    sweep_path = out / "sweep.csv"
+    sweep_path = _out_dir(args) / "sweep.csv"
     sweep_path.write_text("\n".join(lines) + "\n")
     print(f"wrote {sweep_path}")
     return 0

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .grid import ImageGrid
+from .grid import ImageGrid, _check_spacing
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,8 @@ def make_kernel(sigma: float = 1.0) -> GaussianKernel:
     g /= g.sum()
     # correlation taps: response to a unit ramp is sum(t * dg) ~ 1
     dg = t / sigma * g
+    for taps in (g, dg):  # a config's runs share its taps
+        taps.flags.writeable = False
     return GaussianKernel(sigma=float(sigma), g=g, dg=dg)
 
 
@@ -82,12 +84,16 @@ class DiffusivityField:
     ``aj[i, j]`` sits at (i, j+1/2), between (i, j) and (i, j+1).  Both are
     rows x cols and column-major, the layout of ``SparseOperator.ci``/``cj``:
     with no midpoints across the border, the last row of ``ai`` and the last
-    column of ``aj`` are 0.0.  ``spacing`` is the h the gradient was divided by.
+    column of ``aj`` are 0.0.  ``spacing`` is the h the gradient was divided by,
+    refused as ``ImageGrid`` refuses it.
     """
 
     ai: np.ndarray
     aj: np.ndarray
     spacing: float
+
+    def __post_init__(self):
+        _check_spacing(self.spacing)
 
     @property
     def rows(self) -> int:

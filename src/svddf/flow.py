@@ -34,8 +34,6 @@ from .stopping import (
     high_freq_energy,
 )
 
-_TINY_LAMBDA = 1e-14
-
 
 @dataclass(frozen=True)
 class SolverConfig:
@@ -44,7 +42,7 @@ class SolverConfig:
     ``dt_rule`` is either ``"theorem"`` (dt = safety * eta / sqrt(lambda_max)
     for the second-order flow, safety * 2 / lambda_max for the baseline) or
     ``"fixed"`` (dt = dt_fixed).  ``dt_max`` caps the theorem rule and is
-    required when the spectral bound degenerates to zero.  Each of
+    required when the spectral bound is exactly zero.  Each of
     ``dt_fixed`` and ``dt_max`` is rejected under the other rule.  Every
     float setting must be finite, ``max_steps`` an integer and ``stopping``
     one of the four rules.
@@ -213,7 +211,7 @@ def _step_length(F: SparseOperator, config: SolverConfig, stable_dt) -> tuple[fl
     if config.dt_rule == "fixed":
         return float(config.dt_fixed), float("nan")
     lam = lambda_max(F)
-    if lam < _TINY_LAMBDA:
+    if lam == 0.0:
         if config.dt_max is None:
             raise ParameterError("spectral bound is zero and no dt_max is configured")
         return float(config.dt_max), lam

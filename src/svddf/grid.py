@@ -17,6 +17,15 @@ KINDS = ("piecewise-constant", "ramp", "disk")
 MIN_SIZE = 2
 
 
+def _check_spacing(spacing: float) -> None:
+    """Refuse a grid step h whose h^2 or 1/h^2 is not a positive finite float."""
+    if not (spacing > 0):
+        raise ParameterError(f"spacing must be positive, got {spacing}")
+    h2 = float(spacing) * float(spacing)  # the stencil scales its couplings by 1/h^2
+    if not (0.0 < h2 < math.inf and 1.0 / h2 < math.inf):
+        raise ParameterError(f"spacing = {spacing}: h^2 and 1/h^2 must be finite and positive")
+
+
 @dataclass(frozen=True)
 class ImageGrid:
     """Immutable M x N real-valued image on a uniform lattice, holding its own copy of the pixels."""
@@ -32,11 +41,7 @@ class ImageGrid:
             raise DimensionError(f"grid must be at least 1x1, got {px.shape}")
         if not np.all(np.isfinite(px)):
             raise ParameterError("pixels contain non-finite values")
-        if not (self.spacing > 0):
-            raise ParameterError(f"spacing must be positive, got {self.spacing}")
-        h2 = float(self.spacing) * float(self.spacing)  # the stencil scales its couplings by 1/h^2
-        if not (0.0 < h2 < math.inf and 1.0 / h2 < math.inf):
-            raise ParameterError(f"spacing = {self.spacing}: h^2 and 1/h^2 must be finite and positive")
+        _check_spacing(self.spacing)
         px.setflags(write=False)
         object.__setattr__(self, "pixels", px)
 

@@ -47,16 +47,21 @@ def _local_mean(img: np.ndarray) -> np.ndarray:
     return _paired_pass(down, 1, n, _TAPS, True, np.empty((m, n)), np.empty((m, n)))
 
 
-def ssim(u: ImageGrid, ref: ImageGrid) -> float:
-    """Mean local SSIM between two images of equal shape.
-
-    Raises DivergenceError when the score is not finite: an image holds
-    values so large that the local moments overflow.
-    """
+def check_ssim_inputs(u: ImageGrid, ref: ImageGrid) -> None:
+    """Refuse a pair :func:`ssim` cannot score: unequal shapes, or smaller than the window."""
     if u.shape != ref.shape:
         raise DimensionError(f"shape mismatch: {u.shape} vs {ref.shape}")
     if u.rows < WINDOW or u.cols < WINDOW:
         raise ParameterError(f"image {u.shape} smaller than the {WINDOW}x{WINDOW} window")
+
+
+def ssim(u: ImageGrid, ref: ImageGrid) -> float:
+    """Mean local SSIM between two images of equal shape, at least WINDOW x WINDOW.
+
+    Raises DivergenceError when the score is not finite: an image holds
+    values so large that the local moments overflow.
+    """
+    check_ssim_inputs(u, ref)
     x, y = u.pixels, ref.pixels
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         mu_x = _local_mean(x)

@@ -844,6 +844,75 @@ class TestSweepCells:
         assert calls == {"energies": n, "high_freq_energy": n + 1, "discrepancy": n, "apply": n + 1}
 
 
+@pytest.fixture
+def small_pgms(tmp_path):
+    """Small PGMs by name: a usable 16 x 16 disk and inputs that no run or score can use."""
+    images = {
+        "disk16": 0.25 + 0.5 * synth_image("disk", 16, 16).pixels,
+        "zero16": np.zeros((16, 16)),
+        "row1x16": np.linspace(0.2, 0.8, 16)[None, :],
+        "disk20": 0.25 + 0.5 * synth_image("disk", 20, 20).pixels,
+        "disk8": 0.25 + 0.5 * synth_image("disk", 8, 8).pixels,
+    }
+    for name, px in images.items():
+        write_pgm(ImageGrid(px), tmp_path / f"{name}.pgm")
+    return {name: str(tmp_path / f"{name}.pgm") for name in images}
+
+
+def verb_argv(verb, pgms, noisy, clean, out):
+    argv = [verb, pgms[noisy], "--max-steps", "3", "--out", str(out)]
+    if clean is not None:
+        argv += ["--clean", pgms[clean]]
+    if verb == "sweep":
+        argv += ["--etas", "2", "--ps", "1"]
+    return argv
+
+
+class TestUnusableInput:
+    """An input that no run or score can use exits 2 with one error line, before any file or directory is made."""
+
+    @pytest.mark.parametrize(
+        "verb, noisy, clean, message",
+        [
+            ("denoise", "zero16", None, "noisy data has zero norm"),
+            ("sweep", "zero16", "disk16", "noisy data has zero norm"),
+            ("denoise", "row1x16", None, "operation needs a grid of at least 2x2, got (1, 16)"),
+            ("sweep", "row1x16", "row1x16", "image (1, 16) smaller than the 11x11 window"),
+            ("denoise", "disk20", "disk16", "shape mismatch: (20, 20) vs (16, 16)"),
+            ("sweep", "disk20", "disk16", "shape mismatch: (20, 20) vs (16, 16)"),
+            ("denoise", "disk8", "disk8", "image (8, 8) smaller than the 11x11 window"),
+            ("sweep", "disk8", "disk8", "image (8, 8) smaller than the 11x11 window"),
+        ],
+    )
+    def test_exits_2_without_a_directory(self, tmp_path, small_pgms, capsys, verb, noisy, clean, message):
+        out = tmp_path / "out"
+        assert main(verb_argv(verb, small_pgms, noisy, clean, out)) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["denoise", "sweep"])
+    def test_tiny_spectral_bound_runs(self, tmp_path, small_pgms, verb):
+        # epsilon = 1e30 puts every coupling near 1e-15: the bound is tiny, not zero
+        out = tmp_path / "out"
+        argv = verb_argv(verb, small_pgms, "disk16", "disk16" if verb == "sweep" else None, out)
+        assert main(argv + ["--epsilon", "1e30"]) == 0
+        if verb == "denoise":
+            lams = np.loadtxt(out / "disk16_trajectory.csv", delimiter=",", skiprows=1, ndmin=2)[:, 3]
+            assert np.all((lams > 0.0) & (lams < 1e-14))
+        else:
+            assert not math.isnan(float((out / "sweep.csv").read_text().splitlines()[1].split(",")[1]))
+
+    def test_unusable_out_is_reported_after_the_run(self, tmp_path, small_pgms, capsys):
+        # the directory is made for the first file written: sweep.csv, after every cell has run
+        out = tmp_path / "taken"
+        out.write_text("")
+        assert main(verb_argv("sweep", small_pgms, "disk16", "disk16", out)) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("p=1 eta=2: ssim=")
+        assert captured.err.startswith("error: [Errno 17] File exists") and len(captured.err.splitlines()) == 1
+
+
 class TestMetrics:
     def test_metrics_verb(self, tmp_path, disk_pgm, noisy_pgm, capsys):
         rc = main(

@@ -91,6 +91,16 @@ class TestStepSize:
             assert str(err.value) == "spectral bound is zero and no dt_max is configured"
             assert one_step(method, SolverConfig(eta=1.0, dt_max=0.125), 0.0) == (0.125, 0.0)
 
+    def test_tiny_positive_bound_sets_the_step(self, rng):
+        # at h = 1e8 every coupling is below 1e-15: the bound is tiny but not zero, so no dt_max is needed
+        u0 = random_grid(rng, 8, 8, spacing=1e8)
+        stable = {run_svddf: lambda lam: 0.9 * 2.0 / math.sqrt(lam), run_first_order: lambda lam: 0.9 * 2.0 / lam}
+        for runner, stable_dt in stable.items():
+            _, log = runner(u0, SolverConfig(eta=2.0, max_steps=3))
+            for rec in log.records:
+                assert 0.0 < rec.lambda_max < 1e-14
+                assert rec.dt == pytest.approx(stable_dt(rec.lambda_max), rel=1e-15)
+
     def test_fixed_rule(self):
         for method in STEPPERS:
             dt, lam = one_step(method, fixed_cfg(0.07), 1.0)
@@ -173,6 +183,13 @@ class TestConfigRejections:
         # no kernel is shared between configs, and a replaced sigma forms its own taps
         assert SolverConfig(sigma=2.0).kernel() is not cfg.kernel()
         assert dataclasses.replace(cfg, sigma=0.5).kernel().sigma == 0.5
+
+    def test_config_taps_are_read_only(self):
+        # every run under a config reads its taps, so none may write them
+        kern = SolverConfig().kernel()
+        for taps in (kern.g, kern.dg):
+            with pytest.raises(ValueError):
+                taps[0] = 1.0
 
     @pytest.mark.parametrize("steps", [3, np.int64(3), np.uint8(3)])
     def test_integer_step_budgets_accepted(self, rng, steps):

@@ -49,13 +49,20 @@ class TestImageGrid:
         with pytest.raises(svddf.ParameterError):
             ImageGrid(np.array([[1.0, np.nan], [0.0, 0.0]]))
 
-    @pytest.mark.parametrize("h", [0.0, 1e-200, 1e300, 1e-160, np.inf])
-    def test_rejects_bad_spacing(self, h):
+    # an image and a diffusivity field refuse the same grid steps with the same message
+    @pytest.mark.parametrize("make", [
+        lambda h: ImageGrid(np.zeros((8, 8)), spacing=h),
+        lambda h: svddf.DiffusivityField(np.zeros((8, 8)), np.zeros((8, 8)), h),
+    ], ids=["ImageGrid", "DiffusivityField"])
+    @pytest.mark.parametrize("h", [0.0, -1.0, 1e-200, 1e300, 1e-160, np.inf])
+    def test_rejects_bad_spacing(self, make, h):
         # h^2 underflows to 0 (1e-200), overflows (1e300), or leaves 1/h^2 infinite (1e-160)
         with pytest.raises(svddf.ParameterError) as err:
-            ImageGrid(np.zeros((8, 8)), spacing=h)
+            make(h)
         if h > 0:
             assert str(err.value) == f"spacing = {h}: h^2 and 1/h^2 must be finite and positive"
+        else:
+            assert str(err.value) == f"spacing must be positive, got {h}"
 
     @pytest.mark.parametrize("h", [0.5, 0.7, 3.0])
     def test_accepts_the_spacings_the_suite_runs(self, h):
