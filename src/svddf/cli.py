@@ -13,7 +13,7 @@ import sys
 from pathlib import Path
 
 from .errors import DivergenceError, SvddfError
-from .flow import SolverConfig, run_first_order, run_svddf
+from .flow import SolverConfig, run_first_order, run_svddf, step_at_bound
 from .grid import ImageGrid, NoiseSpec, add_noise
 from .metrics import EVAL_CSV_HEADER, check_ssim_inputs, evaluate, report_csv_row, ssim
 from .pgm import read_pgm, write_pgm
@@ -25,7 +25,7 @@ _MMAP_THRESHOLD_BYTES = 64 << 20
 _TRIM_THRESHOLD_BYTES = 256 << 20
 
 
-def _step_length(text: str):
+def _dt_value(text: str):
     """``'auto'`` for the spectral rule, else a fixed step length."""
     return text if text == "auto" else float(text)
 
@@ -39,7 +39,7 @@ _OPTIONS = {
     "eta": (float, "2", "damping parameter"),
     "epsilon": (float, "1e-2", "diffusivity regularisation"),
     "sigma": (float, "1", "Gaussian smoothing variance"),
-    "dt": (_step_length, "auto", "'auto' for the spectral rule or a fixed step length"),
+    "dt": (_dt_value, "auto", "'auto' for the spectral rule or a fixed step length"),
     "safety": (float, "0.9", "multiplier on the spectral step bound"),
     "dt_max": (float, None, "cap on the auto step length"),
     "max_steps": (int, "500", "step budget"),
@@ -165,24 +165,17 @@ def _cmd_add_noise(args) -> int:
 
 
 def _run_method(noisy: ImageGrid, config: SolverConfig, method: str, keep_trajectory: bool = True):
-    # no coefficient exceeds epsilon^((p-2)/2), so lambda_max <= lam on every image;
-    # svddf is stable for dt <= 2/sqrt(lam), explicit Euler for dt <= 2/lam
-    lam = 8.0 * config.epsilon ** ((config.exponent_p - 2.0) / 2.0) / noisy.spacing**2
-    bound = 2.0 / math.sqrt(lam) if method == "svddf" else 2.0 / lam
-    if config.dt_rule == "fixed" and config.dt_fixed > bound:
+    second_order = method == "svddf"
+    dt, limit = step_at_bound(config, noisy.spacing, second_order)
+    if dt > limit:
+        rule = "auto" if config.dt_rule == "theorem" else f"{config.dt_fixed:g}"
         print(
-            f"warning: fixed --dt {config.dt_fixed:g} exceeds {bound:.3g}, the largest step that "
-            f"keeps {method} stable on every image (p={config.exponent_p:g}, "
-            f"epsilon={config.epsilon:g}, h={noisy.spacing:g}); see README 'Fixed step lengths'",
+            f"warning: where lambda_max reaches its bound on any image, --dt {rule} steps {dt!r} > "
+            f"{limit!r}, the stable limit of {method} (p={config.exponent_p:g}, eta={config.eta:g}, epsilon="
+            f"{config.epsilon:g}, h={noisy.spacing:g}); see README 'Stability of the spectral step rule'",
             file=sys.stderr,
         )
-    if method == "svddf" and config.dt_rule == "theorem" and config.safety * config.eta > 2.0:
-        print(
-            f"warning: --dt auto with safety*eta = {config.safety * config.eta:g} > 2 can be "
-            "unstable; see README 'Stability of the spectral step rule'",
-            file=sys.stderr,
-        )
-    runner = run_svddf if method == "svddf" else run_first_order
+    runner = run_svddf if second_order else run_first_order
     return runner(noisy, config, keep_trajectory=keep_trajectory)
 
 

@@ -203,22 +203,35 @@ def _reassemble(state: FlowState, config: SolverConfig) -> SparseOperator:
     return _assemble_from(state.u, (state.F_prev.rows, state.F_prev.cols), state.spacing, config)
 
 
-def _step_length(F: SparseOperator, config: SolverConfig, stable_dt) -> tuple[float, float]:
-    """Step length and spectral bound ``(dt, lam)`` under the configured rule (see SolverConfig).
-
-    The fixed rule forms no bound (nan); the theorem rule caps ``stable_dt(lambda_max(F))`` by dt_max.
-    """
+def _rule_step(lam: float, config: SolverConfig, second_order: bool) -> float:
+    """Step length under the configured rule (see SolverConfig) at spectral bound ``lam``."""
     if config.dt_rule == "fixed":
-        return float(config.dt_fixed), float("nan")
-    lam = lambda_max(F)
+        return float(config.dt_fixed)
     if lam == 0.0:
         if config.dt_max is None:
             raise ParameterError("spectral bound is zero and no dt_max is configured")
-        return float(config.dt_max), lam
-    dt = stable_dt(lam)
-    if config.dt_max is not None:
-        dt = min(dt, config.dt_max)
-    return float(dt), lam
+        return float(config.dt_max)
+    dt = config.safety * config.eta / np.sqrt(lam) if second_order else config.safety * 2.0 / lam
+    return float(dt if config.dt_max is None else min(dt, config.dt_max))
+
+
+def _step_length(F: SparseOperator, config: SolverConfig, second_order: bool) -> tuple[float, float]:
+    """Step length and spectral bound ``(dt, lam)`` of stencil ``F``; the fixed rule forms no bound (nan)."""
+    lam = float("nan") if config.dt_rule == "fixed" else lambda_max(F)
+    return _rule_step(lam, config, second_order), lam
+
+
+def step_at_bound(config: SolverConfig, spacing: float, second_order: bool = True) -> tuple[float, float]:
+    """The configured step and the largest stable step, ``(dt, limit)``, where ``lambda_max`` peaks.
+
+    No coefficient exceeds epsilon^((p-2)/2), so no image's ``lambda_max`` exceeds
+    lam = 8 * epsilon^((p-2)/2) / h^2.  A frozen stencil is stable for dt <= 2 / sqrt(lam),
+    or dt <= 2 / lam under explicit Euler, and for every dt if lam is 0.  Under every rule
+    dt / limit does not fall as lam grows, so ``dt > limit`` exactly when some image can step unstably.
+    """
+    lam = 8.0 * config.epsilon ** ((config.exponent_p - 2.0) / 2.0) / spacing**2
+    limit = math.inf if lam == 0.0 else 2.0 / math.sqrt(lam) if second_order else 2.0 / lam
+    return _rule_step(lam, config, second_order), limit
 
 
 def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
@@ -227,7 +240,7 @@ def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
     The closing half-kick's ``F_new @ u_new`` is the next state's ``Fu``,
     so it is stored there: one stencil product per step.
     """
-    dt, lam = _step_length(state.F_prev, config, lambda lam: config.safety * config.eta / np.sqrt(lam))
+    dt, lam = _step_length(state.F_prev, config, second_order=True)
 
     u, v = state.u, state.v
     # transient infs on a diverging run are caught below, not warned about
@@ -339,8 +352,7 @@ def run_svddf(
 def _first_order_step(state: FlowState, config: SolverConfig) -> FlowState:
     """Explicit step of the first-order flow u_t = div(a(u) grad u)."""
     F = _reassemble(state, config)
-    # classical explicit-Euler stability for a symmetric negative operator
-    dt, lam = _step_length(F, config, lambda lam: config.safety * 2.0 / lam)
+    dt, lam = _step_length(F, config, second_order=False)
     with np.errstate(over="ignore", invalid="ignore"):
         rate = apply(F, state.u)
         u_new = state.u + dt * rate

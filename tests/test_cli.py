@@ -14,7 +14,6 @@ from svddf import ImageGrid, read_pgm, synth_image, write_pgm
 from svddf.cli import main
 
 STABILITY_NOTE = "see README 'Stability of the spectral step rule'"
-FIXED_STEP_NOTE = "see README 'Fixed step lengths'"
 
 
 @pytest.fixture
@@ -427,6 +426,11 @@ class TestDenoise:
             (["--eta", "2", "--dt", "auto", "--safety", "1"], False),  # 2, the stable edge
             (["--eta", "3", "--dt", "0.15"], False),
             (["--eta", "3", "--dt", "auto", "--method", "first-order"], False),
+            # the cap holds the step below 2/sqrt(80) = 0.2236 at the bound, or not
+            (["--eta", "3", "--dt", "auto", "--dt-max", "0.1"], False),
+            (["--eta", "3", "--dt", "auto", "--dt-max", "0.3"], True),
+            (["--eta", "2.0000001", "--dt", "auto", "--safety", "1"], True),  # just past the edge
+            (["--eta", "3", "--dt", "0.3"], True),
         ],
     )
     def test_auto_dt_stability_warning(self, tmp_path, noisy_pgm, capsys, flags, warned):
@@ -435,6 +439,23 @@ class TestDenoise:
         captured = capsys.readouterr()
         assert captured.err.count(STABILITY_NOTE) == int(warned)
         assert captured.out == "stopped by max-steps after 3 steps\n"
+        if warned:
+            # the line names the rule and shows the two compared numbers, told apart
+            rule = flags[flags.index("--dt") + 1]
+            step, limit = captured.err.split(f"--dt {rule} steps ")[1].split(",")[0].split(" > ")
+            assert float(step) > float(limit)
+
+    @pytest.mark.parametrize("dt_max", ["0.70", "0.7071", "0.7072", "0.72"])
+    def test_p2_warning_is_exact(self, tmp_path, noisy_pgm, capsys, dt_max):
+        # at p = 2 every stencil's lambda_max is the bound 8 / h^2 itself, so the
+        # run warns exactly when a step it logs has dt^2 * lambda_max > 4
+        argv = ["denoise", str(noisy_pgm), "--p", "2", "--eta", "3", "--dt", "auto", "--dt-max", dt_max]
+        assert main(argv + ["--stop", "none", "--max-steps", "3", "--out", str(tmp_path)]) == 0
+        lines = (tmp_path / "disk_noisy_trajectory.csv").read_text().splitlines()
+        assert lines[0].startswith("step,t,dt,lambda_max,")
+        steps = [tuple(map(float, line.split(",")[2:4])) for line in lines[1:]]
+        assert [lam for _, lam in steps] == [8.0] * 3
+        assert capsys.readouterr().err.count(STABILITY_NOTE) == int(any(dt**2 * lam > 4.0 for dt, lam in steps))
 
 
 class Captured(Exception):
@@ -710,9 +731,9 @@ class TestSweep:
         argv += ["--method", method, "--dt", dt, "--stop", "rde", "--max-steps", "300"]
         assert main(argv + ["--out", str(tmp_path / "s")]) == 0
         captured = capsys.readouterr()
-        lines = [line for line in captured.err.splitlines() if FIXED_STEP_NOTE in line]
+        lines = [line for line in captured.err.splitlines() if STABILITY_NOTE in line]
         assert sorted(line.split("p=")[1].split(",")[0] for line in lines) == sorted(2 * list(warned_ps))
-        assert FIXED_STEP_NOTE not in captured.out
+        assert STABILITY_NOTE not in captured.out
         assert len(captured.out.splitlines()) == 7
 
     def test_malformed_list_value_exits_2(self, tmp_path, disk_pgm, noisy_pgm, capsys):

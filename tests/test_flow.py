@@ -29,7 +29,7 @@ from svddf import (
     to_dense,
     vec,
 )
-from svddf.flow import _first_order_step, _record
+from svddf.flow import _first_order_step, _record, step_at_bound
 
 from conftest import random_grid
 from oracles import (
@@ -90,6 +90,11 @@ class TestStepSize:
                 one_step(method, SolverConfig(eta=1.0), 0.0)
             assert str(err.value) == "spectral bound is zero and no dt_max is configured"
             assert one_step(method, SolverConfig(eta=1.0, dt_max=0.125), 0.0) == (0.125, 0.0)
+        # the CLI's check meets the same rule where the image-independent bound underflows to zero
+        for second_order in (True, False):
+            with pytest.raises(svddf.ParameterError, match="spectral bound is zero"):
+                step_at_bound(SolverConfig(epsilon=1e300), 1e150, second_order)
+            assert step_at_bound(SolverConfig(epsilon=1e300, dt_max=0.125), 1e150, second_order) == (0.125, math.inf)
 
     def test_tiny_positive_bound_sets_the_step(self, rng):
         # at h = 1e8 every coupling is below 1e-15: the bound is tiny but not zero, so no dt_max is needed

@@ -1,8 +1,8 @@
-"""README's trajectory-column documentation against the CSV the program writes."""
+"""README's trajectory columns and stability numbers against what the program writes and checks."""
 
 from pathlib import Path
 
-from svddf.flow import CSV_HEADER
+from svddf.flow import CSV_HEADER, SolverConfig, step_at_bound
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
 
@@ -21,3 +21,17 @@ def test_every_trajectory_column_has_one_table_row():
         if line.startswith("| `"):
             rows.append(line.split("|")[1].strip().strip("`"))
     assert rows == CSV_HEADER.split(",")
+
+
+def test_stability_numbers_are_the_flow_s_at_the_defaults():
+    start = README.index("## Stability of the spectral step rule")
+    end = next(i for i in range(start + 1, len(README)) if README[i].startswith("## "))
+    section = " ".join(" ".join(README[start:end]).split())
+    config = SolverConfig()
+    assert (config.exponent_p, config.safety) == (1.0, 0.9)
+    _, svddf_limit = step_at_bound(config, 1.0)
+    _, euler_limit = step_at_bound(config, 1.0, second_order=False)
+    assert f"/ h^2` ({2.0 / euler_limit:g} at the defaults with p = 1," in section
+    assert f"`dt <= 2 / sqrt(lam)` under svddf ({svddf_limit:.2g} there)" in section
+    assert f"explicit Euler ({euler_limit:.2g} there)" in section
+    assert f"safety {config.safety:g}, when `eta > {2.0 / config.safety:.2g}`)" in section
