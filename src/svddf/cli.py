@@ -15,7 +15,7 @@ from pathlib import Path
 from .errors import DivergenceError, SvddfError
 from .flow import SolverConfig, run_first_order, run_svddf, step_at_bound
 from .grid import ImageGrid, NoiseSpec, add_noise
-from .metrics import EVAL_CSV_HEADER, check_ssim_inputs, evaluate, report_csv_row, ssim
+from .metrics import EVAL_CSV_HEADER, check_evaluate_inputs, check_ssim_inputs, evaluate, report_csv_row, ssim
 from .pgm import read_pgm, write_pgm
 from .stopping import AprioriStop, DiscrepancyStop, MaxStepsOnly, RdeStop
 
@@ -45,7 +45,6 @@ _OPTIONS = {
     "max_steps": (int, "500", "step budget"),
     "stop": (("rde", "discrepancy", "a-priori", "none"), "rde", "stopping rule"),
     "tol": (float, "1e-4", "tolerance of the rde rule"),
-    "n0": (int, None, "explicit high-frequency band threshold"),
     "delta": (float, "0.1", "relative noise level"),
     "c1": (float, "1", "a-priori rule constant"),
     "c2": (float, "1", "a-priori rule constant"),
@@ -97,8 +96,12 @@ def _add_options(sub, keys) -> None:
 
 def _read_config_file(path: str, command: str, keys) -> dict:
     """``key=value`` lines of ``path``; each key must be in ``keys``, the options of ``command``."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise SvddfError(f"{path}: not UTF-8 text: byte 0x{err.object[err.start]:02x} at offset {err.start}") from None
     values = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -114,7 +117,7 @@ def _read_config_file(path: str, command: str, keys) -> dict:
 
 def _build_stopping(args):
     if args.stop == "rde":
-        return RdeStop(tolerance=args.tol, n0=args.n0)
+        return RdeStop(tolerance=args.tol)
     if args.stop == "discrepancy":
         return DiscrepancyStop(delta=args.delta)
     if args.stop == "a-priori":
@@ -187,7 +190,7 @@ def _cmd_denoise(args) -> int:
     clean = None
     if clean_path is not None:
         clean = read_pgm(clean_path)
-        check_ssim_inputs(noisy, clean)  # an image pair SSIM cannot score is refused before step 1
+        check_evaluate_inputs(clean, noisy)  # a pair the report cannot score is refused before step 1
     stem = src.stem
     csv_name = f"{stem}_trajectory.csv"
     try:

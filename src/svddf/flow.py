@@ -22,8 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .diffusivity import GaussianKernel, constant_diffusivity, diffusivity_half, make_kernel
-from .errors import DegenerateInputError, DivergenceError, ParameterError
-from .grid import ImageGrid, array, vec
+from .errors import DivergenceError, ParameterError
+from .grid import ImageGrid, _reference_norm, array, vec
 from .stencil import SparseOperator, apply, assemble, lambda_max
 from .stopping import (
     MaxStepsOnly,
@@ -150,14 +150,12 @@ class TrajectoryLog:
     """Per-step records of a run plus the reason and step it stopped at.
 
     A run that keeps no trajectory leaves ``records`` empty; ``stopped_by``
-    and ``final_step()`` are set either way.  ``degenerate_rde`` is set
-    when the band energy was evaluated and its previous value was zero.
+    and ``final_step()`` are set either way.
     """
 
     def __init__(self):
         self.records: list[TrajectoryRecord] = []
         self.stopped_by: str = "max-steps"
-        self.degenerate_rde: bool = False
         self.steps: int = 0
 
     def __len__(self):
@@ -305,14 +303,11 @@ def _run(u0: ImageGrid, config: SolverConfig, advance, keep_trajectory: bool):
     rule = config.stopping
     log = TrajectoryLog()
     data = state.u  # vec(u0), the noisy data the discrepancy is measured against
-    data_norm = float(np.linalg.norm(data))
-    if data_norm == 0.0:
-        raise DegenerateInputError("noisy data has zero norm")
+    data_norm = float(_reference_norm(data, "noisy data"))
     with_rde = keep_trajectory or rule.reads == "rde"
     with_sigma = keep_trajectory or rule.reads == "sigma"
     if with_rde:
-        band = rule.band_threshold if rule.reads == "rde" else default_band_threshold
-        n0 = band(*u0.shape)
+        n0 = default_band_threshold(*u0.shape)
         prev_energy = high_freq_energy(u0.pixels, n0)
     try:
         for _ in range(config.max_steps):
@@ -321,8 +316,6 @@ def _run(u0: ImageGrid, config: SolverConfig, advance, keep_trajectory: bool):
             with np.errstate(over="ignore", invalid="ignore"):
                 if with_rde:
                     energy = high_freq_energy(state.u.reshape(u0.shape, order="F"), n0)
-                    if prev_energy == 0.0:
-                        log.degenerate_rde = True
                     rde_val = _rde_change(energy, prev_energy)
                     prev_energy = energy
                 if with_sigma:

@@ -7,6 +7,7 @@ push values slightly above 1).
 """
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,7 +82,7 @@ class ImageGrid:
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Relative level and seed of the multiplicative uniform noise model."""
+    """Relative level and seed of the multiplicative uniform noise model; the seed is a non-negative integer."""
 
     delta: float
     seed: int = 0
@@ -89,6 +90,12 @@ class NoiseSpec:
     def __post_init__(self):
         if not (0.0 <= self.delta < 1.0):
             raise ParameterError(f"delta must lie in [0, 1), got {self.delta}")
+        try:
+            operator.index(self.seed)
+        except TypeError:
+            raise ParameterError(f"seed must be an integer, got {self.seed!r}") from None
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
 
 
 def vec(grid: ImageGrid) -> np.ndarray:
@@ -143,16 +150,21 @@ def synth_image(kind: str, rows: int, cols: int) -> ImageGrid:
     return ImageGrid(px)
 
 
+def _reference_norm(ref, ref_name: str, ref_norm: float | None = None) -> float:
+    """||ref||_2 over all entries, or ``ref_norm`` if the caller holds it; a zero norm, no ratio's divisor, raises."""
+    denom = np.linalg.norm(ref) if ref_norm is None else ref_norm
+    if denom == 0.0:
+        raise DegenerateInputError(f"{ref_name} has zero norm")
+    return denom
+
+
 def _relative_distance(u, ref, ref_norm: float | None = None, ref_name: str = "reference vector") -> float:
     """||u - ref||_2 / ||ref||_2 of equal-length flat views; ``ref_norm`` is ||ref||_2 if the caller holds it."""
     u = np.asarray(u, dtype=np.float64).ravel()
     ref = np.asarray(ref, dtype=np.float64).ravel()
     if u.shape != ref.shape:
         raise DimensionError(f"length mismatch: {u.shape} vs {ref.shape}")
-    denom = np.linalg.norm(ref) if ref_norm is None else ref_norm
-    if denom == 0.0:
-        raise DegenerateInputError(f"{ref_name} has zero norm")
-    return float(np.linalg.norm(u - ref) / denom)
+    return float(np.linalg.norm(u - ref) / _reference_norm(ref, ref_name, ref_norm))
 
 
 def rel_l2(u: np.ndarray, ref: np.ndarray) -> float:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .diffusivity import _paired_pass
 from .errors import DimensionError, DivergenceError, ParameterError
-from .grid import ImageGrid, rel_l2, vec
+from .grid import ImageGrid, _reference_norm, rel_l2, vec
 
 # the constants of Wang et al.; no caller varies them
 WINDOW = 11
@@ -53,6 +53,12 @@ def check_ssim_inputs(u: ImageGrid, ref: ImageGrid) -> None:
         raise DimensionError(f"shape mismatch: {u.shape} vs {ref.shape}")
     if u.rows < WINDOW or u.cols < WINDOW:
         raise ParameterError(f"image {u.shape} smaller than the {WINDOW}x{WINDOW} window")
+
+
+def check_evaluate_inputs(clean: ImageGrid, noisy: ImageGrid) -> None:
+    """Refuse what :func:`evaluate` cannot score: a pair :func:`ssim` refuses, or a clean image of zero norm."""
+    check_ssim_inputs(noisy, clean)
+    _reference_norm(clean.pixels, "clean image")
 
 
 def ssim(u: ImageGrid, ref: ImageGrid) -> float:

@@ -26,13 +26,17 @@ def _sample_type(maxval: int, error=ParameterError, **where) -> np.dtype:
     return np.dtype(">u2" if maxval > 255 else np.uint8)
 
 
-def _tokens(matches, names, number) -> tuple[list, int]:
-    """``number`` of the next token for each name, and the offset after the last; only ``bytes`` takes any token."""
+def _tokens(matches, names, number, ended="unexpected end of header") -> tuple[list, int]:
+    """``number`` of the next token for each name, and the offset after the last; only ``bytes`` takes any token.
+
+    Data that ends before the last name raises ``ended``, its ``{found}`` filled with the count of tokens read.
+    """
     values = []
     for name, m in zip(names, matches):
         tok = m[1]
         if not tok or tok[:1] == b"#":  # the end of the data, or a comment with no newline after it
-            raise FormatError("unterminated comment" if tok else "unexpected end of header", offset=m.start(1))
+            message = "unterminated comment" if tok else ended.format(found=len(values))
+            raise FormatError(message, offset=m.start(1))
         try:
             if not (number is bytes or tok.isdigit()):  # int() and float() also take signs and '_'
                 raise ValueError(tok)
@@ -67,7 +71,8 @@ def read_pgm(path) -> ImageGrid:
         raw = np.frombuffer(data, dtype, count=n, offset=end + 1).astype(np.float64)
     else:
         # a sample too long for a float reads as inf, above every maxval
-        samples, end = _tokens(matches, itertools.repeat("sample", n), float)
+        ended = f"truncated raster: expected {n} samples, found {{found}}"
+        samples, end = _tokens(matches, itertools.repeat("sample", n), float, ended)
         raw = np.array(samples)
     if raw.max(initial=0.0) > maxval:
         raise FormatError(f"sample exceeds maxval {maxval}", offset=end)

@@ -8,7 +8,6 @@ A fourth pseudo-rule runs until the step budget is exhausted.
 
 import functools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,34 +25,16 @@ def default_band_threshold(rows: int, cols: int) -> int:
 class RdeStop:
     """Stop once the relative change of high-frequency energy drops below tolerance.
 
-    ``n0``, a non-negative integer, overrides the band threshold explicitly;
-    by default it is ``default_band_threshold``.
+    The band is ``default_band_threshold`` of the image, the one every run's ``rde`` column uses.
     """
 
     tolerance: float
-    n0: int | None = None
     reads = "rde"
     reason = "rde"
 
     def __post_init__(self):
         if not (self.tolerance > 0):
             raise ParameterError(f"tolerance must be positive, got {self.tolerance}")
-        if self.n0 is not None:
-            try:
-                operator.index(self.n0)
-            except TypeError:
-                raise ParameterError(f"n0 must be an integer, got {self.n0!r}") from None
-            if self.n0 < 0:
-                raise ParameterError(f"n0 must be non-negative, got {self.n0}")
-
-    def band_threshold(self, rows: int, cols: int) -> int:
-        """The threshold on a rows x cols image; an explicit n0 above its largest index sum raises."""
-        if self.n0 is None:
-            return default_band_threshold(rows, cols)
-        if self.n0 > rows + cols - 2:
-            raise ParameterError(f"n0 = {self.n0} leaves the band empty: the largest index sum "
-                                 f"of a {rows} x {cols} image is {rows + cols - 2}")
-        return self.n0
 
     def fired(self, rde: float, sigma: float, t: float) -> bool:
         return rde < self.tolerance

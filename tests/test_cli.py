@@ -111,6 +111,16 @@ class TestAddNoise:
         rc = main(["add-noise", str(tmp_path / "nope.pgm"), "--delta", "0.1"])
         assert rc == 2
 
+    @pytest.mark.parametrize("conf_text, flags", [("", ["--seed", "-1"]), ("seed=-1\n", [])])
+    def test_negative_seed_exits_2(self, tmp_path, disk_pgm, capsys, conf_text, flags):
+        conf = tmp_path / "noise.conf"
+        conf.write_text(conf_text)
+        out = tmp_path / "bad"
+        assert main(["add-noise", str(disk_pgm), "--config", str(conf), "--out", str(out)] + flags) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: seed must be non-negative, got -1\n")
+        assert not out.exists()
+
 
 class TestDenoise:
     def test_writes_outputs_and_reports_stop(self, tmp_path, disk_pgm, noisy_pgm, capsys):
@@ -261,19 +271,6 @@ class TestDenoise:
         line = (out2 / "disk_noisy_trajectory.csv").read_text().splitlines()[1]
         assert float(line.split(",")[2]) == 0.0625
 
-    @pytest.mark.parametrize("conf_line, flags", [("n0=0", ["--n0", "0"])])
-    def test_config_file_sets_band_threshold(self, tmp_path, noisy_pgm, conf_line, flags):
-        conf = tmp_path / "run.conf"
-        conf.write_text(conf_line + "\n")
-        base = ["denoise", str(noisy_pgm), "--dt", "0.125", "--max-steps", "5", "--tol", "1e-12"]
-        trajectories = []
-        for name, extra in (("file", ["--config", str(conf)]), ("flag", flags), ("none", [])):
-            out = tmp_path / name
-            assert main(base + extra + ["--out", str(out)]) == 0
-            trajectories.append((out / "disk_noisy_trajectory.csv").read_bytes())
-        assert trajectories[0] == trajectories[1]
-        assert trajectories[0] != trajectories[2]
-
     def test_config_file_unknown_key_exits_2(self, tmp_path, disk_pgm, noisy_pgm, capsys):
         # sweep takes p and eta from --ps and --etas only
         sweep = ["sweep", "--clean", str(disk_pgm), "--etas", "1", "--ps", "1"]
@@ -295,6 +292,14 @@ class TestDenoise:
         assert capsys.readouterr().err == f"error: {conf}:4: expected key=value, got 'eta 2'\n"
         assert not out.exists()
 
+    def test_config_file_not_utf8_exits_2(self, tmp_path, noisy_pgm, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_bytes(b"eta=\xff\n")
+        out = tmp_path / "bad"
+        assert main(["denoise", str(noisy_pgm), "--config", str(conf), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {conf}: not UTF-8 text: byte 0xff at offset 4\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("verb", ["denoise", "sweep"])
     def test_config_file_seed_key_exits_2(self, tmp_path, disk_pgm, noisy_pgm, capsys, verb):
         conf = tmp_path / "run.conf"
@@ -311,13 +316,10 @@ class TestDenoise:
         "conf_text, flags, message",
         [
             ("", ["--dt", "abc"], "invalid value for dt: 'abc'"),
-            ("n0=abc\n", [], "invalid value for n0: 'abc'"),
             ("stop=bogus\n", [], "invalid value for stop: 'bogus'"),
             ("method=bogus\n", [], "invalid value for method: 'bogus'"),
-            ("", ["--n0", "-1"], "n0 must be non-negative, got -1"),
-            ("", ["--n0", "47"], "n0 = 47 leaves the band empty: the largest index sum of a 24 x 24 image is 46"),
         ],
-        ids=["flag-dt", "config-n0", "config-stop", "config-method", "flag-negative-n0", "flag-empty-band-n0"],
+        ids=["flag-dt", "config-stop", "config-method"],
     )
     def test_malformed_value_exits_2(self, tmp_path, noisy_pgm, capsys, conf_text, flags, message):
         conf = tmp_path / "run.conf"
@@ -475,7 +477,6 @@ OPTION_CASES = {
     "max_steps": ("7", "9", []),
     "stop": ("discrepancy", "none", []),
     "tol": ("1e-3", "1e-2", []),
-    "n0": ("5", "0", []),
     "delta": ("0.2", "0.3", ["--stop", "a-priori"]),
     "c1": ("2", "4", ["--stop", "a-priori"]),
     "c2": ("3", "5", ["--stop", "a-priori"]),
@@ -566,13 +567,17 @@ class TestOneParsePath:
         assert "--method {svddf,first-order}" in printed
 
     def test_literal_band_threshold_option_is_gone(self, tmp_path, noisy_pgm, capsys):
-        conf = tmp_path / "run.conf"
-        conf.write_text("rde-literal-n0=true\n")
+        # the rde band is floor(0.6 * (M + N - 1)) for every run; no option sets it
         out = tmp_path / "bad"
-        assert main(["denoise", str(noisy_pgm), "--config", str(conf), "--out", str(out)]) == 2
-        assert f"{conf}:1: unknown key 'rde_literal_n0' for denoise" in capsys.readouterr().err
-        assert main(["denoise", str(noisy_pgm), "--rde-literal-n0", "--out", str(out)]) == 2
-        assert "unrecognized arguments: --rde-literal-n0" in capsys.readouterr().err
+        for i, (conf_line, key, flags) in enumerate(
+            [("rde-literal-n0=true", "rde_literal_n0", ["--rde-literal-n0"]), ("n0=5", "n0", ["--n0", "5"])]
+        ):
+            conf = tmp_path / f"run{i}.conf"
+            conf.write_text(conf_line + "\n")
+            assert main(["denoise", str(noisy_pgm), "--config", str(conf), "--out", str(out)]) == 2
+            assert f"{conf}:1: unknown key '{key}' for denoise" in capsys.readouterr().err
+            assert main(["denoise", str(noisy_pgm), *flags, "--out", str(out)]) == 2
+            assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -746,9 +751,6 @@ class TestSweep:
         [
             (["--etas", "1,inf", "--ps", "1"], "eta must be finite, got inf"),
             (["--etas", "1", "--ps", "1,3"], "p must lie in [1, 2], got 3.0"),
-            (["--etas", "1", "--ps", "1", "--n0", "-1"], "n0 must be non-negative, got -1"),
-            (["--etas", "1,2", "--ps", "1", "--n0", "47"],
-             "n0 = 47 leaves the band empty: the largest index sum of a 24 x 24 image is 46"),
         ],
     )
     def test_invalid_cell_exits_2_before_writing(self, tmp_path, disk_pgm, noisy_pgm, capsys, lists, message):
@@ -896,6 +898,7 @@ class TestUnusableInput:
         "verb, noisy, clean, message",
         [
             ("denoise", "zero16", None, "noisy data has zero norm"),
+            ("denoise", "disk16", "zero16", "clean image has zero norm"),
             ("sweep", "zero16", "disk16", "noisy data has zero norm"),
             ("denoise", "row1x16", None, "operation needs a grid of at least 2x2, got (1, 16)"),
             ("sweep", "row1x16", "row1x16", "image (1, 16) smaller than the 11x11 window"),

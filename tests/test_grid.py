@@ -129,6 +129,16 @@ class TestAddNoise:
         with pytest.raises(svddf.ParameterError):
             NoiseSpec(delta=-0.1)
 
+    @pytest.mark.parametrize("seed, message", [
+        (-1, "seed must be non-negative, got -1"),
+        (1.5, "seed must be an integer, got 1.5"),
+        ("3", "seed must be an integer, got '3'"),
+    ])
+    def test_seed_rejected_with_its_message(self, seed, message):
+        with pytest.raises(svddf.ParameterError) as err:
+            NoiseSpec(0.1, seed)
+        assert str(err.value) == message
+
     @given(delta=st.floats(0.0, 0.99), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_elementwise_bound(self, delta, seed):

@@ -100,7 +100,8 @@ class TestFormatErrors:
             (b"", "unexpected end of header", 0),
             (b" \n\t", "unexpected end of header", 3),
             (b"P2 2 1", "unexpected end of header", 6),
-            (b"P2 2 1 255 3\n", "unexpected end of header", 13),
+            (b"P2 2 1 255 3\n", "truncated raster: expected 2 samples, found 1", 13),
+            (b"P2\n3 2\n255\n1 2 3 4\n", "truncated raster: expected 6 samples, found 4", 19),
             (b"# no newline", "unterminated comment", 0),
             (b"P2 # no newline", "unterminated comment", 3),
             (b"P2 2 1 255 3 # tail", "unterminated comment", 13),

@@ -1,7 +1,9 @@
-"""README's trajectory columns and stability numbers against what the program writes and checks."""
+"""README's flag list, trajectory columns and stability numbers against what the program parses, writes and checks."""
 
+import re
 from pathlib import Path
 
+from svddf.cli import build_parser
 from svddf.flow import CSV_HEADER, SolverConfig, step_at_bound
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
@@ -35,3 +37,17 @@ def test_stability_numbers_are_the_flow_s_at_the_defaults():
     assert f"`dt <= 2 / sqrt(lam)` under svddf ({svddf_limit:.2g} there)" in section
     assert f"explicit Euler ({euler_limit:.2g} there)" in section
     assert f"safety {config.safety:g}, when `eta > {2.0 / config.safety:.2g}`)" in section
+
+
+def test_shared_flag_list_is_the_parser_s():
+    start = next(i for i, line in enumerate(README) if line.startswith("Verbs: "))
+    paragraph = " ".join(README[start : README.index("", start)])
+    shared = paragraph.split("Shared flags:", 1)[1].split("; `--seed`", 1)[0]
+    _, verbs = build_parser()
+
+    def flags(verb):
+        return {s for action in verbs[verb]._actions for s in action.option_strings if s.startswith("--")} - {"--help"}
+
+    assert set(re.findall(r"`(--[a-z0-9-]+)", shared)) == (flags("denoise") & flags("sweep")) - {"--config"}
+    # the paragraph names every other flag of either verb too
+    assert flags("denoise") | flags("sweep") <= set(re.findall(r"`(--[a-z0-9-]+)", paragraph))

@@ -25,6 +25,7 @@ from svddf import (
     synth_image,
     vec,
 )
+from svddf.stopping import default_band_threshold
 
 from conftest import random_grid
 from oracles import naive_dft_energy
@@ -91,41 +92,15 @@ class TestRde:
         assert scaled == pytest.approx(rde(a, b, 5), rel=1e-12)
 
     def test_default_band_threshold(self):
-        rule = RdeStop(tolerance=1e-4)
-        assert rule.band_threshold(128, 128) == int(0.6 * 255)
-        assert rule.band_threshold(16, 32) == int(0.6 * 47)
-        explicit = RdeStop(tolerance=1e-4, n0=7)
-        assert explicit.band_threshold(64, 64) == 7
+        assert default_band_threshold(128, 128) == int(0.6 * 255)
+        assert default_band_threshold(16, 32) == int(0.6 * 47)
+        # the band is never empty on a grid of 2 x 2 or larger: its threshold is at most M + N - 2
+        assert all(default_band_threshold(m, n) <= m + n - 2 for m in range(2, 40) for n in range(2, 40))
 
     def test_zero_tolerance_rejected(self):
         with pytest.raises(svddf.ParameterError) as err:
             RdeStop(tolerance=0)
         assert str(err.value) == "tolerance must be positive, got 0"
-
-    @pytest.mark.parametrize("n0, message", [
-        (-1, "n0 must be non-negative, got -1"),
-        (2.5, "n0 must be an integer, got 2.5"),
-        ("7", "n0 must be an integer, got '7'"),
-    ])
-    def test_rule_rejects_n0(self, n0, message):
-        with pytest.raises(svddf.ParameterError) as err:
-            RdeStop(tolerance=1e-4, n0=n0)
-        assert str(err.value) == message
-
-    @pytest.mark.parametrize("runner", [run_svddf, svddf.run_first_order])
-    @pytest.mark.parametrize("rows, cols", [(6, 6), (4, 9)])
-    def test_n0_with_an_empty_band_rejected(self, rng, runner, rows, cols):
-        # n0 = rows + cols - 2 keeps one frequency, the largest index sum, in the band
-        largest = rows + cols - 2
-        g = random_grid(rng, rows, cols)
-        configs = [SolverConfig(dt_rule="fixed", dt_fixed=0.01, max_steps=3, stopping=RdeStop(tolerance=1e-9, n0=n0))
-                   for n0 in (largest, largest + 1)]
-        assert runner(g, configs[0])[1].final_step() == 3
-        with pytest.raises(svddf.ParameterError) as err:
-            runner(g, configs[1])
-        assert str(err.value) == (
-            f"n0 = {largest + 1} leaves the band empty: the largest index sum of a {rows} x {cols} image is {largest}"
-        )
 
     def test_shape_mismatch_rejected(self, rng):
         with pytest.raises(svddf.DimensionError) as err:
@@ -313,7 +288,7 @@ def just_below(x):
 @pytest.mark.parametrize(
     "rule, reads, field_names, cases",
     [
-        (RdeStop(0.1), "rde", ("tolerance", "n0"), [(0.1, False), (just_below(0.1), True)]),
+        (RdeStop(0.1), "rde", ("tolerance",), [(0.1, False), (just_below(0.1), True)]),
         (DiscrepancyStop(0.2), "sigma", ("delta",), [(0.2, True), (just_below(0.2), False)]),
         (HORIZON_ONE, "t", ("c1", "c2", "gamma", "delta"),
          [(HORIZON_ONE.horizon(), True), (just_below(HORIZON_ONE.horizon()), False)]),
@@ -344,7 +319,7 @@ def test_rde_matches_runner_column(rng):
     for _ in range(2):
         state = sv_step(state, cfg)
         states.append(state)
-    n0 = RdeStop(tolerance=1.0).band_threshold(12, 12)
+    n0 = default_band_threshold(12, 12)
     u1 = svddf.array(states[1].u, 12, 12)
     u2 = svddf.array(states[2].u, 12, 12)
     assert log.records[1].rde == pytest.approx(rde(u2, u1, n0), rel=1e-12)
