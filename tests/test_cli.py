@@ -292,11 +292,15 @@ class TestDenoise:
         assert capsys.readouterr().err == f"error: {conf}:4: expected key=value, got 'eta 2'\n"
         assert not out.exists()
 
-    def test_config_file_not_utf8_exits_2(self, tmp_path, noisy_pgm, capsys):
+    @pytest.mark.parametrize("verb", ["denoise", "sweep", "add-noise"])
+    def test_config_file_not_utf8_exits_2(self, tmp_path, disk_pgm, noisy_pgm, capsys, verb):
         conf = tmp_path / "run.conf"
         conf.write_bytes(b"eta=\xff\n")
         out = tmp_path / "bad"
-        assert main(["denoise", str(noisy_pgm), "--config", str(conf), "--out", str(out)]) == 2
+        argv = [verb, str(noisy_pgm), "--config", str(conf), "--out", str(out)]
+        if verb == "sweep":
+            argv += ["--clean", str(disk_pgm), "--etas", "1", "--ps", "1"]
+        assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {conf}: not UTF-8 text: byte 0xff at offset 4\n"
         assert not out.exists()
 
@@ -318,8 +322,12 @@ class TestDenoise:
             ("", ["--dt", "abc"], "invalid value for dt: 'abc'"),
             ("stop=bogus\n", [], "invalid value for stop: 'bogus'"),
             ("method=bogus\n", [], "invalid value for method: 'bogus'"),
+            # the rde band is no longer an option: an n0 value of any kind is refused as unknown
+            ("n0=abc\n", [], "unknown key 'n0' for denoise"),
+            ("", ["--n0", "-1"], "unrecognized arguments: --n0 -1"),
+            ("", ["--n0", "47"], "unrecognized arguments: --n0 47"),
         ],
-        ids=["flag-dt", "config-stop", "config-method"],
+        ids=["flag-dt", "config-stop", "config-method", "config-n0", "flag-negative-n0", "flag-empty-band-n0"],
     )
     def test_malformed_value_exits_2(self, tmp_path, noisy_pgm, capsys, conf_text, flags, message):
         conf = tmp_path / "run.conf"
@@ -761,6 +769,17 @@ class TestSweep:
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
         assert not out.exists()
 
+    def test_band_threshold_option_is_gone(self, tmp_path, disk_pgm, noisy_pgm, capsys):
+        conf = tmp_path / "run.conf"
+        conf.write_text("n0=5\n")
+        out = tmp_path / "s"
+        argv = ["sweep", str(noisy_pgm), "--clean", str(disk_pgm), "--etas", "1", "--ps", "1", "--out", str(out)]
+        assert main(argv + ["--config", str(conf)]) == 2
+        assert f"{conf}:1: unknown key 'n0' for sweep" in capsys.readouterr().err
+        assert main(argv + ["--n0", "5"]) == 2
+        assert "unrecognized arguments: --n0 5" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", [["--eta", "3"], ["--p", "1.5"]])
     def test_single_p_or_eta_flag_exits_2(self, tmp_path, disk_pgm, noisy_pgm, capsys, flag):
         out = tmp_path / "s"
@@ -914,6 +933,12 @@ class TestUnusableInput:
         captured = capsys.readouterr()
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
         assert not out.exists()
+
+    def test_all_zero_clean_image_scores_in_sweep(self, tmp_path, small_pgms):
+        # sweep scores SSIM only, and an all-zero image is a valid SSIM reference
+        out = tmp_path / "out"
+        assert main(verb_argv("sweep", small_pgms, "disk16", "zero16", out)) == 0
+        assert not math.isnan(float((out / "sweep.csv").read_text().splitlines()[1].split(",")[1]))
 
     @pytest.mark.parametrize("verb", ["denoise", "sweep"])
     def test_tiny_spectral_bound_runs(self, tmp_path, small_pgms, verb):

@@ -139,6 +139,10 @@ class TestAddNoise:
             NoiseSpec(0.1, seed)
         assert str(err.value) == message
 
+    def test_numpy_integer_seed_is_the_same_seed(self):
+        g = ImageGrid(np.full((4, 5), 0.5))
+        assert np.array_equal(add_noise(g, NoiseSpec(0.3, np.int64(7))).pixels, add_noise(g, NoiseSpec(0.3, 7)).pixels)
+
     @given(delta=st.floats(0.0, 0.99), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_elementwise_bound(self, delta, seed):

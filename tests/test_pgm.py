@@ -101,6 +101,7 @@ class TestFormatErrors:
             (b" \n\t", "unexpected end of header", 3),
             (b"P2 2 1", "unexpected end of header", 6),
             (b"P2 2 1 255 3\n", "truncated raster: expected 2 samples, found 1", 13),
+            (b"P2 2 1 255\n", "truncated raster: expected 2 samples, found 0", 11),
             (b"P2\n3 2\n255\n1 2 3 4\n", "truncated raster: expected 6 samples, found 4", 19),
             (b"# no newline", "unterminated comment", 0),
             (b"P2 # no newline", "unterminated comment", 3),
