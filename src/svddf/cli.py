@@ -41,7 +41,6 @@ _OPTIONS = {
     "sigma": (float, "1", "Gaussian smoothing variance"),
     "dt": (_dt_value, "auto", "'auto' for the spectral rule or a fixed step length"),
     "safety": (float, "0.9", "multiplier on the spectral step bound"),
-    "dt_max": (float, None, "cap on the auto step length"),
     "max_steps": (int, "500", "step budget"),
     "stop": (("rde", "discrepancy", "a-priori", "none"), "rde", "stopping rule"),
     "tol": (float, "1e-4", "tolerance of the rde rule"),
@@ -135,7 +134,6 @@ def _build_config(args, p: float, eta: float) -> SolverConfig:
         dt_rule="fixed" if fixed else "theorem",
         dt_fixed=args.dt if fixed else None,
         safety=args.safety,
-        dt_max=args.dt_max,
         max_steps=args.max_steps,
         stopping=_build_stopping(args),
     )

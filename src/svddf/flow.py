@@ -41,9 +41,8 @@ class SolverConfig:
 
     ``dt_rule`` is either ``"theorem"`` (dt = safety * eta / sqrt(lambda_max)
     for the second-order flow, safety * 2 / lambda_max for the baseline) or
-    ``"fixed"`` (dt = dt_fixed).  ``dt_max`` caps the theorem rule and is
-    required when the spectral bound is exactly zero.  Each of
-    ``dt_fixed`` and ``dt_max`` is rejected under the other rule.  Every
+    ``"fixed"`` (dt = dt_fixed).  The theorem rule has no step where the
+    spectral bound is exactly zero; ``dt_fixed`` is rejected under it.  Every
     float setting must be finite, ``max_steps`` an integer and ``stopping``
     one of the four rules.
     """
@@ -55,7 +54,6 @@ class SolverConfig:
     dt_rule: str = "theorem"
     dt_fixed: float | None = None
     safety: float = 0.9
-    dt_max: float | None = None
     max_steps: int = 500
     stopping: StoppingRule = field(default_factory=MaxStepsOnly)
 
@@ -73,14 +71,10 @@ class SolverConfig:
         if self.dt_rule not in ("theorem", "fixed"):
             raise ParameterError(f"dt_rule must be 'theorem' or 'fixed', got {self.dt_rule!r}")
         if self.dt_rule == "fixed" and not (self.dt_fixed and self.dt_fixed > 0):
-            raise ParameterError("dt_rule 'fixed' needs a positive dt_fixed")
-        if self.dt_rule == "fixed" and self.dt_max is not None:
-            raise ParameterError("dt_max caps the theorem rule and has no effect under dt_rule 'fixed'")
+            raise ParameterError(f"dt_rule 'fixed' needs a positive dt_fixed, got {self.dt_fixed}")
         if self.dt_rule == "theorem" and self.dt_fixed is not None:
             raise ParameterError("dt_fixed has no effect under dt_rule 'theorem'")
-        if self.dt_max is not None and not (self.dt_max > 0):
-            raise ParameterError(f"dt_max must be positive, got {self.dt_max}")
-        for name in ("eta", "epsilon", "sigma", "dt_fixed", "dt_max"):
+        for name in ("eta", "epsilon", "sigma", "dt_fixed"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
@@ -206,11 +200,8 @@ def _rule_step(lam: float, config: SolverConfig, second_order: bool) -> float:
     if config.dt_rule == "fixed":
         return float(config.dt_fixed)
     if lam == 0.0:
-        if config.dt_max is None:
-            raise ParameterError("spectral bound is zero and no dt_max is configured")
-        return float(config.dt_max)
-    dt = config.safety * config.eta / np.sqrt(lam) if second_order else config.safety * 2.0 / lam
-    return float(dt if config.dt_max is None else min(dt, config.dt_max))
+        raise ParameterError("spectral bound is zero: the theorem rule has no step there; set a fixed dt")
+    return float(config.safety * config.eta / np.sqrt(lam) if second_order else config.safety * 2.0 / lam)
 
 
 def _step_length(F: SparseOperator, config: SolverConfig, second_order: bool) -> tuple[float, float]:

@@ -8,6 +8,7 @@ scaled back and rounded half to even.
 """
 
 import itertools
+import operator
 import re
 
 import numpy as np
@@ -82,7 +83,14 @@ def read_pgm(path) -> ImageGrid:
 
 
 def write_pgm(grid: ImageGrid, path, maxval: int = 255) -> None:
-    """Write a binary (P5) graymap; round-trip error is at most 1/(2*maxval)."""
+    """Write a binary (P5) graymap; round-trip error is at most 1/(2*maxval).
+
+    A ``maxval`` that ``read_pgm`` would refuse (not an integer in (0, 65535]) writes nothing.
+    """
+    try:
+        maxval = operator.index(maxval)
+    except TypeError:
+        raise ParameterError(f"maxval must be an integer, got {maxval!r}") from None
     dtype = _sample_type(maxval)
     header = f"P5\n{grid.cols} {grid.rows}\n{maxval}\n".encode("ascii")
     payload = np.rint(np.clip(grid.pixels, 0.0, 1.0) * maxval).astype(dtype).tobytes()

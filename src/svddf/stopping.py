@@ -122,6 +122,8 @@ def high_freq_energy(u: ImageGrid | np.ndarray, n0: int) -> float:
     The sum runs over the real-input half spectrum with mirror weights.
     """
     px = u.pixels if isinstance(u, ImageGrid) else np.asarray(u, dtype=np.float64)
+    if px.ndim != 2 or px.size == 0:
+        raise DimensionError(f"high_freq_energy needs a non-empty 2-D array, got shape {px.shape}")
     if n0 < 0:
         raise ParameterError(f"n0 must be non-negative, got {n0}")
     m, n = px.shape

@@ -338,6 +338,7 @@ class TestDenoise:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    # the theorem rule takes no step cap: a setting of one is refused, not ignored
     @pytest.mark.parametrize("conf_text, flags", [("", ["--dt", "0.15"]), ("dt=0.15\n", [])])
     def test_dt_max_with_fixed_dt_exits_2(self, tmp_path, noisy_pgm, capsys, conf_text, flags):
         conf = tmp_path / "run.conf"
@@ -345,7 +346,7 @@ class TestDenoise:
         out = tmp_path / "bad"
         argv = ["denoise", str(noisy_pgm), "--config", str(conf), "--dt-max", "0.01", "--out", str(out)]
         assert main(argv + flags) == 2
-        assert "dt_max caps the theorem rule" in capsys.readouterr().err
+        assert "unrecognized arguments: --dt-max 0.01" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["-0.1", "0", "nan"])
@@ -353,7 +354,38 @@ class TestDenoise:
         out = tmp_path / "bad"
         argv = ["denoise", str(noisy_pgm), "--dt", "auto", "--dt-max", value, "--out", str(out)]
         assert main(argv) == 2
-        assert "dt_max must be positive" in capsys.readouterr().err
+        assert f"unrecognized arguments: --dt-max {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["denoise", "sweep"])
+    def test_step_cap_option_is_gone(self, tmp_path, disk_pgm, noisy_pgm, capsys, verb):
+        conf = tmp_path / "run.conf"
+        conf.write_text("dt_max=0.1\n")
+        out = tmp_path / "bad"
+        argv = [verb, str(noisy_pgm), "--out", str(out)]
+        if verb == "sweep":
+            argv += ["--clean", str(disk_pgm), "--etas", "2", "--ps", "1"]
+        assert main(argv + ["--config", str(conf)]) == 2
+        assert f"{conf}:1: unknown key 'dt_max' for {verb}" in capsys.readouterr().err
+        assert main(argv + ["--dt-max", "0.1"]) == 2
+        assert "unrecognized arguments: --dt-max 0.1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("verb", ["denoise", "sweep"])
+    def test_zero_spectral_bound_exits_2_before_step_1(self, tmp_path, disk_pgm, noisy_pgm, capsys, monkeypatch,
+                                                        verb):
+        # at h = 1e150 and epsilon = 1e300 the bound 8 * epsilon^(-1/2) / h^2 underflows to 0.0
+        read = svddf.cli.read_pgm
+        monkeypatch.setattr(svddf.cli, "read_pgm", lambda path: ImageGrid(read(path).pixels, spacing=1e150))
+        monkeypatch.setattr(svddf.cli, "run_svddf", None)  # the check before step 1 refuses, not the flow
+        out = tmp_path / "bad"
+        argv = [verb, str(noisy_pgm), "--epsilon", "1e300", "--out", str(out)]
+        if verb == "sweep":
+            argv += ["--clean", str(disk_pgm), "--etas", "2", "--ps", "1"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: spectral bound is zero: the theorem rule has no step there; set a fixed dt\n"
+        )
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -378,7 +410,11 @@ class TestDenoise:
         if verb == "sweep":
             argv += ["--clean", str(disk_pgm), "--etas", "2", "--ps", "1"]
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: {field} must be finite, got inf\n"
+        err = capsys.readouterr().err
+        if flag == "--dt-max":  # not a flag: the theorem rule takes no cap
+            assert "unrecognized arguments: --dt-max inf" in err
+        else:
+            assert err == f"error: {field} must be finite, got inf\n"
         assert not out.exists()
 
     # numpy refuses the taps of both: an index range past its limit, then an allocation of 42.6 PiB
@@ -436,9 +472,9 @@ class TestDenoise:
             (["--eta", "2", "--dt", "auto", "--safety", "1"], False),  # 2, the stable edge
             (["--eta", "3", "--dt", "0.15"], False),
             (["--eta", "3", "--dt", "auto", "--method", "first-order"], False),
-            # the cap holds the step below 2/sqrt(80) = 0.2236 at the bound, or not
-            (["--eta", "3", "--dt", "auto", "--dt-max", "0.1"], False),
-            (["--eta", "3", "--dt", "auto", "--dt-max", "0.3"], True),
+            # safety <= 2 / eta keeps the step at or below 2/sqrt(80) = 0.2236 at the bound
+            (["--eta", "3", "--dt", "auto", "--safety", "0.6"], False),  # 1.8
+            (["--eta", "3", "--dt", "auto", "--safety", "0.7"], True),  # 2.1
             (["--eta", "2.0000001", "--dt", "auto", "--safety", "1"], True),  # just past the edge
             (["--eta", "3", "--dt", "0.3"], True),
         ],
@@ -455,11 +491,11 @@ class TestDenoise:
             step, limit = captured.err.split(f"--dt {rule} steps ")[1].split(",")[0].split(" > ")
             assert float(step) > float(limit)
 
-    @pytest.mark.parametrize("dt_max", ["0.70", "0.7071", "0.7072", "0.72"])
-    def test_p2_warning_is_exact(self, tmp_path, noisy_pgm, capsys, dt_max):
+    @pytest.mark.parametrize("safety", ["0.66", "0.6666", "0.6667", "0.67"])
+    def test_p2_warning_is_exact(self, tmp_path, noisy_pgm, capsys, safety):
         # at p = 2 every stencil's lambda_max is the bound 8 / h^2 itself, so the
-        # run warns exactly when a step it logs has dt^2 * lambda_max > 4
-        argv = ["denoise", str(noisy_pgm), "--p", "2", "--eta", "3", "--dt", "auto", "--dt-max", dt_max]
+        # run warns exactly when a step it logs has dt^2 * lambda_max = 9 * safety^2 > 4
+        argv = ["denoise", str(noisy_pgm), "--p", "2", "--eta", "3", "--dt", "auto", "--safety", safety]
         assert main(argv + ["--stop", "none", "--max-steps", "3", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "disk_noisy_trajectory.csv").read_text().splitlines()
         assert lines[0].startswith("step,t,dt,lambda_max,")
@@ -481,7 +517,6 @@ OPTION_CASES = {
     "sigma": ("2", "0.5", []),
     "dt": ("0.125", "auto", []),
     "safety": ("0.5", "1", []),
-    "dt_max": ("0.3", "0.6", []),
     "max_steps": ("7", "9", []),
     "stop": ("discrepancy", "none", []),
     "tol": ("1e-3", "1e-2", []),

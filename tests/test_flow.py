@@ -1,7 +1,8 @@
 import csv
 import dataclasses
-import importlib
+import importlib.util
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,20 +85,23 @@ class TestStepSize:
             half, _ = one_step(method, SolverConfig(eta=10.0, safety=0.5), 0.5)
             assert half == pytest.approx(0.5 * full, rel=1e-15)
 
-    def test_zero_bound_requires_dt_max(self):
+    def test_zero_bound_needs_a_fixed_step(self):
+        message = "spectral bound is zero: the theorem rule has no step there; set a fixed dt"
         for method in STEPPERS:
             with pytest.raises(svddf.ParameterError) as err:
                 one_step(method, SolverConfig(eta=1.0), 0.0)
-            assert str(err.value) == "spectral bound is zero and no dt_max is configured"
-            assert one_step(method, SolverConfig(eta=1.0, dt_max=0.125), 0.0) == (0.125, 0.0)
+            assert str(err.value) == message
+            dt, lam = one_step(method, fixed_cfg(0.125), 0.0)
+            assert dt == 0.125 and math.isnan(lam)
         # the CLI's check meets the same rule where the image-independent bound underflows to zero
         for second_order in (True, False):
-            with pytest.raises(svddf.ParameterError, match="spectral bound is zero"):
+            with pytest.raises(svddf.ParameterError) as err:
                 step_at_bound(SolverConfig(epsilon=1e300), 1e150, second_order)
-            assert step_at_bound(SolverConfig(epsilon=1e300, dt_max=0.125), 1e150, second_order) == (0.125, math.inf)
+            assert str(err.value) == message
+            assert step_at_bound(fixed_cfg(0.125, epsilon=1e300), 1e150, second_order) == (0.125, math.inf)
 
     def test_tiny_positive_bound_sets_the_step(self, rng):
-        # at h = 1e8 every coupling is below 1e-15: the bound is tiny but not zero, so no dt_max is needed
+        # at h = 1e8 every coupling is below 1e-15: the bound is tiny but not zero, so the theorem rule steps
         u0 = random_grid(rng, 8, 8, spacing=1e8)
         stable = {run_svddf: lambda lam: 0.9 * 2.0 / math.sqrt(lam), run_first_order: lambda lam: 0.9 * 2.0 / lam}
         for runner, stable_dt in stable.items():
@@ -111,13 +115,14 @@ class TestStepSize:
             dt, lam = one_step(method, fixed_cfg(0.07), 1.0)
             assert dt == 0.07 and math.isnan(lam)
 
+    # the theorem rule takes no step cap: a config that sets one is refused, not ignored
     @pytest.mark.parametrize("dt_max", [-0.1, 0.0, float("nan")])
     def test_non_positive_dt_max_rejected(self, dt_max):
-        with pytest.raises(svddf.ParameterError, match="dt_max must be positive"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'dt_max'"):
             SolverConfig(dt_max=dt_max)
 
     def test_dt_max_rejected_under_fixed_rule(self):
-        with pytest.raises(svddf.ParameterError, match="dt_max caps the theorem rule"):
+        with pytest.raises(TypeError, match="unexpected keyword argument 'dt_max'"):
             SolverConfig(dt_rule="fixed", dt_fixed=0.15, dt_max=0.01)
 
     def test_dt_fixed_rejected_under_theorem_rule(self):
@@ -138,16 +143,10 @@ CONFIG_REJECTIONS = [
     ("safety", {"safety": 0.0}, "safety must lie in (0, 1], got 0.0"),
     ("safety", {"safety": 1.5}, "safety must lie in (0, 1], got 1.5"),
     ("dt_rule", {"dt_rule": "auto"}, "dt_rule must be 'theorem' or 'fixed', got 'auto'"),
-    ("dt_fixed", {"dt_rule": "fixed"}, "dt_rule 'fixed' needs a positive dt_fixed"),
-    ("dt_fixed", {"dt_rule": "fixed", "dt_fixed": 0.0}, "dt_rule 'fixed' needs a positive dt_fixed"),
-    ("dt_fixed", {"dt_rule": "fixed", "dt_fixed": -0.1}, "dt_rule 'fixed' needs a positive dt_fixed"),
+    ("dt_fixed", {"dt_rule": "fixed"}, "dt_rule 'fixed' needs a positive dt_fixed, got None"),
+    ("dt_fixed", {"dt_rule": "fixed", "dt_fixed": 0.0}, "dt_rule 'fixed' needs a positive dt_fixed, got 0.0"),
+    ("dt_fixed", {"dt_rule": "fixed", "dt_fixed": -0.1}, "dt_rule 'fixed' needs a positive dt_fixed, got -0.1"),
     ("dt_fixed", {"dt_fixed": 0.15}, "dt_fixed has no effect under dt_rule 'theorem'"),
-    (
-        "dt_max",
-        {"dt_rule": "fixed", "dt_fixed": 0.15, "dt_max": 0.01},
-        "dt_max caps the theorem rule and has no effect under dt_rule 'fixed'",
-    ),
-    ("dt_max", {"dt_max": 0.0}, "dt_max must be positive, got 0.0"),
     ("max_steps", {"max_steps": 0}, "max_steps must be at least 1, got 0"),
     ("eta", {"eta": math.inf}, "eta must be finite, got inf"),
     ("epsilon", {"epsilon": math.inf}, "epsilon must be finite, got inf"),
@@ -158,7 +157,7 @@ CONFIG_REJECTIONS = [
         "sigma = 1e+300 is too large: radius 3e+150 needs 6e+150 taps, more than numpy can allocate",
     ),
     ("dt_fixed", {"dt_rule": "fixed", "dt_fixed": math.inf}, "dt_fixed must be finite, got inf"),
-    ("dt_max", {"dt_max": math.inf}, "dt_max must be finite, got inf"),
+    ("dt_fixed", {"dt_rule": "fixed", "dt_fixed": math.nan}, "dt_rule 'fixed' needs a positive dt_fixed, got nan"),
     ("max_steps", {"max_steps": 2.5}, "max_steps must be an integer, got 2.5"),
     ("max_steps", {"max_steps": "9"}, "max_steps must be an integer, got '9'"),
     (
@@ -281,7 +280,7 @@ class TestSpacing:
     @pytest.mark.parametrize("runner", [run_svddf, run_first_order])
     def test_flow_reads_the_image_spacing(self, rng, runner):
         px = random_grid(rng, 10, 9).pixels
-        cfg = SolverConfig(exponent_p=1.5, max_steps=5, dt_max=0.05, stopping=MaxStepsOnly())
+        cfg = SolverConfig(exponent_p=1.5, max_steps=5, stopping=MaxStepsOnly())
         fine, _ = runner(ImageGrid(px, spacing=0.5), cfg)
         unit, _ = runner(ImageGrid(px, spacing=1.0), cfg)
         assert fine.spacing == 0.5
@@ -722,23 +721,16 @@ class TestWithoutTrajectory:
         assert (record.kinetic, record.potential) == energies(state)
 
 
-@pytest.mark.parametrize(
-    "module, attr",
-    [
-        ("svddf.flow", name)
-        for name in (
-            "sv_step",
-            "energies",
-            "high_freq_energy",
-            "discrepancy",
-            "diffusivity_half",
-            "assemble",
-            "apply",
-            "lambda_max",
-        )
-    ]
-    + [("svddf.cli", name) for name in ("main", "read_pgm", "write_pgm", "evaluate", "run_svddf")],
-)
+def _traced_layers():
+    """``(module, attribute)`` of every layer in perfbench's tracer, read from its ``LAYERS``."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return [(module, attr) for _, module, attr in tracer.LAYERS]
+
+
+@pytest.mark.parametrize("module, attr", _traced_layers())
 def test_benchmark_traced_layer_exists(module, attr):
     # perfbench's tracer wraps these module attributes by name; without one a
     # layer reads as absent with zero calls instead of failing

@@ -17,10 +17,11 @@ def test_round_trip_within_quantization(tmp_path, rng):
 
 def test_header_bytes_exact(tmp_path):
     path = tmp_path / "h.pgm"
-    write_pgm(ImageGrid(np.zeros((3, 5))), path, maxval=255)
-    data = path.read_bytes()
-    assert data.startswith(b"P5\n5 3\n255\n")
-    assert len(data) == len(b"P5\n5 3\n255\n") + 15
+    for maxval in (255, np.uint16(255)):
+        write_pgm(ImageGrid(np.zeros((3, 5))), path, maxval=maxval)
+        data = path.read_bytes()
+        assert data.startswith(b"P5\n5 3\n255\n")
+        assert len(data) == len(b"P5\n5 3\n255\n") + 15
 
 
 def test_ascii_1x1(tmp_path):
@@ -75,6 +76,24 @@ def test_write_clips_out_of_range(tmp_path):
     path = tmp_path / "clip.pgm"
     write_pgm(g, path, maxval=255)
     assert list(path.read_bytes()[-2:]) == [0, 255]
+
+
+@pytest.mark.parametrize(
+    "maxval, message",
+    [
+        (0, "maxval 0 outside (0, 65535]"),
+        (65536, "maxval 65536 outside (0, 65535]"),
+        (255.0, "maxval must be an integer, got 255.0"),
+        (2.5, "maxval must be an integer, got 2.5"),
+    ],
+    ids=["0", "65536", "255.0", "2.5"],
+)
+def test_write_refuses_a_maxval_read_pgm_refuses(tmp_path, maxval, message):
+    path = tmp_path / "bad.pgm"
+    with pytest.raises(svddf.ParameterError) as err:
+        write_pgm(ImageGrid(np.zeros((4, 5))), path, maxval=maxval)
+    assert str(err.value) == message
+    assert not path.exists()
 
 
 def _read_bytes(tmp_path, data: bytes):

@@ -69,6 +69,12 @@ class TestHighFreqEnergy:
         with pytest.raises(svddf.ParameterError):
             high_freq_energy(random_grid(rng, 4, 4), -1)
 
+    @pytest.mark.parametrize("shape", [(5,), (2, 3, 4), (0, 3)], ids=["1-D", "3-D", "empty"])
+    def test_array_that_is_not_a_non_empty_image_rejected(self, shape):
+        with pytest.raises(svddf.DimensionError) as err:
+            high_freq_energy(np.zeros(shape), 0)
+        assert str(err.value) == f"high_freq_energy needs a non-empty 2-D array, got shape {shape}"
+
 
 class TestRde:
     def test_identical_iterates(self, rng):
