@@ -100,7 +100,8 @@ def _read_config_file(path: str, command: str, keys) -> dict:
     except UnicodeDecodeError as err:
         raise SvddfError(f"{path}: not UTF-8 text: byte 0x{err.object[err.start]:02x} at offset {err.start}") from None
     values = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # a byte-order mark is not part of the first key; utf-8-sig would shift the offsets above by 3
+    for lineno, raw in enumerate(text.removeprefix("\ufeff").splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -167,13 +168,21 @@ def _cmd_add_noise(args) -> int:
 
 def _run_method(noisy: ImageGrid, config: SolverConfig, method: str, keep_trajectory: bool = True):
     second_order = method == "svddf"
+    # the step where lambda_max peaks: no step of the run is shorter than dt
     dt, limit = step_at_bound(config, noisy.spacing, second_order)
+    rule = "auto" if config.dt_rule == "theorem" else f"{config.dt_fixed:g}"
     if dt > limit:
-        rule = "auto" if config.dt_rule == "theorem" else f"{config.dt_fixed:g}"
         print(
             f"warning: where lambda_max reaches its bound on any image, --dt {rule} steps {dt!r} > "
             f"{limit!r}, the stable limit of {method} (p={config.exponent_p:g}, eta={config.eta:g}, epsilon="
             f"{config.epsilon:g}, h={noisy.spacing:g}); see README 'Stability of the spectral step rule'",
+            file=sys.stderr,
+        )
+    stop = config.stopping
+    if isinstance(stop, AprioriStop) and stop.fired(math.nan, math.nan, dt):
+        print(
+            f"warning: the a-priori horizon T(delta) = {stop.horizon()!r} is within the first step, which "
+            f"--dt {rule} makes {dt!r} or longer under {method}: the run stops after step 1",
             file=sys.stderr,
         )
     runner = run_svddf if second_order else run_first_order

@@ -2,29 +2,21 @@
 
 Reads both the binary (P5) and ASCII (P2) variants with maxval up to
 65535; binary 16-bit samples are big-endian as in the netpbm convention.
-Intensities are scaled to [0, 1] on read.  Writing emits P5 with the exact
-header ``P5\\n<W> <H>\\n<maxval>\\n``; intensities are clipped to [0, 1],
-scaled back and rounded half to even.
+Intensities are scaled to [0, 1] on read.  Writing emits 8-bit P5 with the
+exact header ``P5\\n<W> <H>\\n255\\n``; intensities are clipped to [0, 1],
+scaled by 255 and rounded half to even.
 """
 
 import itertools
-import operator
 import re
 
 import numpy as np
 
-from .errors import FormatError, ParameterError
+from .errors import FormatError
 from .grid import ImageGrid
 
 # whitespace and '#' comments to the end of their line, then one token: a run of non-whitespace bytes
 _TOKEN = re.compile(rb"(?:\s+|#[^\n]*\n)*(\S*)")
-
-
-def _sample_type(maxval: int, error=ParameterError, **where) -> np.dtype:
-    """Type of one binary sample: big-endian 16-bit above maxval 255, else one byte."""
-    if not (0 < maxval <= 65535):
-        raise error(f"maxval {maxval} outside (0, 65535]", **where)
-    return np.dtype(">u2" if maxval > 255 else np.uint8)
 
 
 def _tokens(matches, names, number, ended="unexpected end of header") -> tuple[list, int]:
@@ -58,7 +50,10 @@ def read_pgm(path) -> ImageGrid:
     (width, height, maxval), end = _tokens(matches, ("width", "height", "maxval"), int)
     if width < 1 or height < 1:
         raise FormatError(f"bad dimensions {width}x{height}", offset=end)
-    dtype = _sample_type(maxval, FormatError, offset=end)
+    if not (0 < maxval <= 65535):
+        raise FormatError(f"maxval {maxval} outside (0, 65535]", offset=end)
+    # one binary sample: big-endian 16-bit above maxval 255, else one byte
+    dtype = np.dtype(">u2" if maxval > 255 else np.uint8)
 
     n = width * height
     if magic == b"P5":
@@ -82,18 +77,10 @@ def read_pgm(path) -> ImageGrid:
     return ImageGrid.of_finite(pixels, 1.0)
 
 
-def write_pgm(grid: ImageGrid, path, maxval: int = 255) -> None:
-    """Write a binary (P5) graymap; round-trip error is at most 1/(2*maxval).
-
-    A ``maxval`` that ``read_pgm`` would refuse (not an integer in (0, 65535]) writes nothing.
-    """
-    try:
-        maxval = operator.index(maxval)
-    except TypeError:
-        raise ParameterError(f"maxval must be an integer, got {maxval!r}") from None
-    dtype = _sample_type(maxval)
-    header = f"P5\n{grid.cols} {grid.rows}\n{maxval}\n".encode("ascii")
-    payload = np.rint(np.clip(grid.pixels, 0.0, 1.0) * maxval).astype(dtype).tobytes()
+def write_pgm(grid: ImageGrid, path) -> None:
+    """Write an 8-bit binary (P5) graymap; round-trip error is at most 1/510."""
+    header = f"P5\n{grid.cols} {grid.rows}\n255\n".encode("ascii")
+    payload = np.rint(np.clip(grid.pixels, 0.0, 1.0) * 255).astype(np.uint8).tobytes()
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(payload)

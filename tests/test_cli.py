@@ -32,7 +32,8 @@ def disk64_pgms(tmp_path):
     noisy = svddf.add_noise(clean, svddf.NoiseSpec(delta=0.54, seed=1))
     paths = tmp_path / "disk.pgm", tmp_path / "disk_noisy.pgm"
     for grid, path in zip((clean, noisy), paths):
-        write_pgm(grid, path, maxval=65535)
+        samples = np.rint(np.clip(grid.pixels, 0.0, 1.0) * 65535).astype(">u2")
+        path.write_bytes(b"P5\n64 64\n65535\n" + samples.tobytes())
     return paths
 
 
@@ -304,6 +305,23 @@ class TestDenoise:
         assert capsys.readouterr().err == f"error: {conf}: not UTF-8 text: byte 0xff at offset 4\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["denoise", "sweep", "add-noise"])
+    def test_config_file_with_byte_order_mark(self, tmp_path, disk_pgm, noisy_pgm, capsys, verb):
+        # a file saved with a UTF-8 byte-order mark reads as the same file without one
+        lines, shown = ("seed=3\n", "seed=3") if verb == "add-noise" else ("max-steps=2\nstop=none\n", "2 steps")
+        outputs = []
+        for name, mark in (("plain", ""), ("bom", "\ufeff")):
+            conf = tmp_path / f"{name}.conf"
+            conf.write_text(mark + lines, encoding="utf-8")
+            out = tmp_path / name
+            argv = [verb, str(disk_pgm if verb == "add-noise" else noisy_pgm), "--config", str(conf), "--out", str(out)]
+            if verb == "sweep":
+                argv += ["--clean", str(disk_pgm), "--etas", "1", "--ps", "1"]
+            assert main(argv) == 0
+            assert shown in capsys.readouterr().out
+            outputs.append({path.name: path.read_bytes() for path in out.iterdir()})
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("verb", ["denoise", "sweep"])
     def test_config_file_seed_key_exits_2(self, tmp_path, disk_pgm, noisy_pgm, capsys, verb):
         conf = tmp_path / "run.conf"
@@ -490,6 +508,31 @@ class TestDenoise:
             rule = flags[flags.index("--dt") + 1]
             step, limit = captured.err.split(f"--dt {rule} steps ")[1].split(",")[0].split(" > ")
             assert float(step) > float(limit)
+
+    @pytest.mark.parametrize(
+        "flags, warned",
+        [
+            ([], True),  # T(0.1) = ln 1.1 = 0.0953; no auto step at the defaults is shorter than 0.2012
+            (["--method", "first-order"], False),  # its auto steps are 0.0225 or longer
+            (["--c1", "30"], False),  # T = 2.86
+            (["--dt", "0.1"], True),
+            (["--dt", "0.09"], False),
+        ],
+    )
+    def test_a_priori_horizon_within_first_step_warning(self, tmp_path, noisy_pgm, capsys, flags, warned):
+        argv = ["denoise", str(noisy_pgm), "--stop", "a-priori", "--out", str(tmp_path / "w")]
+        assert main(argv + flags) == 0
+        captured = capsys.readouterr()
+        lines = [line for line in captured.err.splitlines() if "a-priori horizon" in line]
+        assert len(lines) == int(warned)
+        steps = int(captured.out.split(" after ")[1].split()[0])
+        assert (steps == 1) if warned else (steps > 1)
+        if warned:
+            # the line gives T, then the shortest step
+            horizon = float(lines[0].split(" = ")[1].split()[0])
+            step = float(lines[0].split(" makes ")[1].split()[0])
+            assert horizon == pytest.approx(math.log(1.1)) and horizon <= step
+            assert lines[0].endswith("the run stops after step 1")
 
     @pytest.mark.parametrize("safety", ["0.66", "0.6666", "0.6667", "0.67"])
     def test_p2_warning_is_exact(self, tmp_path, noisy_pgm, capsys, safety):

@@ -5,23 +5,28 @@ import svddf
 from svddf import ImageGrid, read_pgm, write_pgm
 
 
+def _write_16bit(samples, path):
+    """A P5 file at maxval 65535 holding integer ``samples``, big-endian as netpbm has it."""
+    rows, cols = samples.shape
+    path.write_bytes(f"P5\n{cols} {rows}\n65535\n".encode("ascii") + samples.astype(">u2").tobytes())
+
+
 def test_round_trip_within_quantization(tmp_path, rng):
     g = ImageGrid(rng.uniform(size=(13, 9)))
+    write_pgm(g, tmp_path / "rt255.pgm")
+    _write_16bit(np.rint(g.pixels * 65535), tmp_path / "rt65535.pgm")  # write_pgm writes 8 bits only
     for maxval in (255, 65535):
-        path = tmp_path / f"rt{maxval}.pgm"
-        write_pgm(g, path, maxval=maxval)
-        back = read_pgm(path)
+        back = read_pgm(tmp_path / f"rt{maxval}.pgm")
         assert back.shape == g.shape
         assert np.max(np.abs(back.pixels - g.pixels)) <= 0.5 / maxval + 1e-12
 
 
 def test_header_bytes_exact(tmp_path):
     path = tmp_path / "h.pgm"
-    for maxval in (255, np.uint16(255)):
-        write_pgm(ImageGrid(np.zeros((3, 5))), path, maxval=maxval)
-        data = path.read_bytes()
-        assert data.startswith(b"P5\n5 3\n255\n")
-        assert len(data) == len(b"P5\n5 3\n255\n") + 15
+    write_pgm(ImageGrid(np.zeros((3, 5))), path)
+    data = path.read_bytes()
+    assert data.startswith(b"P5\n5 3\n255\n")
+    assert len(data) == len(b"P5\n5 3\n255\n") + 15
 
 
 def test_ascii_1x1(tmp_path):
@@ -63,10 +68,11 @@ def test_truncated_payload_reports_offset(tmp_path):
 
 
 def test_values_rounded_half_to_even(tmp_path):
-    # with maxval 2 the scaled samples hit exact halves: 0.5 -> 0, 1.5 -> 2
-    g = ImageGrid(np.array([[0.25, 0.75]]))
+    # times 255 these pixels are exactly 0.5 and 1.5, which round to 0 and 2
+    g = ImageGrid(np.array([[0.5 / 255, 1.5 / 255]]))
+    assert (g.pixels * 255).tolist() == [[0.5, 1.5]]
     path = tmp_path / "r.pgm"
-    write_pgm(g, path, maxval=2)
+    write_pgm(g, path)
     raw = path.read_bytes()[-2:]
     assert list(raw) == [0, 2]
 
@@ -74,26 +80,8 @@ def test_values_rounded_half_to_even(tmp_path):
 def test_write_clips_out_of_range(tmp_path):
     g = ImageGrid(np.array([[-0.25, 1.25]]))
     path = tmp_path / "clip.pgm"
-    write_pgm(g, path, maxval=255)
+    write_pgm(g, path)
     assert list(path.read_bytes()[-2:]) == [0, 255]
-
-
-@pytest.mark.parametrize(
-    "maxval, message",
-    [
-        (0, "maxval 0 outside (0, 65535]"),
-        (65536, "maxval 65536 outside (0, 65535]"),
-        (255.0, "maxval must be an integer, got 255.0"),
-        (2.5, "maxval must be an integer, got 2.5"),
-    ],
-    ids=["0", "65536", "255.0", "2.5"],
-)
-def test_write_refuses_a_maxval_read_pgm_refuses(tmp_path, maxval, message):
-    path = tmp_path / "bad.pgm"
-    with pytest.raises(svddf.ParameterError) as err:
-        write_pgm(ImageGrid(np.zeros((4, 5))), path, maxval=maxval)
-    assert str(err.value) == message
-    assert not path.exists()
 
 
 def _read_bytes(tmp_path, data: bytes):
@@ -208,11 +196,10 @@ class TestExactPixels:
         self._assert_pixels(g, [[10, 32]], 255)
 
     def test_written_file_reads_back_exactly(self, tmp_path, rng):
-        for maxval in (255, 65535):
-            samples = rng.integers(0, maxval + 1, size=(5, 4))
-            path = tmp_path / f"w{maxval}.pgm"
-            write_pgm(ImageGrid(samples / float(maxval)), path, maxval=maxval)
-            self._assert_pixels(read_pgm(path), samples, maxval)
+        samples = rng.integers(0, 256, size=(5, 4))
+        path = tmp_path / "w.pgm"
+        write_pgm(ImageGrid(samples / 255.0), path)
+        self._assert_pixels(read_pgm(path), samples, 255)
 
 
 class TestUnsignedDecimalOnly:
