@@ -169,13 +169,13 @@ def _cmd_add_noise(args) -> int:
 def _run_method(noisy: ImageGrid, config: SolverConfig, method: str, keep_trajectory: bool = True):
     second_order = method == "svddf"
     # the step where lambda_max peaks: no step of the run is shorter than dt
-    dt, limit = step_at_bound(config, noisy.spacing, second_order)
-    rule = "auto" if config.dt_rule == "theorem" else f"{config.dt_fixed:g}"
+    dt, limit = step_at_bound(config, second_order)
+    rule = "auto" if config.dt_rule == "theorem" else repr(config.dt_fixed)
     if dt > limit:
         print(
             f"warning: where lambda_max reaches its bound on any image, --dt {rule} steps {dt!r} > "
             f"{limit!r}, the stable limit of {method} (p={config.exponent_p:g}, eta={config.eta:g}, epsilon="
-            f"{config.epsilon:g}, h={noisy.spacing:g}); see README 'Stability of the spectral step rule'",
+            f"{config.epsilon:g}); see README 'Stability of the spectral step rule'",
             file=sys.stderr,
         )
     stop = config.stopping

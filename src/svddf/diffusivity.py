@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .grid import ImageGrid, _check_spacing
+from .grid import ImageGrid
 
 
 @dataclass(frozen=True)
@@ -84,16 +84,11 @@ class DiffusivityField:
     ``aj[i, j]`` sits at (i, j+1/2), between (i, j) and (i, j+1).  Both are
     rows x cols and column-major, the layout of ``SparseOperator.ci``/``cj``:
     with no midpoints across the border, the last row of ``ai`` and the last
-    column of ``aj`` are 0.0.  ``spacing`` is the h the gradient was divided by,
-    refused as ``ImageGrid`` refuses it.
+    column of ``aj`` are 0.0.
     """
 
     ai: np.ndarray
     aj: np.ndarray
-    spacing: float
-
-    def __post_init__(self):
-        _check_spacing(self.spacing)
 
     @property
     def rows(self) -> int:
@@ -157,8 +152,8 @@ def grad_gaussian(u: ImageGrid, kernel: GaussianKernel):
     """Smoothed gradient components (d/di, d/dj) under symmetric padding, column-major.
 
     Correlating with the derivative-of-Gaussian taps differentiates the
-    Gaussian-smoothed image; mirror padding matches the flow's zero-flux
-    boundary, and dividing by h makes a unit-slope ramp report slope ~1.
+    Gaussian-smoothed image on the unit lattice, so a unit-slope ramp reports
+    slope ~1; mirror padding matches the flow's zero-flux boundary.
     One pass along the rows gives the smoothed and the differentiated rows;
     a pass down the flat buffer of each finishes its component.
     """
@@ -175,7 +170,7 @@ def grad_gaussian(u: ImageGrid, kernel: GaussianKernel):
         # the last 2r rows of each column mix two columns and are dropped
         out, work = (a.ravel(order="F")[:size] for a in (col, tmp))
         _paired_pass(src.ravel(order="F"), 0, size, taps, even, out, work)
-        grads.append(np.divide(col[:m], u.spacing, order="F"))
+        grads.append(col[:m].copy(order="F"))
     return tuple(grads)
 
 
@@ -227,5 +222,5 @@ def diffusivity_half(u: ImageGrid, epsilon: float, p: float, kernel: GaussianKer
     # the flat pairs across the border: last row and next column's first row, last column and none
     a_i[-1] = 0.0
     a_j[:, -1] = 0.0
-    return DiffusivityField(a_i, a_j, u.spacing)
+    return DiffusivityField(a_i, a_j)
 

@@ -102,9 +102,8 @@ class SolverConfig:
 class FlowState:
     """Stacked iterate (u, v) plus the stencil assembled from the previous iterate.
 
-    The grid shape is the stencil's; ``spacing`` is the input image's grid step h.
-    ``Fu`` is ``F_prev @ u``, formed on first read unless the step that made
-    the state formed it already.
+    The grid shape is the stencil's.  ``Fu`` is ``F_prev @ u``, formed on
+    first read unless the step that made the state formed it already.
     """
 
     u: np.ndarray
@@ -112,7 +111,6 @@ class FlowState:
     k: int
     t: float
     F_prev: SparseOperator
-    spacing: float
     last_dt: float = float("nan")
     last_lambda: float = float("nan")
 
@@ -166,13 +164,13 @@ class TrajectoryLog:
                 fh.write(_CSV_ROW.format(*_csv_values(r)))
 
 
-def _assemble_from(u: np.ndarray, shape, spacing: float, config: SolverConfig) -> SparseOperator:
+def _assemble_from(u: np.ndarray, shape, config: SolverConfig) -> SparseOperator:
     """Stencil of the finite stacked iterate ``u``, computed column-major throughout.
 
     The image is the column-major view of ``u``, wrapped without a copy or
     a finiteness scan, so the coefficients come out in the stencil's layout.
     """
-    image = ImageGrid.of_finite(u.reshape(shape, order="F"), spacing)
+    image = ImageGrid.of_finite(u.reshape(shape, order="F"))
     fld = diffusivity_half(image, config.epsilon, config.exponent_p, config.kernel())
     return assemble(fld)
 
@@ -180,8 +178,8 @@ def _assemble_from(u: np.ndarray, shape, spacing: float, config: SolverConfig) -
 def initial_state(u0: ImageGrid, config: SolverConfig) -> FlowState:
     """State at k = 0: v = 0 and the startup stencil assembled from u0."""
     u = vec(u0)
-    F0 = _assemble_from(u, u0.shape, u0.spacing, config)  # rejects grids below 2 x 2
-    return FlowState(u=u, v=np.zeros_like(u), k=0, t=0.0, F_prev=F0, spacing=u0.spacing)
+    F0 = _assemble_from(u, u0.shape, config)  # rejects grids below 2 x 2
+    return FlowState(u=u, v=np.zeros_like(u), k=0, t=0.0, F_prev=F0)
 
 
 def _reassemble(state: FlowState, config: SolverConfig) -> SparseOperator:
@@ -192,7 +190,7 @@ def _reassemble(state: FlowState, config: SolverConfig) -> SparseOperator:
     """
     if state.k == 0 or constant_diffusivity(config.exponent_p):
         return state.F_prev
-    return _assemble_from(state.u, (state.F_prev.rows, state.F_prev.cols), state.spacing, config)
+    return _assemble_from(state.u, (state.F_prev.rows, state.F_prev.cols), config)
 
 
 def _rule_step(lam: float, config: SolverConfig, second_order: bool) -> float:
@@ -210,16 +208,17 @@ def _step_length(F: SparseOperator, config: SolverConfig, second_order: bool) ->
     return _rule_step(lam, config, second_order), lam
 
 
-def step_at_bound(config: SolverConfig, spacing: float, second_order: bool = True) -> tuple[float, float]:
+def step_at_bound(config: SolverConfig, second_order: bool = True) -> tuple[float, float]:
     """The configured step and the largest stable step, ``(dt, limit)``, where ``lambda_max`` peaks.
 
     No coefficient exceeds epsilon^((p-2)/2), so no image's ``lambda_max`` exceeds
-    lam = 8 * epsilon^((p-2)/2) / h^2.  A frozen stencil is stable for dt <= 2 / sqrt(lam),
-    or dt <= 2 / lam under explicit Euler, and for every dt if lam is 0.  Under every rule
-    dt / limit does not fall as lam grows, so ``dt > limit`` exactly when some image can step unstably.
+    lam = 8 * epsilon^((p-2)/2), which is at least about 6e-154 for every finite
+    epsilon > 0 and p in [1, 2].  A frozen stencil is stable for dt <= 2 / sqrt(lam),
+    or dt <= 2 / lam under explicit Euler.  Under every rule dt / limit does not fall
+    as lam grows, so ``dt > limit`` exactly when some image can step unstably.
     """
-    lam = 8.0 * config.epsilon ** ((config.exponent_p - 2.0) / 2.0) / spacing**2
-    limit = math.inf if lam == 0.0 else 2.0 / math.sqrt(lam) if second_order else 2.0 / lam
+    lam = 8.0 * config.epsilon ** ((config.exponent_p - 2.0) / 2.0)
+    limit = 2.0 / math.sqrt(lam) if second_order else 2.0 / lam
     return _rule_step(lam, config, second_order), limit
 
 
@@ -243,25 +242,23 @@ def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
         v_new = v_half + 0.5 * dt * (Fu_new - config.eta * v_half)
     if not np.isfinite(v_new).all():
         raise DivergenceError(f"non-finite velocity at step {state.k}", step=state.k)
-    new = FlowState(u=u_new, v=v_new, k=state.k + 1, t=state.t + dt, F_prev=F_new, spacing=state.spacing,
-                    last_dt=dt, last_lambda=lam)
+    new = FlowState(u=u_new, v=v_new, k=state.k + 1, t=state.t + dt, F_prev=F_new, last_dt=dt, last_lambda=lam)
     object.__setattr__(new, "Fu", Fu_new)  # fills the cache, as the first read of ``Fu`` would
     return new
 
 
 def energies(state: FlowState, vv: float | None = None) -> tuple[float, float]:
-    """Kinetic and potential energy, h^2/2 * v.v and -h^2/2 * u.(F_prev u), of the state.
+    """Kinetic and potential energy, v.v / 2 and -u.(F_prev u) / 2, of the state.
 
     ``vv`` is v @ v when the caller has formed it.  The potential reads the
     state's ``Fu``, which ``sv_step`` stores, so an SV-DDF state forms no
     stencil product here; a first-order state forms F_k u_{k+1} on first read.
     """
-    h2 = state.spacing**2
     with np.errstate(over="ignore", invalid="ignore"):
         if vv is None:
             vv = float(state.v @ state.v)
         # 0.0 - x: a constant image, whose F u is zero, logs +0, not -0
-        return 0.5 * h2 * vv, 0.5 * h2 * float(0.0 - state.u @ state.Fu)
+        return 0.5 * vv, 0.5 * float(0.0 - state.u @ state.Fu)
 
 
 def _record(state: FlowState, rde_val: float, sig: float) -> TrajectoryRecord:
@@ -320,7 +317,7 @@ def _run(u0: ImageGrid, config: SolverConfig, advance, keep_trajectory: bool):
     except DivergenceError as err:
         err.partial_log = log
         raise
-    return array(state.u, state.F_prev.rows, state.F_prev.cols, spacing=state.spacing), log
+    return array(state.u, state.F_prev.rows, state.F_prev.cols), log
 
 
 def run_svddf(
@@ -343,8 +340,7 @@ def _first_order_step(state: FlowState, config: SolverConfig) -> FlowState:
     if not np.isfinite(u_new).all():
         raise DivergenceError(f"non-finite iterate at step {state.k}", step=state.k)
     # v: the finite-difference rate, logged as the velocity proxy
-    return FlowState(u=u_new, v=rate, k=state.k + 1, t=state.t + dt, F_prev=F, spacing=state.spacing,
-                     last_dt=dt, last_lambda=lam)
+    return FlowState(u=u_new, v=rate, k=state.k + 1, t=state.t + dt, F_prev=F, last_dt=dt, last_lambda=lam)
 
 
 def run_first_order(

@@ -1,12 +1,11 @@
 """Image lattice, column stacking, synthetic fixtures and the noise model.
 
-An image lives on a uniform M x N pixel lattice with grid step ``spacing``.
+An image lives on the M x N pixel lattice: neighbours are one unit apart.
 Intensities are plain float64 and are normalised to [0, 1] when ingested
 from files; in-memory operations may step outside that range (noise can
 push values slightly above 1).
 """
 
-import math
 import operator
 from dataclasses import dataclass
 
@@ -18,21 +17,11 @@ KINDS = ("piecewise-constant", "ramp", "disk")
 MIN_SIZE = 2
 
 
-def _check_spacing(spacing: float) -> None:
-    """Refuse a grid step h whose h^2 or 1/h^2 is not a positive finite float."""
-    if not (spacing > 0):
-        raise ParameterError(f"spacing must be positive, got {spacing}")
-    h2 = float(spacing) * float(spacing)  # the stencil scales its couplings by 1/h^2
-    if not (0.0 < h2 < math.inf and 1.0 / h2 < math.inf):
-        raise ParameterError(f"spacing = {spacing}: h^2 and 1/h^2 must be finite and positive")
-
-
 @dataclass(frozen=True)
 class ImageGrid:
-    """Immutable M x N real-valued image on a uniform lattice, holding its own copy of the pixels."""
+    """Immutable M x N real-valued image on the unit lattice, holding its own copy of the pixels."""
 
     pixels: np.ndarray
-    spacing: float = 1.0
 
     def __post_init__(self):
         px = np.array(self.pixels, dtype=np.float64, order="C")
@@ -42,12 +31,11 @@ class ImageGrid:
             raise DimensionError(f"grid must be at least 1x1, got {px.shape}")
         if not np.all(np.isfinite(px)):
             raise ParameterError("pixels contain non-finite values")
-        _check_spacing(self.spacing)
         px.setflags(write=False)
         object.__setattr__(self, "pixels", px)
 
     @classmethod
-    def of_finite(cls, pixels: np.ndarray, spacing: float) -> "ImageGrid":
+    def of_finite(cls, pixels: np.ndarray) -> "ImageGrid":
         """Wrap a 2-D float64 array known to be finite, as it is: no scan, no copy.
 
         The memory order of ``pixels`` is kept (a column-major view stays
@@ -58,7 +46,6 @@ class ImageGrid:
         px.setflags(write=False)
         grid = object.__new__(cls)
         object.__setattr__(grid, "pixels", px)
-        object.__setattr__(grid, "spacing", spacing)
         return grid
 
     @property
@@ -107,12 +94,12 @@ def vec(grid: ImageGrid) -> np.ndarray:
     return grid.pixels.flatten(order="F")
 
 
-def array(values: np.ndarray, rows: int, cols: int, spacing: float = 1.0) -> ImageGrid:
+def array(values: np.ndarray, rows: int, cols: int) -> ImageGrid:
     """Inverse of :func:`vec`: rebuild the M x N image from a stacked vector."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size != rows * cols:
         raise DimensionError(f"expected a flat vector of length {rows * cols}, got shape {v.shape}")
-    return ImageGrid(v.reshape((rows, cols), order="F"), spacing=spacing)
+    return ImageGrid(v.reshape((rows, cols), order="F"))
 
 
 def add_noise(clean: ImageGrid, spec: NoiseSpec) -> ImageGrid:
@@ -123,11 +110,11 @@ def add_noise(clean: ImageGrid, spec: NoiseSpec) -> ImageGrid:
     """
     rng = np.random.default_rng(spec.seed)
     factor = 1.0 + spec.delta * (2.0 * rng.random(clean.shape) - 1.0)
-    return ImageGrid(clean.pixels * factor, spacing=clean.spacing)
+    return ImageGrid(clean.pixels * factor)
 
 
 def synth_image(kind: str, rows: int, cols: int) -> ImageGrid:
-    """Deterministic test image with known edges, on the unit lattice.
+    """Deterministic test image with known edges.
 
     ``piecewise-constant``: left half 0.25, right half 0.75.
     ``ramp``: u(i, j) = j / (cols - 1).

@@ -74,7 +74,7 @@ def read_pgm(path) -> ImageGrid:
         raise FormatError(f"sample exceeds maxval {maxval}", offset=end)
     pixels = raw.reshape((height, width)) / float(maxval)
     # integer samples over a positive maxval: finite, and no one else holds the array
-    return ImageGrid.of_finite(pixels, 1.0)
+    return ImageGrid.of_finite(pixels)
 
 
 def write_pgm(grid: ImageGrid, path) -> None:

@@ -2,7 +2,7 @@
 
 The divergence-form operator div(a grad u) with zero-flux boundaries acts
 on the column-stacked grid as a symmetric MN x MN matrix F with
-non-negative off-diagonal couplings a/h^2 and row sums that vanish by
+non-negative off-diagonal couplings a and row sums that vanish by
 construction (couplings across the boundary are dropped from both the
 off-diagonal and the diagonal).  All eigenvalues are therefore real and
 non-positive.
@@ -28,10 +28,10 @@ class SparseOperator:
     """Matrix-free symmetric five-point stencil on a rows x cols grid.
 
     ``ci[i, j]`` couples pixels (i, j) and (i+1, j), ``cj[i, j]`` couples
-    (i, j) and (i, j+1); both carry the 1/h^2 factor and have the layout of
-    ``DiffusivityField``, zero across the border.  On the column-stacked
-    vector they couple q with q+1 and with q+rows, so a nonzero there would
-    couple the ends of adjacent columns; it is rejected.  The shape, the
+    (i, j) and (i, j+1); both have the layout of ``DiffusivityField``, zero
+    across the border.  On the column-stacked vector they couple q with q+1
+    and with q+rows, so a nonzero there would couple the ends of adjacent
+    columns; it is rejected.  The shape, the
     diagonal and the spectral bound are read from these couplings, which
     are not changed once the operator is built.
     """
@@ -75,15 +75,14 @@ class SparseOperator:
         return float(2.0 * np.max(np.abs(self.diagonal)))
 
 
-def assemble(field: DiffusivityField, spacing: float | None = None) -> SparseOperator:
-    """Build F from midpoint coefficients: couplings a/h^2, h = field.spacing (= ``spacing`` if given)."""
-    if spacing not in (None, field.spacing):
-        raise ParameterError(f"spacing {spacing} differs from the field's spacing {field.spacing}")
-    inv_h2 = 1.0 / field.spacing**2
-    # column-major like the column-stacked vectors ``apply`` shifts
-    ci = np.multiply(field.ai, inv_h2, order="F")
-    cj = np.multiply(field.aj, inv_h2, order="F")
-    return SparseOperator(ci, cj)
+def assemble(field: DiffusivityField) -> SparseOperator:
+    """Build F from midpoint coefficients: the couplings are the coefficients a.
+
+    The operator holds its own column-major copies, the layout of the
+    column-stacked vectors ``apply`` shifts, so a later write to the field
+    cannot change the couplings its cached bound was formed from.
+    """
+    return SparseOperator(field.ai.copy(order="F"), field.aj.copy(order="F"))
 
 
 def apply(op: SparseOperator, x: np.ndarray) -> np.ndarray:

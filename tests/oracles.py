@@ -188,7 +188,7 @@ def reassembling_flow(u0, config, steps, first_order=False):
     kernel = make_kernel(config.sigma)
 
     def stencil(u):
-        image = ImageGrid(u.reshape(u0.shape, order="F"), spacing=u0.spacing)
+        image = ImageGrid(u.reshape(u0.shape, order="F"))
         return assemble(diffusivity_half(image, config.epsilon, config.exponent_p, kernel))
 
     fixed = config.dt_rule == "fixed"

@@ -64,7 +64,7 @@ def test_criterion_1_operator_spectrum():
         eps = float(rng.choice([1e-2, 1e-1]))
         grid = ImageGrid(rng.uniform(size=(m, n)))
         fld = diffusivity_half(grid, eps, p, make_kernel(1.0))
-        op = svddf.assemble(fld, 1.0)
+        op = svddf.assemble(fld)
         dense = to_dense(op)
         assert np.array_equal(dense, dense.T), "assembled stencil must be symmetric"
         worst_rowsum = max(worst_rowsum, float(np.abs(dense.sum(axis=1)).max()))

@@ -389,23 +389,6 @@ class TestDenoise:
         assert "unrecognized arguments: --dt-max 0.1" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("verb", ["denoise", "sweep"])
-    def test_zero_spectral_bound_exits_2_before_step_1(self, tmp_path, disk_pgm, noisy_pgm, capsys, monkeypatch,
-                                                        verb):
-        # at h = 1e150 and epsilon = 1e300 the bound 8 * epsilon^(-1/2) / h^2 underflows to 0.0
-        read = svddf.cli.read_pgm
-        monkeypatch.setattr(svddf.cli, "read_pgm", lambda path: ImageGrid(read(path).pixels, spacing=1e150))
-        monkeypatch.setattr(svddf.cli, "run_svddf", None)  # the check before step 1 refuses, not the flow
-        out = tmp_path / "bad"
-        argv = [verb, str(noisy_pgm), "--epsilon", "1e300", "--out", str(out)]
-        if verb == "sweep":
-            argv += ["--clean", str(disk_pgm), "--etas", "2", "--ps", "1"]
-        assert main(argv) == 2
-        assert capsys.readouterr().err == (
-            "error: spectral bound is zero: the theorem rule has no step there; set a fixed dt\n"
-        )
-        assert not out.exists()
-
     @pytest.mark.parametrize(
         "flag, field, verb",
         [
@@ -534,9 +517,18 @@ class TestDenoise:
             assert horizon == pytest.approx(math.log(1.1)) and horizon <= step
             assert lines[0].endswith("the run stops after step 1")
 
+    def test_warnings_quote_the_fixed_step_as_given(self, tmp_path, noisy_pgm, capsys):
+        # 0.1234567 has more digits than %g prints; both warnings must name the step the user set
+        argv = ["denoise", str(noisy_pgm), "--stop", "a-priori", "--dt", "0.1234567", "--method", "first-order"]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        stability, horizon = capsys.readouterr().err.splitlines()
+        assert stability.startswith("warning: where lambda_max reaches its bound on any image, --dt 0.1234567 steps ")
+        assert "epsilon=0.01); see README" in stability
+        assert "--dt 0.1234567 makes 0.1234567 or longer under first-order" in horizon
+
     @pytest.mark.parametrize("safety", ["0.66", "0.6666", "0.6667", "0.67"])
     def test_p2_warning_is_exact(self, tmp_path, noisy_pgm, capsys, safety):
-        # at p = 2 every stencil's lambda_max is the bound 8 / h^2 itself, so the
+        # at p = 2 every stencil's lambda_max is the bound 8 itself, so the
         # run warns exactly when a step it logs has dt^2 * lambda_max = 9 * safety^2 > 4
         argv = ["denoise", str(noisy_pgm), "--p", "2", "--eta", "3", "--dt", "auto", "--safety", safety]
         assert main(argv + ["--stop", "none", "--max-steps", "3", "--out", str(tmp_path)]) == 0
@@ -806,10 +798,10 @@ class TestSweep:
     @pytest.mark.parametrize(
         "method,dt,warned_ps",
         [
-            # explicit Euler's bound 2h^2/(8 epsilon^((p-2)/2)): 0.025, 0.079, 0.25
+            # explicit Euler's bound 2/(8 epsilon^((p-2)/2)): 0.025, 0.079, 0.25
             ("first-order", "0.15", {"1", "1.5"}),
             ("first-order", "0.02", set()),
-            # svddf's bound 2h/sqrt(8 epsilon^((p-2)/2)): 0.224, 0.398, 0.707
+            # svddf's bound 2/sqrt(8 epsilon^((p-2)/2)): 0.224, 0.398, 0.707
             ("svddf", "0.15", set()),
             ("svddf", "0.3", {"1"}),
         ],

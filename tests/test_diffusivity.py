@@ -85,10 +85,9 @@ class TestGradGaussian:
         assert np.max(np.abs(gy)) <= 1e-12
 
     def test_ramp_interior_slope(self):
-        h = 0.5
         m, n = 12, 16
-        px = np.tile(np.arange(n) * h, (m, 1))
-        g = ImageGrid(px, spacing=h)
+        px = np.tile(np.arange(n, dtype=np.float64), (m, 1))
+        g = ImageGrid(px)
         k = make_kernel(1.0)
         gx, gy = grad_gaussian(g, k)
         r = k.radius
@@ -142,8 +141,8 @@ class TestDiffusivityHalf:
     def test_row_and_column_major_input_give_same_column_major_bits(self, rng, p):
         px = rng.uniform(size=(9, 7))
         k = make_kernel(1.0)
-        row_major = diffusivity_half(ImageGrid(px, spacing=0.5), 1e-2, p, k)
-        col_major = diffusivity_half(ImageGrid.of_finite(np.asfortranarray(px), 0.5), 1e-2, p, k)
+        row_major = diffusivity_half(ImageGrid(px), 1e-2, p, k)
+        col_major = diffusivity_half(ImageGrid.of_finite(np.asfortranarray(px)), 1e-2, p, k)
         # both come in the stencil's layout: full-grid, column-major, zero border
         for a, b in ((row_major.ai, col_major.ai), (row_major.aj, col_major.aj)):
             assert a.shape == b.shape == px.shape
@@ -152,7 +151,10 @@ class TestDiffusivityHalf:
 
     def test_p2_collapses_to_one(self, rng):
         # the second image's smoothed gradients overflow to inf and nan
-        huge = ImageGrid(1e308 * rng.uniform(-1.0, 1.0, size=(8, 8)), spacing=1e-150)
+        huge = ImageGrid(1e308 * rng.uniform(-1.0, 1.0, size=(8, 8)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            grads = np.concatenate(grad_gaussian(huge, make_kernel(1.0)))
+        assert np.isinf(grads).any() and np.isnan(grads).any()
         for g in (random_grid(rng, 8, 8), huge):
             fld = diffusivity_half(g, 1e-2, 2.0, make_kernel(1.0))
             for arr in fld.coefficient_arrays():

@@ -62,7 +62,7 @@ def one_step(method, config, coupling):
     ci[-1] = 0.0
     cj[:, -1] = 0.0
     op = SparseOperator(ci, cj)
-    state = FlowState(u=np.linspace(0.0, 1.0, 9), v=np.zeros(9), k=0, t=0.0, F_prev=op, spacing=1.0)
+    state = FlowState(u=np.linspace(0.0, 1.0, 9), v=np.zeros(9), k=0, t=0.0, F_prev=op)
     new = STEPPERS[method][0](state, config)
     return new.last_dt, new.last_lambda
 
@@ -93,19 +93,22 @@ class TestStepSize:
             assert str(err.value) == message
             dt, lam = one_step(method, fixed_cfg(0.125), 0.0)
             assert dt == 0.125 and math.isnan(lam)
-        # the CLI's check meets the same rule where the image-independent bound underflows to zero
+
+    @pytest.mark.parametrize("epsilon", [5e-324, 1.7976931348623157e308])
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_bound_at_extreme_epsilon_gives_a_step(self, p, epsilon):
+        # 8 * epsilon^((p-2)/2) is at least about 6e-154 for every finite epsilon > 0: never zero, never inf
+        config = SolverConfig(exponent_p=p, epsilon=epsilon)
         for second_order in (True, False):
-            with pytest.raises(svddf.ParameterError) as err:
-                step_at_bound(SolverConfig(epsilon=1e300), 1e150, second_order)
-            assert str(err.value) == message
-            assert step_at_bound(fixed_cfg(0.125, epsilon=1e300), 1e150, second_order) == (0.125, math.inf)
+            dt, limit = step_at_bound(config, second_order)
+            assert 0.0 < dt < math.inf and 0.0 < limit < math.inf
 
     def test_tiny_positive_bound_sets_the_step(self, rng):
-        # at h = 1e8 every coupling is below 1e-15: the bound is tiny but not zero, so the theorem rule steps
-        u0 = random_grid(rng, 8, 8, spacing=1e8)
+        # at epsilon = 1e30 every coupling is near 1e-15: the bound is tiny but not zero, so the theorem rule steps
+        u0 = random_grid(rng, 8, 8)
         stable = {run_svddf: lambda lam: 0.9 * 2.0 / math.sqrt(lam), run_first_order: lambda lam: 0.9 * 2.0 / lam}
         for runner, stable_dt in stable.items():
-            _, log = runner(u0, SolverConfig(eta=2.0, max_steps=3))
+            _, log = runner(u0, SolverConfig(eta=2.0, epsilon=1e30, max_steps=3))
             for rec in log.records:
                 assert 0.0 < rec.lambda_max < 1e-14
                 assert rec.dt == pytest.approx(stable_dt(rec.lambda_max), rel=1e-15)
@@ -276,26 +279,6 @@ class TestSvStep:
         assert len(err.value.partial_log) >= 1
 
 
-class TestSpacing:
-    @pytest.mark.parametrize("runner", [run_svddf, run_first_order])
-    def test_flow_reads_the_image_spacing(self, rng, runner):
-        px = random_grid(rng, 10, 9).pixels
-        cfg = SolverConfig(exponent_p=1.5, max_steps=5, stopping=MaxStepsOnly())
-        fine, _ = runner(ImageGrid(px, spacing=0.5), cfg)
-        unit, _ = runner(ImageGrid(px, spacing=1.0), cfg)
-        assert fine.spacing == 0.5
-        assert unit.spacing == 1.0
-        assert not np.array_equal(fine.pixels, unit.pixels)
-
-    def test_stencil_scales_with_inverse_square_spacing(self, rng):
-        px = random_grid(rng, 7, 8).pixels
-        cfg = SolverConfig(exponent_p=2.0)
-        fine = initial_state(ImageGrid(px, spacing=0.5), cfg).F_prev
-        unit = initial_state(ImageGrid(px, spacing=1.0), cfg).F_prev
-        assert np.array_equal(fine.ci, 4.0 * unit.ci)
-        assert np.array_equal(fine.cj, 4.0 * unit.cj)
-
-
 class TestCarriedProduct:
     def test_carried_product_is_current_after_25_steps(self, rng):
         g = random_grid(rng, 10, 12)
@@ -325,7 +308,7 @@ class TestCarriedProduct:
             state = sv_step(state, cfg)
         changes = {"u": 1.01 * state.u, "F_prev": initial_state(random_grid(rng, 8, 9), cfg).F_prev}
         state = dataclasses.replace(state, **{replaced: changes[replaced]})
-        fresh = FlowState(u=state.u, v=state.v, k=state.k, t=state.t, F_prev=state.F_prev, spacing=state.spacing)
+        fresh = FlowState(u=state.u, v=state.v, k=state.k, t=state.t, F_prev=state.F_prev)
         stepped, expected = sv_step(state, cfg), sv_step(fresh, cfg)
         for name in ("u", "v", "Fu"):
             assert np.array_equal(getattr(stepped, name), getattr(expected, name))
@@ -339,7 +322,7 @@ class TestStencilReuse:
     @pytest.mark.parametrize("p", [1.5, 2.0])
     @pytest.mark.parametrize("dt_rule", ["fixed", "theorem"])
     def test_steps_match_a_loop_that_reassembles_every_step(self, rng, method, p, dt_rule):
-        g = random_grid(rng, 7, 9, spacing=0.8)
+        g = random_grid(rng, 7, 9)
         step, first_order = STEPPERS[method]
         timing = {"dt_fixed": 0.02} if dt_rule == "fixed" else {}
         cfg = SolverConfig(exponent_p=p, eta=1.5, dt_rule=dt_rule, max_steps=12, stopping=MaxStepsOnly(), **timing)
@@ -462,41 +445,47 @@ class TestStability:
             prev = cur
 
     @staticmethod
-    def one_step_matrix(shape, spacing, cfg):
-        """The matrix of sv_step on (u, v) for p = 2, one column per stepped unit vector."""
-        F = initial_state(ImageGrid(np.zeros(shape), spacing=spacing), cfg).F_prev
+    def stencil(shape, coupling=1.0):
+        """The p = 2 stencil on ``shape`` with every interior coupling equal to ``coupling``."""
+        F = initial_state(ImageGrid(np.zeros(shape)), SolverConfig(exponent_p=2.0)).F_prev
+        return SparseOperator(coupling * F.ci, coupling * F.cj)
+
+    @staticmethod
+    def one_step_matrix(F, cfg):
+        """The matrix of sv_step on (u, v) for p = 2 and stencil ``F``, one column per stepped unit vector."""
         n = F.dim
         columns = []
         for e in np.eye(2 * n):
             # k = 1: past the start-up step, so the step takes its stencil from the reuse rule
-            state = sv_step(FlowState(u=e[:n], v=e[n:], k=1, t=0.0, F_prev=F, spacing=spacing), cfg)
+            state = sv_step(FlowState(u=e[:n], v=e[n:], k=1, t=0.0, F_prev=F), cfg)
             columns.append(np.concatenate([state.u, state.v]))
-        return np.array(columns).T, F
+        return np.array(columns).T
 
-    @pytest.mark.parametrize("shape,spacing", [((2, 2), 1.0), ((3, 5), 0.7), ((8, 8), 1.0), ((8, 4), 1.3)])
+    # couplings 2 and 0.5 scale lambda_max, so the step is checked off the unit stencil's values too
+    @pytest.mark.parametrize("shape,coupling", [((2, 2), 1.0), ((3, 5), 2.0), ((8, 8), 1.0), ((8, 4), 0.5)])
     @pytest.mark.parametrize("eta", [0.001, 1.0, 10.0, 300.0])
-    def test_program_step_non_expansive_when_dt2_lambda_at_most_4(self, shape, spacing, eta):
+    def test_program_step_non_expansive_when_dt2_lambda_at_most_4(self, shape, coupling, eta):
         # dt^2 * lambda_top <= 4 for every eta (README, Jury analysis); lambda_max
         # bounds lambda_top from above, so dt = 0.9 * 2 / sqrt(lambda_max) qualifies
-        probe = SolverConfig(exponent_p=2.0)
-        F = initial_state(ImageGrid(np.zeros(shape), spacing=spacing), probe).F_prev
+        F = self.stencil(shape, coupling)
         dt = 0.9 * 2.0 / np.sqrt(lambda_max(F))
         cfg = SolverConfig(exponent_p=2.0, eta=eta, dt_rule="fixed", dt_fixed=dt)
-        M, _ = self.one_step_matrix(shape, spacing, cfg)
+        M = self.one_step_matrix(F, cfg)
         assert np.max(np.abs(np.linalg.eigvals(M))) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("shape", [(3, 5), (8, 8)])
     def test_program_step_expands_under_theorem_rule_at_eta_10(self, shape):
         # dt = 0.9 * eta / sqrt(lambda_max) puts dt^2 * lambda_top far above 4 at eta = 10
         cfg = SolverConfig(exponent_p=2.0, eta=10.0, safety=0.9, dt_rule="theorem")
-        M, F = self.one_step_matrix(shape, 1.0, cfg)
+        F = self.stencil(shape)
+        M = self.one_step_matrix(F, cfg)
         assert M.shape == (2 * F.dim, 2 * F.dim)
         assert np.max(np.abs(np.linalg.eigvals(M))) > 1.0
 
 
 class TestEnergies:
     def test_constant_state(self):
-        g = ImageGrid(np.full((6, 7), 0.4), spacing=0.5)
+        g = ImageGrid(np.full((6, 7), 0.4))
         cfg = fixed_cfg(0.1, exponent_p=1.5)
         state = initial_state(g, cfg)
         kinetic, potential = energies(state)
@@ -702,7 +691,7 @@ class TestWithoutTrajectory:
             run_svddf(ImageGrid(np.zeros((6, 6))), cfg, keep_trajectory=keep)
 
     def test_log_columns_share_one_velocity_product(self, rng, monkeypatch):
-        g = random_grid(rng, 9, 7, spacing=0.5)
+        g = random_grid(rng, 9, 7)
         cfg = fixed_cfg(0.1, steps=4)
         state = initial_state(g, cfg)
         for _ in range(4):

@@ -49,24 +49,16 @@ class TestImageGrid:
         with pytest.raises(svddf.ParameterError):
             ImageGrid(np.array([[1.0, np.nan], [0.0, 0.0]]))
 
-    # an image and a diffusivity field refuse the same grid steps with the same message
+    # every image is on the unit lattice: no grid step, 1 and 0.5 included, is a parameter
+    # of an image or a diffusivity field, nor are the steps whose h^2 or 1/h^2 overflows
     @pytest.mark.parametrize("make", [
         lambda h: ImageGrid(np.zeros((8, 8)), spacing=h),
         lambda h: svddf.DiffusivityField(np.zeros((8, 8)), np.zeros((8, 8)), h),
     ], ids=["ImageGrid", "DiffusivityField"])
-    @pytest.mark.parametrize("h", [0.0, -1.0, 1e-200, 1e300, 1e-160, np.inf])
+    @pytest.mark.parametrize("h", [1.0, 0.5, 0.0, -1.0, 1e-200, 1e300, 1e-160, np.inf])
     def test_rejects_bad_spacing(self, make, h):
-        # h^2 underflows to 0 (1e-200), overflows (1e300), or leaves 1/h^2 infinite (1e-160)
-        with pytest.raises(svddf.ParameterError) as err:
+        with pytest.raises(TypeError):
             make(h)
-        if h > 0:
-            assert str(err.value) == f"spacing = {h}: h^2 and 1/h^2 must be finite and positive"
-        else:
-            assert str(err.value) == f"spacing must be positive, got {h}"
-
-    @pytest.mark.parametrize("h", [0.5, 0.7, 3.0])
-    def test_accepts_the_spacings_the_suite_runs(self, h):
-        assert ImageGrid(np.zeros((8, 8)), spacing=h).spacing == h
 
     def test_pixels_are_read_only(self):
         g = ImageGrid(np.zeros((3, 3)))
@@ -97,10 +89,10 @@ class TestImageGrid:
     def test_of_finite_wraps_column_major_view_without_copy(self, rng):
         u = rng.standard_normal(12)
         view = u.reshape((3, 4), order="F")
-        g = ImageGrid.of_finite(view, 0.5)
+        g = ImageGrid.of_finite(view)
         assert np.shares_memory(g.pixels, u)
         assert g.pixels.flags.f_contiguous and not g.pixels.flags.c_contiguous
-        assert g.shape == (3, 4) and g.spacing == 0.5
+        assert g.shape == (3, 4)
         assert np.array_equal(g.pixels, ImageGrid(view).pixels)
         with pytest.raises(ValueError):
             g.pixels[0, 0] = 1.0

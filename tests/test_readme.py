@@ -31,9 +31,9 @@ def test_stability_numbers_are_the_flow_s_at_the_defaults():
     section = " ".join(" ".join(README[start:end]).split())
     config = SolverConfig()
     assert (config.exponent_p, config.safety) == (1.0, 0.9)
-    _, svddf_limit = step_at_bound(config, 1.0)
-    _, euler_limit = step_at_bound(config, 1.0, second_order=False)
-    assert f"/ h^2` ({2.0 / euler_limit:g} at the defaults with p = 1," in section
+    _, svddf_limit = step_at_bound(config)
+    _, euler_limit = step_at_bound(config, second_order=False)
+    assert f"epsilon^((p-2)/2)` ({2.0 / euler_limit:g} at the defaults with p = 1," in section
     assert f"`dt <= 2 / sqrt(lam)` under svddf ({svddf_limit:.2g} there)" in section
     assert f"explicit Euler ({euler_limit:.2g} there)" in section
     assert f"safety {config.safety:g}, when `eta > {2.0 / config.safety:.2g}`)" in section

@@ -20,25 +20,24 @@ from conftest import random_field
 from oracles import dense_stencil
 
 
-def unit_field(rows, cols, h=1.0):
-    g = ImageGrid(np.full((rows, cols), 0.5), spacing=h)
+def unit_field(rows, cols):
+    g = ImageGrid(np.full((rows, cols), 0.5))
     return diffusivity_half(g, 1e-2, 2.0, make_kernel(1.0))
 
 
 class TestAssemble:
     def test_interior_row_is_five_point_laplacian(self):
-        h = 0.5
-        op = assemble(unit_field(5, 5, h))
+        op = assemble(unit_field(5, 5))
         dense = to_dense(op)
         q = 2 * 5 + 2  # centre pixel (2, 2)
         row = dense[q]
-        assert row[q] == pytest.approx(-4.0 / h**2)
+        assert row[q] == pytest.approx(-4.0)
         for r in (q - 1, q + 1, q - 5, q + 5):
-            assert row[r] == pytest.approx(1.0 / h**2)
+            assert row[r] == pytest.approx(1.0)
         assert np.count_nonzero(row) == 5
 
     def test_corner_row(self):
-        op = assemble(unit_field(4, 4), 1.0)
+        op = assemble(unit_field(4, 4))
         dense = to_dense(op)
         assert dense[0, 0] == pytest.approx(-2.0)
         assert sorted(np.nonzero(dense[0])[0].tolist()) == [0, 1, 4]
@@ -46,31 +45,32 @@ class TestAssemble:
     def test_matches_dense_oracle_random_field(self, rng):
         from oracles import dense_stencil
 
-        fld = random_field(rng, 6, 6, spacing=0.7)
+        fld = random_field(rng, 6, 6)
         op = assemble(fld)
         dense = to_dense(op)
-        assert np.max(np.abs(dense - dense_stencil(fld, 0.7))) <= 1e-13
+        assert np.max(np.abs(dense - dense_stencil(fld, 1.0))) <= 1e-13
 
-    def test_spacing_comes_from_the_field(self, rng):
-        fld = random_field(rng, 6, 5, spacing=0.5)
-        assert fld.spacing == 0.5
+    def test_couplings_are_the_coefficients_in_arrays_of_their_own(self, rng):
+        fld = random_field(rng, 6, 5)
         op = assemble(fld)
-        assert np.array_equal(op.ci, 4.0 * fld.ai) and np.array_equal(op.cj, 4.0 * fld.aj)
-        assert np.array_equal(assemble(fld, 0.5).ci, op.ci)
-        # h other than the one the gradient was divided by
-        with pytest.raises(svddf.ParameterError):
-            assemble(fld, 1.0)
+        assert np.array_equal(op.ci, fld.ai) and np.array_equal(op.cj, fld.aj)
+        assert op.ci.flags.f_contiguous and op.cj.flags.f_contiguous
+        # the cached bound is formed from the couplings, so a write to the field must not reach them
+        bound = lambda_max(op)
+        fld.ai[0, 0] += 100.0
+        assert not np.shares_memory(op.ci, fld.ai) and not np.shares_memory(op.cj, fld.aj)
+        assert lambda_max(assemble(fld)) > bound == 2.0 * np.max(np.abs(op.diagonal))
 
     def test_symmetry_exact(self, rng):
-        dense = to_dense(assemble(random_field(rng, 7, 5), 1.0))
+        dense = to_dense(assemble(random_field(rng, 7, 5)))
         assert np.array_equal(dense, dense.T)
 
     def test_zero_row_sums(self, rng):
-        op = assemble(random_field(rng, 8, 6), 1.0)
+        op = assemble(random_field(rng, 8, 6))
         assert np.max(np.abs(apply(op, np.ones(op.dim)))) <= 1e-12
 
     def test_sign_pattern_and_dominance(self, rng):
-        op = assemble(random_field(rng, 6, 7), 1.0)
+        op = assemble(random_field(rng, 6, 7))
         dense = to_dense(op)
         diag = np.diag(dense)
         off = dense - np.diag(diag)
@@ -113,11 +113,11 @@ class TestCouplingChecks:
 
 class TestApply:
     def test_annihilates_constants(self, rng):
-        op = assemble(random_field(rng, 9, 4, spacing=2.0))
+        op = assemble(random_field(rng, 9, 4))
         assert np.max(np.abs(apply(op, np.full(op.dim, 3.3)))) <= 1e-11
 
     def test_unit_vectors_match_dense_columns(self, rng):
-        op = assemble(random_field(rng, 5, 5), 1.0)
+        op = assemble(random_field(rng, 5, 5))
         dense = to_dense(op)
         for q in (0, 7, 24):
             e = np.zeros(op.dim)
@@ -125,7 +125,7 @@ class TestApply:
             assert np.max(np.abs(apply(op, e) - dense[:, q])) <= 1e-14
 
     def test_linearity(self, rng):
-        op = assemble(random_field(rng, 6, 6), 1.0)
+        op = assemble(random_field(rng, 6, 6))
         x = rng.standard_normal(op.dim)
         y = rng.standard_normal(op.dim)
         lhs = apply(op, 2.0 * x + 0.5 * y)
@@ -133,32 +133,32 @@ class TestApply:
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
 
     def test_dimension_mismatch(self, rng):
-        op = assemble(random_field(rng, 4, 4), 1.0)
+        op = assemble(random_field(rng, 4, 4))
         with pytest.raises(svddf.DimensionError):
             apply(op, np.ones(op.dim + 1))
 
 
 class TestSpectrumCheck:
     def test_p2_8x8_spectrum_in_range(self):
-        rep = spectrum_check(assemble(unit_field(8, 8), 1.0))
+        rep = spectrum_check(assemble(unit_field(8, 8)))
         assert rep.passed
         assert rep.min_eigenvalue >= -8.0 - 1e-12
         assert rep.max_eigenvalue <= 1e-10
 
     def test_2x2_unit_field_eigenvalues(self):
-        rep = spectrum_check(assemble(unit_field(2, 2), 1.0))
-        w = np.linalg.eigvalsh(to_dense(assemble(unit_field(2, 2), 1.0)))
+        rep = spectrum_check(assemble(unit_field(2, 2)))
+        w = np.linalg.eigvalsh(to_dense(assemble(unit_field(2, 2))))
         assert np.allclose(w, [-4.0, -2.0, -2.0, 0.0], atol=1e-12)
         assert rep.passed
 
     def test_refuses_large_matrices(self, rng):
-        op = assemble(random_field(rng, 65, 65), 1.0)
+        op = assemble(random_field(rng, 65, 65))
         with pytest.raises(svddf.DimensionError):
             spectrum_check(op)
 
     def test_random_fields_non_positive(self, rng):
         for _ in range(5):
-            rep = spectrum_check(assemble(random_field(rng, 6, 6, p=1.0), 1.0))
+            rep = spectrum_check(assemble(random_field(rng, 6, 6, p=1.0)))
             assert rep.passed
 
 
@@ -166,7 +166,7 @@ def test_apply_used_in_runner_matches_grid_laplacian(rng):
     # p = 2 stencil acting on a vec'd image equals the 5-point Laplacian with
     # mirrored ghosts applied in image space
     g = ImageGrid(rng.uniform(size=(6, 6)))
-    op = assemble(unit_field(6, 6), 1.0)
+    op = assemble(unit_field(6, 6))
     got = apply(op, vec(g)).reshape((6, 6), order="F")
     px = np.pad(g.pixels, 1, mode="edge")
     lap = px[:-2, 1:-1] + px[2:, 1:-1] + px[1:-1, :-2] + px[1:-1, 2:] - 4.0 * g.pixels
@@ -181,15 +181,14 @@ _operator_cases = given(
         st.tuples(st.integers(2, 9), st.integers(2, 9)),
     ),
     p=st.sampled_from([1.0, 1.5, 2.0]),
-    h=st.floats(0.25, 4.0),
     seed=st.integers(0, 2**32 - 1),
 )
 
 
-def _case(shape, p, h, seed):
+def _case(shape, p, seed):
     """Random field, its operator, and two random vectors."""
     rng = np.random.default_rng(seed)
-    fld = random_field(rng, *shape, p=p, spacing=h)
+    fld = random_field(rng, *shape, p=p)
     op = assemble(fld)
     x, y = rng.standard_normal((2, op.dim))
     return fld, op, x, y
@@ -200,30 +199,30 @@ class TestOperatorProperties:
 
     @_operator_cases
     @settings(max_examples=60, deadline=None)
-    def test_matches_dense_oracle(self, shape, p, h, seed):
-        fld, op, x, _ = _case(shape, p, h, seed)
-        dense = dense_stencil(fld, h)
+    def test_matches_dense_oracle(self, shape, p, seed):
+        fld, op, x, _ = _case(shape, p, seed)
+        dense = dense_stencil(fld, 1.0)
         scale = np.abs(dense) @ np.abs(x)
         assert np.max(np.abs(apply(op, x) - dense @ x)) <= 1e-12 * np.max(scale)
 
     @_operator_cases
     @settings(max_examples=60, deadline=None)
-    def test_conserves_mean(self, shape, p, h, seed):
-        fld, op, x, _ = _case(shape, p, h, seed)
-        scale = np.abs(dense_stencil(fld, h)) @ np.abs(x)
+    def test_conserves_mean(self, shape, p, seed):
+        fld, op, x, _ = _case(shape, p, seed)
+        scale = np.abs(dense_stencil(fld, 1.0)) @ np.abs(x)
         assert abs(apply(op, x).sum()) <= 1e-12 * scale.sum()
 
     @_operator_cases
     @settings(max_examples=60, deadline=None)
-    def test_self_adjoint(self, shape, p, h, seed):
-        fld, op, x, y = _case(shape, p, h, seed)
-        scale = np.abs(y) @ np.abs(dense_stencil(fld, h)) @ np.abs(x)
+    def test_self_adjoint(self, shape, p, seed):
+        fld, op, x, y = _case(shape, p, seed)
+        scale = np.abs(y) @ np.abs(dense_stencil(fld, 1.0)) @ np.abs(x)
         assert abs(y @ apply(op, x) - x @ apply(op, y)) <= 1e-12 * scale
 
     @_operator_cases
     @settings(max_examples=60, deadline=None)
-    def test_dense_view_exactly_symmetric(self, shape, p, h, seed):
-        _, op, _, _ = _case(shape, p, h, seed)
+    def test_dense_view_exactly_symmetric(self, shape, p, seed):
+        _, op, _, _ = _case(shape, p, seed)
         dense = to_dense(op)
         assert np.array_equal(dense, dense.T)
 
@@ -231,12 +230,12 @@ class TestOperatorProperties:
 class TestLambdaMax:
     def test_laplacian_16x16_is_eight(self):
         # unit couplings: interior diagonal -4, so the bound is exactly 2 * 4
-        assert lambda_max(assemble(unit_field(16, 16), 1.0)) == 8.0
+        assert lambda_max(assemble(unit_field(16, 16))) == 8.0
 
     @_operator_cases
     @settings(max_examples=60, deadline=None)
-    def test_bound_brackets_dense_eigensolve(self, shape, p, h, seed):
-        _, op, _, _ = _case(shape, p, h, seed)
+    def test_bound_brackets_dense_eigensolve(self, shape, p, seed):
+        _, op, _, _ = _case(shape, p, seed)
         bound = lambda_max(op)
         true_top = np.linalg.eigvalsh(-to_dense(op))[-1]
         tol = 1e-12 * bound
@@ -245,6 +244,6 @@ class TestLambdaMax:
 
     def test_gershgorin_dominates(self, rng):
         for _ in range(5):
-            op = assemble(random_field(rng, 5, 8), 1.0)
+            op = assemble(random_field(rng, 5, 8))
             true_top = -np.linalg.eigvalsh(to_dense(op))[0]
             assert lambda_max(op) >= true_top - 1e-10
