@@ -126,14 +126,12 @@ def _build_stopping(args):
 
 
 def _build_config(args, p: float, eta: float) -> SolverConfig:
-    fixed = args.dt != "auto"
     return SolverConfig(
         exponent_p=p,
         eta=eta,
         epsilon=args.epsilon,
         sigma=args.sigma,
-        dt_rule="fixed" if fixed else "theorem",
-        dt_fixed=args.dt if fixed else None,
+        dt=args.dt,
         safety=args.safety,
         max_steps=args.max_steps,
         stopping=_build_stopping(args),
@@ -170,10 +168,9 @@ def _run_method(noisy: ImageGrid, config: SolverConfig, method: str, keep_trajec
     second_order = method == "svddf"
     # the step where lambda_max peaks: no step of the run is shorter than dt
     dt, limit = step_at_bound(config, second_order)
-    rule = "auto" if config.dt_rule == "theorem" else repr(config.dt_fixed)
     if dt > limit:
         print(
-            f"warning: where lambda_max reaches its bound on any image, --dt {rule} steps {dt!r} > "
+            f"warning: where lambda_max reaches its bound on any image, --dt {config.dt} steps {dt!r} > "
             f"{limit!r}, the stable limit of {method} (p={config.exponent_p:g}, eta={config.eta:g}, epsilon="
             f"{config.epsilon:g}); see README 'Stability of the spectral step rule'",
             file=sys.stderr,
@@ -182,7 +179,7 @@ def _run_method(noisy: ImageGrid, config: SolverConfig, method: str, keep_trajec
     if isinstance(stop, AprioriStop) and stop.fired(math.nan, math.nan, dt):
         print(
             f"warning: the a-priori horizon T(delta) = {stop.horizon()!r} is within the first step, which "
-            f"--dt {rule} makes {dt!r} or longer under {method}: the run stops after step 1",
+            f"--dt {config.dt} makes {dt!r} or longer under {method}: the run stops after step 1",
             file=sys.stderr,
         )
     runner = run_svddf if second_order else run_first_order

@@ -15,6 +15,7 @@ trajectory log, or, on request, only the reason and step they stopped at.
 """
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -39,10 +40,10 @@ from .stopping import (
 class SolverConfig:
     """Parameter bundle for both flows.
 
-    ``dt_rule`` is either ``"theorem"`` (dt = safety * eta / sqrt(lambda_max)
-    for the second-order flow, safety * 2 / lambda_max for the baseline) or
-    ``"fixed"`` (dt = dt_fixed).  The theorem rule has no step where the
-    spectral bound is exactly zero; ``dt_fixed`` is rejected under it.  Every
+    ``dt`` is ``"auto"``, the theorem rule (dt = safety * eta / sqrt(lambda_max)
+    for the second-order flow, safety * 2 / lambda_max for the baseline), or a
+    positive finite fixed step length.  The theorem rule has no step where the
+    spectral bound is exactly zero or where its step underflows to zero.  Every
     float setting must be finite, ``max_steps`` an integer and ``stopping``
     one of the four rules.
     """
@@ -51,8 +52,7 @@ class SolverConfig:
     eta: float = 2.0
     epsilon: float = 1e-2
     sigma: float = 1.0
-    dt_rule: str = "theorem"
-    dt_fixed: float | None = None
+    dt: float | str = "auto"
     safety: float = 0.9
     max_steps: int = 500
     stopping: StoppingRule = field(default_factory=MaxStepsOnly)
@@ -68,15 +68,11 @@ class SolverConfig:
             raise ParameterError(f"sigma must be positive, got {self.sigma}")
         if not (0.0 < self.safety <= 1.0):
             raise ParameterError(f"safety must lie in (0, 1], got {self.safety}")
-        if self.dt_rule not in ("theorem", "fixed"):
-            raise ParameterError(f"dt_rule must be 'theorem' or 'fixed', got {self.dt_rule!r}")
-        if self.dt_rule == "fixed" and not (self.dt_fixed and self.dt_fixed > 0):
-            raise ParameterError(f"dt_rule 'fixed' needs a positive dt_fixed, got {self.dt_fixed}")
-        if self.dt_rule == "theorem" and self.dt_fixed is not None:
-            raise ParameterError("dt_fixed has no effect under dt_rule 'theorem'")
-        for name in ("eta", "epsilon", "sigma", "dt_fixed"):
+        if not (self.dt == "auto" or isinstance(self.dt, numbers.Real) and 0.0 < self.dt < math.inf):
+            raise ParameterError(f"dt must be 'auto' or a positive finite step length, got {self.dt!r}")
+        for name in ("eta", "epsilon", "sigma"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
         try:
             operator.index(self.max_steps)
@@ -195,16 +191,22 @@ def _reassemble(state: FlowState, config: SolverConfig) -> SparseOperator:
 
 def _rule_step(lam: float, config: SolverConfig, second_order: bool) -> float:
     """Step length under the configured rule (see SolverConfig) at spectral bound ``lam``."""
-    if config.dt_rule == "fixed":
-        return float(config.dt_fixed)
+    if config.dt != "auto":
+        return float(config.dt)
     if lam == 0.0:
         raise ParameterError("spectral bound is zero: the theorem rule has no step there; set a fixed dt")
-    return float(config.safety * config.eta / np.sqrt(lam) if second_order else config.safety * 2.0 / lam)
+    dt = float(config.safety * config.eta / np.sqrt(lam) if second_order else config.safety * 2.0 / lam)
+    if dt == 0.0:
+        raise ParameterError(
+            f"the theorem rule's step underflows to 0.0 at spectral bound {lam!r} "
+            f"(eta={config.eta!r}, safety={config.safety!r}); set a fixed dt"
+        )
+    return dt
 
 
 def _step_length(F: SparseOperator, config: SolverConfig, second_order: bool) -> tuple[float, float]:
     """Step length and spectral bound ``(dt, lam)`` of stencil ``F``; the fixed rule forms no bound (nan)."""
-    lam = float("nan") if config.dt_rule == "fixed" else lambda_max(F)
+    lam = lambda_max(F) if config.dt == "auto" else float("nan")
     return _rule_step(lam, config, second_order), lam
 
 

@@ -35,7 +35,7 @@ def golden_input():
 def golden_config(method: str, p: float, stop: str) -> SolverConfig:
     rule, budget = (RdeStop(RDE_TOLERANCE), RDE_BUDGET) if stop == "rde" else (MaxStepsOnly(), FIXED_STEPS)
     dt = METHODS[method][1]
-    return SolverConfig(exponent_p=p, eta=ETA, dt_rule="fixed", dt_fixed=dt, max_steps=budget, stopping=rule)
+    return SolverConfig(exponent_p=p, eta=ETA, dt=dt, max_steps=budget, stopping=rule)
 
 
 def cases():

@@ -191,19 +191,19 @@ def reassembling_flow(u0, config, steps, first_order=False):
         image = ImageGrid(u.reshape(u0.shape, order="F"))
         return assemble(diffusivity_half(image, config.epsilon, config.exponent_p, kernel))
 
-    fixed = config.dt_rule == "fixed"
+    fixed = config.dt != "auto"
     u = u0.pixels.flatten(order="F")
     v, u_pre = np.zeros_like(u), u
     for _ in range(steps):
         if first_order:
             F = stencil(u)
-            dt = config.dt_fixed if fixed else config.safety * 2.0 / lambda_max(F)
+            dt = config.dt if fixed else config.safety * 2.0 / lambda_max(F)
             v = apply(F, u)
             u = u + dt * v
         else:
             # the opening half-kick uses the stencil of the iterate before the last drift
             F_prev, F_new = stencil(u_pre), stencil(u)
-            dt = config.dt_fixed if fixed else float(config.safety * config.eta / np.sqrt(lambda_max(F_prev)))
+            dt = config.dt if fixed else float(config.safety * config.eta / np.sqrt(lambda_max(F_prev)))
             v_half = (v + 0.5 * dt * apply(F_prev, u)) / (1.0 + 0.5 * config.eta * dt)
             u, u_pre = u + dt * v_half, u
             v = v_half + 0.5 * dt * (apply(F_new, u) - config.eta * v_half)

@@ -170,7 +170,7 @@ def test_criterion_4_second_order_accuracy():
     for dt in (0.25, 0.125):
         steps = int(round(T / dt))
         cfg = SolverConfig(
-            eta=eta, exponent_p=2.0, dt_rule="fixed", dt_fixed=dt, max_steps=steps,
+            eta=eta, exponent_p=2.0, dt=dt, max_steps=steps,
             stopping=MaxStepsOnly(),
         )
         out, _ = run_svddf(u0, cfg)
@@ -266,14 +266,14 @@ def test_criterion_8_denoising_trend():
     ssim_noisy = ssim(noisy, clean)
 
     cfg_good = SolverConfig(
-        exponent_p=1.0, eta=300.0, dt_rule="fixed", dt_fixed=0.15,
+        exponent_p=1.0, eta=300.0, dt=0.15,
         max_steps=3000, stopping=RdeStop(tolerance=1e-4),
     )
     good, log_good = run_svddf(noisy, cfg_good)
     ssim_good = ssim(good, clean)
 
     cfg_poor = SolverConfig(
-        exponent_p=2.0, eta=0.001, dt_rule="fixed", dt_fixed=0.15,
+        exponent_p=2.0, eta=0.001, dt=0.15,
         max_steps=3000, stopping=RdeStop(tolerance=1e-4),
     )
     poor, log_poor = run_svddf(noisy, cfg_poor)

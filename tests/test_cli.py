@@ -398,7 +398,7 @@ class TestDenoise:
                 ("--eta", "eta"),
                 ("--epsilon", "epsilon"),
                 ("--sigma", "sigma"),
-                ("--dt", "dt_fixed"),
+                ("--dt", "dt"),
                 ("--dt-max", "dt_max"),
             )
             # sweep has no --eta; TestSweep checks an infinite --etas value
@@ -414,6 +414,8 @@ class TestDenoise:
         err = capsys.readouterr().err
         if flag == "--dt-max":  # not a flag: the theorem rule takes no cap
             assert "unrecognized arguments: --dt-max inf" in err
+        elif flag == "--dt":
+            assert err == "error: dt must be 'auto' or a positive finite step length, got inf\n"
         else:
             assert err == f"error: {field} must be finite, got inf\n"
         assert not out.exists()
@@ -431,6 +433,22 @@ class TestDenoise:
             argv += ["--clean", str(disk_pgm), "--etas", "2", "--ps", "1"]
         assert main(argv) == 2
         assert capsys.readouterr().err == f"error: {message}, more than numpy can allocate\n"
+        assert not out.exists()
+
+    # at eta = 5e-324 the theorem step is 0.0: the run would take no time and return the noisy image
+    @pytest.mark.parametrize("verb", ["denoise", "sweep"])
+    def test_zero_theorem_step_exits_2(self, tmp_path, disk_pgm, noisy_pgm, capsys, verb):
+        out = tmp_path / "bad"
+        argv = [verb, str(noisy_pgm), "--dt", "auto", "--stop", "none", "--max-steps", "5", "--out", str(out)]
+        if verb == "sweep":
+            argv += ["--clean", str(disk_pgm), "--etas", "5e-324", "--ps", "1"]
+        else:
+            argv += ["--eta", "5e-324"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: the theorem rule's step underflows to 0.0 at spectral bound 80.0 (eta=5e-324, safety=0.9); "
+            "set a fixed dt\n"
+        )
         assert not out.exists()
 
     def test_sigma_whose_derivative_taps_overflow_exits_2_without_warnings(self, tmp_path, disk64_pgms):
@@ -905,7 +923,7 @@ class TestSweepCells:
         )
         noisy, clean = read_pgm(noisy_pgm), read_pgm(disk_pgm)
         for p, eta in table:
-            cfg = svddf.SolverConfig(exponent_p=p, eta=eta, dt_rule="fixed", dt_fixed=dt,
+            cfg = svddf.SolverConfig(exponent_p=p, eta=eta, dt=dt,
                                      max_steps=60, stopping=rule)
             out, log = runner(noisy, cfg)
             assert len(log) == log.final_step()
@@ -919,7 +937,7 @@ class TestSweepCells:
         table, steps = run_sweep(tmp_path, paths[1], paths[0], (1.5,), (0.001, 1.0), flags, capsys)
         assert steps == {(1.5, 0.001): 57, (1.5, 1.0): 300}
         for (p, eta), cell in table.items():
-            cfg = svddf.SolverConfig(exponent_p=p, eta=eta, dt_rule="fixed", dt_fixed=0.15,
+            cfg = svddf.SolverConfig(exponent_p=p, eta=eta, dt=0.15,
                                      max_steps=300, stopping=svddf.RdeStop(tolerance=1e-4))
             out, log = svddf.run_svddf(read_pgm(paths[1]), cfg)
             assert log.final_step() == steps[p, eta]

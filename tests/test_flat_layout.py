@@ -96,7 +96,7 @@ def test_border_couplings_are_zero_and_apply_is_the_dense_product(shape, p, sigm
 @_grids
 @settings(max_examples=60, deadline=None)
 def test_potential_is_the_dense_quadratic_form(shape, p, sigma, column_major, seed):
-    config = SolverConfig(exponent_p=p, sigma=sigma, eta=1.0, dt_rule="fixed", dt_fixed=0.01)
+    config = SolverConfig(exponent_p=p, sigma=sigma, eta=1.0, dt=0.01)
     start = initial_state(_image(shape, column_major, seed), config)
     states = [start]
     for step in (sv_step, _first_order_step):

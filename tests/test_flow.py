@@ -46,7 +46,7 @@ from oracles import (
 def fixed_cfg(dt, steps=10, **kw):
     kw.setdefault("eta", 1.5)
     kw.setdefault("exponent_p", 1.0)
-    return SolverConfig(dt_rule="fixed", dt_fixed=dt, max_steps=steps, stopping=MaxStepsOnly(), **kw)
+    return SolverConfig(dt=dt, max_steps=steps, stopping=MaxStepsOnly(), **kw)
 
 
 # each flow's step and whether it is the first-order baseline
@@ -94,6 +94,26 @@ class TestStepSize:
             dt, lam = one_step(method, fixed_cfg(0.125), 0.0)
             assert dt == 0.125 and math.isnan(lam)
 
+    # eta (or, for the baseline, safety) of 5e-324 makes the theorem step underflow: a run that never moves is refused
+    @pytest.mark.parametrize(
+        "runner, setting",
+        [(run_svddf, {"eta": 5e-324}), (run_first_order, {"safety": 5e-324})],
+        ids=["svddf", "first-order"],
+    )
+    def test_zero_theorem_step_rejected(self, rng, runner, setting):
+        u0 = random_grid(rng, 8, 8)
+        config = SolverConfig(max_steps=5, **setting)
+        with pytest.raises(svddf.ParameterError, match=r"^the theorem rule's step underflows to 0\.0 at spectral bound"):
+            runner(u0, config)
+        with pytest.raises(svddf.ParameterError) as err:
+            step_at_bound(config, second_order=runner is run_svddf)
+        assert str(err.value) == (
+            f"the theorem rule's step underflows to 0.0 at spectral bound 80.0 "
+            f"(eta={config.eta!r}, safety={config.safety!r}); set a fixed dt"
+        )
+        _, log = runner(u0, dataclasses.replace(config, dt=0.1))
+        assert [r.dt for r in log.records] == [0.1] * 5
+
     @pytest.mark.parametrize("epsilon", [5e-324, 1.7976931348623157e308])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
     def test_bound_at_extreme_epsilon_gives_a_step(self, p, epsilon):
@@ -126,11 +146,7 @@ class TestStepSize:
 
     def test_dt_max_rejected_under_fixed_rule(self):
         with pytest.raises(TypeError, match="unexpected keyword argument 'dt_max'"):
-            SolverConfig(dt_rule="fixed", dt_fixed=0.15, dt_max=0.01)
-
-    def test_dt_fixed_rejected_under_theorem_rule(self):
-        with pytest.raises(svddf.ParameterError, match="dt_fixed has no effect"):
-            SolverConfig(dt_rule="theorem", dt_fixed=0.15)
+            SolverConfig(dt=0.15, dt_max=0.01)
 
 
 # one case per check in SolverConfig.__post_init__: the field it guards, settings that fail it, its message
@@ -145,11 +161,10 @@ CONFIG_REJECTIONS = [
     ("sigma", {"sigma": 1e-320}, "sigma = 1e-320 is too small: the derivative taps t/sigma overflow"),
     ("safety", {"safety": 0.0}, "safety must lie in (0, 1], got 0.0"),
     ("safety", {"safety": 1.5}, "safety must lie in (0, 1], got 1.5"),
-    ("dt_rule", {"dt_rule": "auto"}, "dt_rule must be 'theorem' or 'fixed', got 'auto'"),
-    ("dt_fixed", {"dt_rule": "fixed"}, "dt_rule 'fixed' needs a positive dt_fixed, got None"),
-    ("dt_fixed", {"dt_rule": "fixed", "dt_fixed": 0.0}, "dt_rule 'fixed' needs a positive dt_fixed, got 0.0"),
-    ("dt_fixed", {"dt_rule": "fixed", "dt_fixed": -0.1}, "dt_rule 'fixed' needs a positive dt_fixed, got -0.1"),
-    ("dt_fixed", {"dt_fixed": 0.15}, "dt_fixed has no effect under dt_rule 'theorem'"),
+    ("dt", {"dt": "theorem"}, "dt must be 'auto' or a positive finite step length, got 'theorem'"),
+    ("dt", {"dt": None}, "dt must be 'auto' or a positive finite step length, got None"),
+    ("dt", {"dt": 0.0}, "dt must be 'auto' or a positive finite step length, got 0.0"),
+    ("dt", {"dt": -0.1}, "dt must be 'auto' or a positive finite step length, got -0.1"),
     ("max_steps", {"max_steps": 0}, "max_steps must be at least 1, got 0"),
     ("eta", {"eta": math.inf}, "eta must be finite, got inf"),
     ("epsilon", {"epsilon": math.inf}, "epsilon must be finite, got inf"),
@@ -159,8 +174,8 @@ CONFIG_REJECTIONS = [
         {"sigma": 1e300},
         "sigma = 1e+300 is too large: radius 3e+150 needs 6e+150 taps, more than numpy can allocate",
     ),
-    ("dt_fixed", {"dt_rule": "fixed", "dt_fixed": math.inf}, "dt_fixed must be finite, got inf"),
-    ("dt_fixed", {"dt_rule": "fixed", "dt_fixed": math.nan}, "dt_rule 'fixed' needs a positive dt_fixed, got nan"),
+    ("dt", {"dt": math.inf}, "dt must be 'auto' or a positive finite step length, got inf"),
+    ("dt", {"dt": math.nan}, "dt must be 'auto' or a positive finite step length, got nan"),
     ("max_steps", {"max_steps": 2.5}, "max_steps must be an integer, got 2.5"),
     ("max_steps", {"max_steps": "9"}, "max_steps must be an integer, got '9'"),
     (
@@ -320,12 +335,11 @@ class TestStencilReuse:
 
     @pytest.mark.parametrize("method", sorted(STEPPERS))
     @pytest.mark.parametrize("p", [1.5, 2.0])
-    @pytest.mark.parametrize("dt_rule", ["fixed", "theorem"])
-    def test_steps_match_a_loop_that_reassembles_every_step(self, rng, method, p, dt_rule):
+    @pytest.mark.parametrize("dt", [0.02, "auto"], ids=["fixed", "theorem"])
+    def test_steps_match_a_loop_that_reassembles_every_step(self, rng, method, p, dt):
         g = random_grid(rng, 7, 9)
         step, first_order = STEPPERS[method]
-        timing = {"dt_fixed": 0.02} if dt_rule == "fixed" else {}
-        cfg = SolverConfig(exponent_p=p, eta=1.5, dt_rule=dt_rule, max_steps=12, stopping=MaxStepsOnly(), **timing)
+        cfg = SolverConfig(exponent_p=p, eta=1.5, dt=dt, max_steps=12, stopping=MaxStepsOnly())
         state = initial_state(g, cfg)
         for _ in range(cfg.max_steps):
             state = step(state, cfg)
@@ -469,14 +483,14 @@ class TestStability:
         # bounds lambda_top from above, so dt = 0.9 * 2 / sqrt(lambda_max) qualifies
         F = self.stencil(shape, coupling)
         dt = 0.9 * 2.0 / np.sqrt(lambda_max(F))
-        cfg = SolverConfig(exponent_p=2.0, eta=eta, dt_rule="fixed", dt_fixed=dt)
+        cfg = SolverConfig(exponent_p=2.0, eta=eta, dt=dt)
         M = self.one_step_matrix(F, cfg)
         assert np.max(np.abs(np.linalg.eigvals(M))) <= 1.0 + 1e-12
 
     @pytest.mark.parametrize("shape", [(3, 5), (8, 8)])
     def test_program_step_expands_under_theorem_rule_at_eta_10(self, shape):
         # dt = 0.9 * eta / sqrt(lambda_max) puts dt^2 * lambda_top far above 4 at eta = 10
-        cfg = SolverConfig(exponent_p=2.0, eta=10.0, safety=0.9, dt_rule="theorem")
+        cfg = SolverConfig(exponent_p=2.0, eta=10.0, safety=0.9, dt="auto")
         F = self.stencil(shape)
         M = self.one_step_matrix(F, cfg)
         assert M.shape == (2 * F.dim, 2 * F.dim)
@@ -613,13 +627,13 @@ class TestTrajectoryLog:
     @pytest.mark.parametrize("n", [8, 9])
     def test_constant_image_band_energy_is_degenerate(self, n, runner, keep):
         # the band energy of a constant image is exactly 0.0, so the first relative change reads 0.0
-        cfg = SolverConfig(dt_rule="fixed", dt_fixed=0.1, max_steps=50, stopping=RdeStop(tolerance=1e-6))
+        cfg = SolverConfig(dt=0.1, max_steps=50, stopping=RdeStop(tolerance=1e-6))
         _, log = runner(ImageGrid(np.full((n, n), 0.6)), cfg, keep_trajectory=keep)
         assert (log.stopped_by, log.final_step()) == ("rde", 1)
         assert [r.rde for r in log.records] == ([0.0] if keep else [])
 
     def test_noisy_image_band_energy_is_not_degenerate(self):
-        cfg = SolverConfig(dt_rule="fixed", dt_fixed=0.15, max_steps=120, stopping=RdeStop(tolerance=1e-2))
+        cfg = SolverConfig(dt=0.15, max_steps=120, stopping=RdeStop(tolerance=1e-2))
         _, log = run_svddf(noisy_disk(), cfg)
         assert log.final_step() > 1
         assert all(r.rde > 0.0 for r in log.records)
@@ -656,7 +670,7 @@ class TestWithoutTrajectory:
         noisy = noisy_disk()
         stops = set()
         for p, eta in ((1.0, 0.001), (1.0, 2.0), (1.5, 100.0), (2.0, 1.0)):
-            cfg = SolverConfig(exponent_p=p, eta=eta, dt_rule="fixed", dt_fixed=dt,
+            cfg = SolverConfig(exponent_p=p, eta=eta, dt=dt,
                                max_steps=120, stopping=rule)
             full_out, full = runner(noisy, cfg)
             lean_out, lean = runner(noisy, cfg, keep_trajectory=False)
@@ -686,7 +700,7 @@ class TestWithoutTrajectory:
     @pytest.mark.parametrize("keep", [True, False])
     @pytest.mark.parametrize("rule", STOP_RULES, ids=lambda r: type(r).__name__)
     def test_zero_data_rejected_before_the_first_step(self, keep, rule):
-        cfg = SolverConfig(dt_rule="fixed", dt_fixed=0.1, max_steps=5, stopping=rule)
+        cfg = SolverConfig(dt=0.1, max_steps=5, stopping=rule)
         with pytest.raises(svddf.DegenerateInputError):
             run_svddf(ImageGrid(np.zeros((6, 6))), cfg, keep_trajectory=keep)
 

@@ -1,3 +1,7 @@
+import importlib
+import runpy
+from pathlib import Path
+
 import svddf
 
 # the public API, sorted and one name a line, so adding or removing a name shows in the diff
@@ -55,3 +59,10 @@ PUBLIC_NAMES = [
 
 def test_public_names_are_pinned():
     assert svddf.__all__ == PUBLIC_NAMES
+
+
+def test_every_traced_layer_resolves():
+    # the benchmark's tracer wraps these module attributes and counts a missing one as an absent layer with 0 calls
+    layers = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "tracer.py"))["LAYERS"]
+    missing = [(module, attr) for _, module, attr in layers if not hasattr(importlib.import_module(module), attr)]
+    assert layers and missing == []

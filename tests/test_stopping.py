@@ -249,8 +249,7 @@ class TestAprioriT:
         cfg = SolverConfig(
             eta=2.0,
             exponent_p=1.0,
-            dt_rule="fixed",
-            dt_fixed=0.15,
+            dt=0.15,
             max_steps=100,
             stopping=rule,
         )
@@ -268,7 +267,7 @@ class TestAprioriT:
         monkeypatch.setattr(svddf.stopping, "a_priori_T", counted)
         rule = AprioriStop(c1=10.0, c2=1.0, gamma=1.0, delta=1.0)  # T = 10 ln 2 = 6.93
         assert len(calls) == 1
-        cfg = SolverConfig(dt_rule="fixed", dt_fixed=0.1, max_steps=50, stopping=rule)
+        cfg = SolverConfig(dt=0.1, max_steps=50, stopping=rule)
         _, log = run_svddf(random_grid(rng, 8, 8), cfg)
         assert (log.final_step(), log.stopped_by) == (50, "max-steps")
         assert len(calls) == 1
@@ -277,7 +276,7 @@ class TestAprioriT:
     def test_max_steps_only_runs_budget(self, rng):
         g = random_grid(rng, 8, 8)
         cfg = SolverConfig(
-            eta=2.0, dt_rule="fixed", dt_fixed=0.1, max_steps=12, stopping=MaxStepsOnly()
+            eta=2.0, dt=0.1, max_steps=12, stopping=MaxStepsOnly()
         )
         _, log = run_svddf(g, cfg)
         assert log.final_step() == 12
