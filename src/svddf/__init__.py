@@ -42,7 +42,6 @@ from .stencil import (
     apply,
     assemble,
     lambda_max,
-    spectrum_check,
     to_dense,
 )
 from .stopping import (

@@ -164,10 +164,13 @@ def _cmd_add_noise(args) -> int:
     return 0
 
 
-def _run_method(noisy: ImageGrid, config: SolverConfig, method: str, keep_trajectory: bool = True):
-    second_order = method == "svddf"
+def _check_run(config: SolverConfig, method: str) -> None:
+    """Warn of an unstable step or an a-priori stop at step 1; a theorem step of 0.0 raises ``ParameterError``.
+
+    Called before any run starts, so a refusal leaves nothing on disk.
+    """
     # the step where lambda_max peaks: no step of the run is shorter than dt
-    dt, limit = step_at_bound(config, second_order)
+    dt, limit = step_at_bound(config, second_order=method == "svddf")
     if dt > limit:
         print(
             f"warning: where lambda_max reaches its bound on any image, --dt {config.dt} steps {dt!r} > "
@@ -182,7 +185,10 @@ def _run_method(noisy: ImageGrid, config: SolverConfig, method: str, keep_trajec
             f"--dt {config.dt} makes {dt!r} or longer under {method}: the run stops after step 1",
             file=sys.stderr,
         )
-    runner = run_svddf if second_order else run_first_order
+
+
+def _run_method(noisy: ImageGrid, config: SolverConfig, method: str, keep_trajectory: bool = True):
+    runner = run_svddf if method == "svddf" else run_first_order
     return runner(noisy, config, keep_trajectory=keep_trajectory)
 
 
@@ -195,6 +201,7 @@ def _cmd_denoise(args) -> int:
     if clean_path is not None:
         clean = read_pgm(clean_path)
         check_evaluate_inputs(clean, noisy)  # a pair the report cannot score is refused before step 1
+    _check_run(config, args.method)
     stem = src.stem
     csv_name = f"{stem}_trajectory.csv"
     try:
@@ -243,6 +250,8 @@ def _cmd_sweep(args) -> int:
     check_ssim_inputs(noisy, clean)
     # every cell's settings are checked before any cell runs
     configs = {(p, eta): _build_config(args, p, eta) for p in ps for eta in etas}
+    for config in configs.values():
+        _check_run(config, args.method)
 
     lines = ["p\\eta," + ",".join(f"{e:g}" for e in etas)]
     for p in ps:
@@ -374,7 +383,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (FileNotFoundError, OSError) as err:
+    except OSError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except DivergenceError as err:

@@ -143,7 +143,7 @@ class TrajectoryLog:
 
     def __init__(self):
         self.records: list[TrajectoryRecord] = []
-        self.stopped_by: str = "max-steps"
+        self.stopped_by: str = MaxStepsOnly.reason
         self.steps: int = 0
 
     def __len__(self):

@@ -20,8 +20,6 @@ import numpy as np
 from .diffusivity import DiffusivityField
 from .errors import DimensionError, ParameterError
 
-DENSE_LIMIT = 4096  # the largest dimension spectrum_check forms densely: a 64 x 64 grid
-
 
 @dataclass(frozen=True)
 class SparseOperator:
@@ -110,21 +108,6 @@ def lambda_max(op: SparseOperator) -> float:
     It is formed on the first call for ``op`` and kept on it.
     """
     return op._lambda_max
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    max_eigenvalue: float
-    min_eigenvalue: float
-    passed: bool
-
-
-def spectrum_check(op: SparseOperator) -> SpectrumReport:
-    """Dense symmetric eigensolve; passes iff every eigenvalue of F <= 1e-10."""
-    if op.dim > DENSE_LIMIT:
-        raise DimensionError(f"dense diagnostic refused for dim {op.dim} > {DENSE_LIMIT}")
-    w = np.linalg.eigvalsh(to_dense(op))
-    return SpectrumReport(float(w[-1]), float(w[0]), bool(w[-1] <= 1e-10))
 
 
 def to_dense(op: SparseOperator) -> np.ndarray:

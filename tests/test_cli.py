@@ -436,16 +436,25 @@ class TestDenoise:
         assert not out.exists()
 
     # at eta = 5e-324 the theorem step is 0.0: the run would take no time and return the noisy image
-    @pytest.mark.parametrize("verb", ["denoise", "sweep"])
-    def test_zero_theorem_step_exits_2(self, tmp_path, disk_pgm, noisy_pgm, capsys, verb):
+    @pytest.mark.parametrize(
+        "verb, flags",
+        [
+            ("denoise", ["--eta", "5e-324"]),
+            ("sweep", ["--etas", "5e-324", "--ps", "1"]),
+            # the second cell underflows, so the sweep is refused before its first cell runs
+            ("sweep", ["--etas", "1,5e-324", "--ps", "1"]),
+        ],
+        ids=["denoise", "sweep", "sweep-second-cell"],
+    )
+    def test_zero_theorem_step_exits_2(self, tmp_path, disk_pgm, noisy_pgm, capsys, verb, flags):
         out = tmp_path / "bad"
-        argv = [verb, str(noisy_pgm), "--dt", "auto", "--stop", "none", "--max-steps", "5", "--out", str(out)]
+        argv = [verb, str(noisy_pgm), "--dt", "auto", "--stop", "none", "--max-steps", "5", "--out", str(out), *flags]
         if verb == "sweep":
-            argv += ["--clean", str(disk_pgm), "--etas", "5e-324", "--ps", "1"]
-        else:
-            argv += ["--eta", "5e-324"]
+            argv += ["--clean", str(disk_pgm)]
         assert main(argv) == 2
-        assert capsys.readouterr().err == (
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
             "error: the theorem rule's step underflows to 0.0 at spectral bound 80.0 (eta=5e-324, safety=0.9); "
             "set a fixed dt\n"
         )

@@ -47,7 +47,6 @@ PUBLIC_NAMES = [
     "rel_l2",
     "run_first_order",
     "run_svddf",
-    "spectrum_check",
     "ssim",
     "sv_step",
     "synth_image",

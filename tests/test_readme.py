@@ -1,8 +1,9 @@
-"""README's flag list, trajectory columns and stability numbers against what the program parses, writes and checks."""
+"""README's flag list, trajectory columns, stability numbers and list of public pieces against the program."""
 
 import re
 from pathlib import Path
 
+import svddf
 from svddf.cli import build_parser
 from svddf.flow import CSV_HEADER, SolverConfig, step_at_bound
 
@@ -51,3 +52,10 @@ def test_shared_flag_list_is_the_parser_s():
     assert set(re.findall(r"`(--[a-z0-9-]+)", shared)) == (flags("denoise") & flags("sweep")) - {"--config"}
     # the paragraph names every other flag of either verb too
     assert flags("denoise") | flags("sweep") <= set(re.findall(r"`(--[a-z0-9-]+)", paragraph))
+
+
+def test_lower_level_pieces_are_public():
+    start = next(i for i, line in enumerate(README) if line.startswith("Lower-level pieces are public too"))
+    sentence = " ".join(README[start : README.index("", start)]).split(".  ", 1)[0]
+    names = set(re.findall(r"`(\w+)`", sentence))
+    assert names and names <= set(svddf.__all__)

@@ -11,7 +11,6 @@ from svddf import (
     diffusivity_half,
     lambda_max,
     make_kernel,
-    spectrum_check,
     to_dense,
     vec,
 )
@@ -78,6 +77,10 @@ class TestAssemble:
         assert np.all(off >= 0)
         assert np.all(np.abs(diag) >= off.sum(axis=1) - 1e-12)
 
+    def test_2x2_unit_field_eigenvalues(self):
+        w = np.linalg.eigvalsh(to_dense(assemble(unit_field(2, 2))))
+        assert np.allclose(w, [-4.0, -2.0, -2.0, 0.0], atol=1e-12)
+
 
 def _single_entry(index, value=1.0):
     a = np.zeros((3, 3), order="F")
@@ -136,30 +139,6 @@ class TestApply:
         op = assemble(random_field(rng, 4, 4))
         with pytest.raises(svddf.DimensionError):
             apply(op, np.ones(op.dim + 1))
-
-
-class TestSpectrumCheck:
-    def test_p2_8x8_spectrum_in_range(self):
-        rep = spectrum_check(assemble(unit_field(8, 8)))
-        assert rep.passed
-        assert rep.min_eigenvalue >= -8.0 - 1e-12
-        assert rep.max_eigenvalue <= 1e-10
-
-    def test_2x2_unit_field_eigenvalues(self):
-        rep = spectrum_check(assemble(unit_field(2, 2)))
-        w = np.linalg.eigvalsh(to_dense(assemble(unit_field(2, 2))))
-        assert np.allclose(w, [-4.0, -2.0, -2.0, 0.0], atol=1e-12)
-        assert rep.passed
-
-    def test_refuses_large_matrices(self, rng):
-        op = assemble(random_field(rng, 65, 65))
-        with pytest.raises(svddf.DimensionError):
-            spectrum_check(op)
-
-    def test_random_fields_non_positive(self, rng):
-        for _ in range(5):
-            rep = spectrum_check(assemble(random_field(rng, 6, 6, p=1.0)))
-            assert rep.passed
 
 
 def test_apply_used_in_runner_matches_grid_laplacian(rng):
