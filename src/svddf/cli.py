@@ -169,7 +169,6 @@ def _check_run(config: SolverConfig, method: str) -> None:
 
     Called before any run starts, so a refusal leaves nothing on disk.
     """
-    # the step where lambda_max peaks: no step of the run is shorter than dt
     dt, limit = step_at_bound(config, second_order=method == "svddf")
     if dt > limit:
         print(
@@ -182,7 +181,7 @@ def _check_run(config: SolverConfig, method: str) -> None:
     if isinstance(stop, AprioriStop) and stop.fired(math.nan, math.nan, dt):
         print(
             f"warning: the a-priori horizon T(delta) = {stop.horizon()!r} is within the first step, which "
-            f"--dt {config.dt} makes {dt!r} or longer under {method}: the run stops after step 1",
+            f"--dt {config.dt} makes {dt!r} under {method}: the run stops after step 1",
             file=sys.stderr,
         )
 

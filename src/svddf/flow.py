@@ -40,12 +40,14 @@ from .stopping import (
 class SolverConfig:
     """Parameter bundle for both flows.
 
-    ``dt`` is ``"auto"``, the theorem rule (dt = safety * eta / sqrt(lambda_max)
-    for the second-order flow, safety * 2 / lambda_max for the baseline), or a
-    positive finite fixed step length.  The theorem rule has no step where the
-    spectral bound is exactly zero or where its step underflows to zero.  Every
-    float setting must be finite, ``max_steps`` an integer and ``stopping``
-    one of the four rules.
+    ``dt`` is ``"auto"``, the theorem rule, or a positive finite fixed step
+    length.  The theorem rule takes one step length for the whole run, worked
+    out from the config alone at the bound lam = 8 * epsilon^((p-2)/2) that no
+    image's ``lambda_max`` exceeds: dt = safety * eta / sqrt(lam) for the
+    second-order flow, safety * 2 / lam for the baseline (see ``step_at_bound``).
+    It has no step where that step underflows to zero.  Every float setting
+    must be finite, ``max_steps`` an integer and ``stopping`` one of the four
+    rules.
     """
 
     exponent_p: float = 1.0
@@ -108,7 +110,6 @@ class FlowState:
     t: float
     F_prev: SparseOperator
     last_dt: float = float("nan")
-    last_lambda: float = float("nan")
 
     @cached_property
     def Fu(self) -> np.ndarray:
@@ -189,13 +190,17 @@ def _reassemble(state: FlowState, config: SolverConfig) -> SparseOperator:
     return _assemble_from(state.u, (state.F_prev.rows, state.F_prev.cols), config)
 
 
-def _rule_step(lam: float, config: SolverConfig, second_order: bool) -> float:
-    """Step length under the configured rule (see SolverConfig) at spectral bound ``lam``."""
+def _spectral_bound(config: SolverConfig) -> float:
+    """lam = 8 * epsilon^((p-2)/2): no coefficient exceeds epsilon^((p-2)/2), so no image's ``lambda_max`` does."""
+    return 8.0 * config.epsilon ** ((config.exponent_p - 2.0) / 2.0)
+
+
+def _rule_step(config: SolverConfig, second_order: bool) -> float:
+    """Step length under the configured rule (see SolverConfig): the same for every step of a run."""
     if config.dt != "auto":
         return float(config.dt)
-    if lam == 0.0:
-        raise ParameterError("spectral bound is zero: the theorem rule has no step there; set a fixed dt")
-    dt = float(config.safety * config.eta / np.sqrt(lam) if second_order else config.safety * 2.0 / lam)
+    lam = _spectral_bound(config)
+    dt = float(config.safety * config.eta / math.sqrt(lam) if second_order else config.safety * 2.0 / lam)
     if dt == 0.0:
         raise ParameterError(
             f"the theorem rule's step underflows to 0.0 at spectral bound {lam!r} "
@@ -204,24 +209,17 @@ def _rule_step(lam: float, config: SolverConfig, second_order: bool) -> float:
     return dt
 
 
-def _step_length(F: SparseOperator, config: SolverConfig, second_order: bool) -> tuple[float, float]:
-    """Step length and spectral bound ``(dt, lam)`` of stencil ``F``; the fixed rule forms no bound (nan)."""
-    lam = lambda_max(F) if config.dt == "auto" else float("nan")
-    return _rule_step(lam, config, second_order), lam
-
-
 def step_at_bound(config: SolverConfig, second_order: bool = True) -> tuple[float, float]:
-    """The configured step and the largest stable step, ``(dt, limit)``, where ``lambda_max`` peaks.
+    """The run's step and the largest stable step where ``lambda_max`` peaks, ``(dt, limit)``.
 
-    No coefficient exceeds epsilon^((p-2)/2), so no image's ``lambda_max`` exceeds
-    lam = 8 * epsilon^((p-2)/2), which is at least about 6e-154 for every finite
-    epsilon > 0 and p in [1, 2].  A frozen stencil is stable for dt <= 2 / sqrt(lam),
-    or dt <= 2 / lam under explicit Euler.  Under every rule dt / limit does not fall
-    as lam grows, so ``dt > limit`` exactly when some image can step unstably.
+    No image's ``lambda_max`` exceeds lam = 8 * epsilon^((p-2)/2), which is at
+    least about 6e-154 for every finite epsilon > 0 and p in [1, 2].  A frozen
+    stencil is stable for dt <= 2 / sqrt(lam), or dt <= 2 / lam under explicit
+    Euler, so ``dt > limit`` exactly when some image can step unstably.
     """
-    lam = 8.0 * config.epsilon ** ((config.exponent_p - 2.0) / 2.0)
+    lam = _spectral_bound(config)
     limit = 2.0 / math.sqrt(lam) if second_order else 2.0 / lam
-    return _rule_step(lam, config, second_order), limit
+    return _rule_step(config, second_order), limit
 
 
 def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
@@ -230,7 +228,7 @@ def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
     The closing half-kick's ``F_new @ u_new`` is the next state's ``Fu``,
     so it is stored there: one stencil product per step.
     """
-    dt, lam = _step_length(state.F_prev, config, second_order=True)
+    dt = _rule_step(config, second_order=True)
 
     u, v = state.u, state.v
     # transient infs on a diverging run are caught below, not warned about
@@ -244,7 +242,7 @@ def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
         v_new = v_half + 0.5 * dt * (Fu_new - config.eta * v_half)
     if not np.isfinite(v_new).all():
         raise DivergenceError(f"non-finite velocity at step {state.k}", step=state.k)
-    new = FlowState(u=u_new, v=v_new, k=state.k + 1, t=state.t + dt, F_prev=F_new, last_dt=dt, last_lambda=lam)
+    new = FlowState(u=u_new, v=v_new, k=state.k + 1, t=state.t + dt, F_prev=F_new, last_dt=dt)
     object.__setattr__(new, "Fu", Fu_new)  # fills the cache, as the first read of ``Fu`` would
     return new
 
@@ -263,7 +261,8 @@ def energies(state: FlowState, vv: float | None = None) -> tuple[float, float]:
         return 0.5 * vv, 0.5 * float(0.0 - state.u @ state.Fu)
 
 
-def _record(state: FlowState, rde_val: float, sig: float) -> TrajectoryRecord:
+def _record(state: FlowState, rde_val: float, sig: float, auto: bool) -> TrajectoryRecord:
+    """The state's log row; under ``auto`` it logs the Gershgorin bound of the row's own stencil."""
     with np.errstate(over="ignore", invalid="ignore"):
         vv = float(state.v @ state.v)
         # np.linalg.norm(v) is exactly sqrt(v @ v)
@@ -273,7 +272,7 @@ def _record(state: FlowState, rde_val: float, sig: float) -> TrajectoryRecord:
         step=state.k,
         t=state.t,
         dt=state.last_dt,
-        lambda_max=state.last_lambda,
+        lambda_max=lambda_max(state.F_prev) if auto else float("nan"),
         vnorm=vnorm,
         rde=rde_val,
         sigma=sig,
@@ -311,7 +310,7 @@ def _run(u0: ImageGrid, config: SolverConfig, advance, keep_trajectory: bool):
                 if with_sigma:
                     sig = discrepancy(state.u, data, 0.0, u0_norm=data_norm).sigma
             if keep_trajectory:
-                log.records.append(_record(state, rde_val, sig))
+                log.records.append(_record(state, rde_val, sig, config.dt == "auto"))
             log.steps = state.k
             if rule.fired(rde_val, sig, state.t):
                 log.stopped_by = rule.reason
@@ -335,14 +334,14 @@ def run_svddf(
 def _first_order_step(state: FlowState, config: SolverConfig) -> FlowState:
     """Explicit step of the first-order flow u_t = div(a(u) grad u)."""
     F = _reassemble(state, config)
-    dt, lam = _step_length(F, config, second_order=False)
+    dt = _rule_step(config, second_order=False)
     with np.errstate(over="ignore", invalid="ignore"):
         rate = apply(F, state.u)
         u_new = state.u + dt * rate
     if not np.isfinite(u_new).all():
         raise DivergenceError(f"non-finite iterate at step {state.k}", step=state.k)
     # v: the finite-difference rate, logged as the velocity proxy
-    return FlowState(u=u_new, v=rate, k=state.k + 1, t=state.t + dt, F_prev=F, last_dt=dt, last_lambda=lam)
+    return FlowState(u=u_new, v=rate, k=state.k + 1, t=state.t + dt, F_prev=F, last_dt=dt)
 
 
 def run_first_order(

@@ -174,6 +174,32 @@ def naive_dft_energy(pixels, n0):
     return total
 
 
+def step_length(config, first_order=False):
+    """The length of every step of a run: the fixed dt, or the theorem rule at the bound 8 * epsilon^((p-2)/2).
+
+    No stencil's spectral bound exceeds 8 * epsilon^((p-2)/2), so the theorem
+    rule takes its one step there: safety * eta / sqrt(lam) for the damped
+    flow, safety * 2 / lam for the baseline.
+    """
+    if config.dt != "auto":
+        return config.dt
+    lam = 8.0 * config.epsilon ** ((config.exponent_p - 2.0) / 2.0)
+    return config.safety * 2.0 / lam if first_order else config.safety * config.eta / math.sqrt(lam)
+
+
+def _stencil_of(u0, config):
+    """The stencil of a column-stacked iterate on ``u0``'s grid, built with the package's diffusivity and assemble."""
+    from svddf import ImageGrid, assemble, diffusivity_half, make_kernel
+
+    kernel = make_kernel(config.sigma)
+
+    def stencil(u):
+        image = ImageGrid(u.reshape(u0.shape, order="F"))
+        return assemble(diffusivity_half(image, config.epsilon, config.exponent_p, kernel))
+
+    return stencil
+
+
 def reassembling_flow(u0, config, steps, first_order=False):
     """(u, v) after ``steps`` steps of either flow, every stencil assembled afresh.
 
@@ -183,31 +209,50 @@ def reassembling_flow(u0, config, steps, first_order=False):
     the package's own diffusivity, assemble and apply, in the program's
     arithmetic order: where the reuse is exact, the bits must agree.
     """
-    from svddf import ImageGrid, apply, assemble, diffusivity_half, lambda_max, make_kernel
+    from svddf import apply
 
-    kernel = make_kernel(config.sigma)
-
-    def stencil(u):
-        image = ImageGrid(u.reshape(u0.shape, order="F"))
-        return assemble(diffusivity_half(image, config.epsilon, config.exponent_p, kernel))
-
-    fixed = config.dt != "auto"
+    stencil = _stencil_of(u0, config)
+    dt = step_length(config, first_order)
     u = u0.pixels.flatten(order="F")
     v, u_pre = np.zeros_like(u), u
     for _ in range(steps):
         if first_order:
             F = stencil(u)
-            dt = config.dt if fixed else config.safety * 2.0 / lambda_max(F)
             v = apply(F, u)
             u = u + dt * v
         else:
             # the opening half-kick uses the stencil of the iterate before the last drift
             F_prev, F_new = stencil(u_pre), stencil(u)
-            dt = config.dt if fixed else float(config.safety * config.eta / np.sqrt(lambda_max(F_prev)))
             v_half = (v + 0.5 * dt * apply(F_prev, u)) / (1.0 + 0.5 * config.eta * dt)
             u, u_pre = u + dt * v_half, u
             v = v_half + 0.5 * dt * (apply(F_new, u) - config.eta * v_half)
     return u, v
+
+
+def heavy_ball_flow(u0, config, steps):
+    """The iterate after ``steps`` damped Stormer-Verlet steps from v = 0, as Polyak's heavy ball.
+
+    At a fixed step dt, with c = eta * dt / 2, beta = (1 - c) / (1 + c) and
+    alpha = dt^2 / (1 + c), eliminating the velocity leaves the two-term
+    recursion
+
+        u_1     = u_0 + (alpha / 2) * F(u_0) u_0
+        u_(k+1) = u_k + beta * (u_k - u_(k-1)) + alpha * F(u_(k-1)) u_k
+
+    in which the stencil lags one iterate behind the one it acts on.  Every
+    stencil is assembled afresh from its iterate.
+    """
+    from svddf import apply
+
+    stencil = _stencil_of(u0, config)
+    dt = step_length(config)
+    c = 0.5 * config.eta * dt
+    beta, alpha = (1.0 - c) / (1.0 + c), dt**2 / (1.0 + c)
+    u_pre = u0.pixels.flatten(order="F")
+    u = u_pre + 0.5 * alpha * apply(stencil(u_pre), u_pre)
+    for _ in range(steps - 1):
+        u, u_pre = u + beta * (u - u_pre) + alpha * apply(stencil(u_pre), u), u
+    return u
 
 
 def dense_A(F, eta, dt):

@@ -522,8 +522,8 @@ class TestDenoise:
     @pytest.mark.parametrize(
         "flags, warned",
         [
-            ([], True),  # T(0.1) = ln 1.1 = 0.0953; no auto step at the defaults is shorter than 0.2012
-            (["--method", "first-order"], False),  # its auto steps are 0.0225 or longer
+            ([], True),  # T(0.1) = ln 1.1 = 0.0953; every auto step at the defaults is 0.2012
+            (["--method", "first-order"], False),  # its auto step is 0.0225
             (["--c1", "30"], False),  # T = 2.86
             (["--dt", "0.1"], True),
             (["--dt", "0.09"], False),
@@ -538,7 +538,7 @@ class TestDenoise:
         steps = int(captured.out.split(" after ")[1].split()[0])
         assert (steps == 1) if warned else (steps > 1)
         if warned:
-            # the line gives T, then the shortest step
+            # the line gives T, then the run's step
             horizon = float(lines[0].split(" = ")[1].split()[0])
             step = float(lines[0].split(" makes ")[1].split()[0])
             assert horizon == pytest.approx(math.log(1.1)) and horizon <= step
@@ -551,7 +551,7 @@ class TestDenoise:
         stability, horizon = capsys.readouterr().err.splitlines()
         assert stability.startswith("warning: where lambda_max reaches its bound on any image, --dt 0.1234567 steps ")
         assert "epsilon=0.01); see README" in stability
-        assert "--dt 0.1234567 makes 0.1234567 or longer under first-order" in horizon
+        assert "--dt 0.1234567 makes 0.1234567 under first-order: the run stops after step 1" in horizon
 
     @pytest.mark.parametrize("safety", ["0.66", "0.6666", "0.6667", "0.67"])
     def test_p2_warning_is_exact(self, tmp_path, noisy_pgm, capsys, safety):

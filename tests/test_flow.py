@@ -38,6 +38,7 @@ from oracles import (
     dense_A,
     dense_B,
     dense_stencil,
+    heavy_ball_flow,
     mode_amplification_formula,
     reassembling_flow,
 )
@@ -53,8 +54,8 @@ def fixed_cfg(dt, steps=10, **kw):
 STEPPERS = {"svddf": (sv_step, False), "first-order": (_first_order_step, True)}
 
 
-def one_step(method, config, coupling):
-    """``(last_dt, last_lambda)`` after one ``method`` step from k = 0 on a 3 x 3 grid of equal couplings.
+def one_step(method, config, coupling=1.0):
+    """The state after one ``method`` step from k = 0 on a 3 x 3 grid of equal couplings.
 
     The centre pixel has four couplings, so lambda_max is 8 * ``coupling``; at k = 0 both flows step with this stencil.
     """
@@ -63,36 +64,38 @@ def one_step(method, config, coupling):
     cj[:, -1] = 0.0
     op = SparseOperator(ci, cj)
     state = FlowState(u=np.linspace(0.0, 1.0, 9), v=np.zeros(9), k=0, t=0.0, F_prev=op)
-    new = STEPPERS[method][0](state, config)
-    return new.last_dt, new.last_lambda
+    return STEPPERS[method][0](state, config)
 
 
 class TestStepSize:
     """Each check runs both flows; the step length is read from the state the step returns."""
 
     def test_theorem_formula(self):
-        cfg = SolverConfig(eta=300.0, safety=1.0)
-        # eta / sqrt(lam) for the damped flow, explicit-Euler 2 / lam for the baseline
-        expected = {"svddf": 300.0 / np.sqrt(8.0), "first-order": 2.0 / 8.0}
-        for method in STEPPERS:
-            dt, lam = one_step(method, cfg, 1.0)
-            assert lam == 8.0
-            assert dt == pytest.approx(expected[method], rel=1e-15)
+        # the bound lam = 8 * epsilon^((p-2)/2) is 8 at p = 2 and 80 at (p, epsilon) = (1, 1e-2) and (1.5, 1e-4)
+        for p, epsilon, lam in ((2.0, 1e-2, 8.0), (1.0, 1e-2, 80.0), (1.5, 1e-4, 80.0)):
+            cfg = SolverConfig(exponent_p=p, epsilon=epsilon, eta=300.0, safety=1.0)
+            # eta / sqrt(lam) for the damped flow, explicit-Euler 2 / lam for the baseline
+            expected = {"svddf": 300.0 / np.sqrt(lam), "first-order": 2.0 / lam}
+            for method in STEPPERS:
+                # the step is the config's, whatever the stencil it is taken on
+                for coupling in (1.0, 0.5):
+                    dt = one_step(method, cfg, coupling).last_dt
+                    assert dt == pytest.approx(expected[method], rel=1e-15)
 
     def test_safety_scales_linearly(self):
         for method in STEPPERS:
-            full, _ = one_step(method, SolverConfig(eta=10.0, safety=1.0), 0.5)
-            half, _ = one_step(method, SolverConfig(eta=10.0, safety=0.5), 0.5)
+            full = one_step(method, SolverConfig(eta=10.0, safety=1.0)).last_dt
+            half = one_step(method, SolverConfig(eta=10.0, safety=0.5)).last_dt
             assert half == pytest.approx(0.5 * full, rel=1e-15)
 
-    def test_zero_bound_needs_a_fixed_step(self):
-        message = "spectral bound is zero: the theorem rule has no step there; set a fixed dt"
+    def test_zero_stencil_never_moves(self):
+        # the bound the step is taken at is never zero, so all-zero couplings take the config's step and stand still
         for method in STEPPERS:
-            with pytest.raises(svddf.ParameterError) as err:
-                one_step(method, SolverConfig(eta=1.0), 0.0)
-            assert str(err.value) == message
-            dt, lam = one_step(method, fixed_cfg(0.125), 0.0)
-            assert dt == 0.125 and math.isnan(lam)
+            for config in (SolverConfig(eta=1.0), fixed_cfg(0.125)):
+                new = one_step(method, config, 0.0)
+                assert new.last_dt == step_at_bound(config, second_order=method == "svddf")[0]
+                assert np.array_equal(new.u, np.linspace(0.0, 1.0, 9))
+                assert not new.v.any()
 
     # eta (or, for the baseline, safety) of 5e-324 makes the theorem step underflow: a run that never moves is refused
     @pytest.mark.parametrize(
@@ -124,19 +127,26 @@ class TestStepSize:
             assert 0.0 < dt < math.inf and 0.0 < limit < math.inf
 
     def test_tiny_positive_bound_sets_the_step(self, rng):
-        # at epsilon = 1e30 every coupling is near 1e-15: the bound is tiny but not zero, so the theorem rule steps
+        # at epsilon = 1e30 every coupling is near 1e-15: the bound is tiny but not zero, so the theorem rule steps.
+        # At epsilon = 1e-2 the stencils' bounds vary from step to step; the step does not.
         u0 = random_grid(rng, 8, 8)
-        stable = {run_svddf: lambda lam: 0.9 * 2.0 / math.sqrt(lam), run_first_order: lambda lam: 0.9 * 2.0 / lam}
-        for runner, stable_dt in stable.items():
-            _, log = runner(u0, SolverConfig(eta=2.0, epsilon=1e30, max_steps=3))
-            for rec in log.records:
-                assert 0.0 < rec.lambda_max < 1e-14
-                assert rec.dt == pytest.approx(stable_dt(rec.lambda_max), rel=1e-15)
+        for epsilon in (1e30, 1e-2):
+            config = SolverConfig(eta=2.0, epsilon=epsilon, max_steps=3)
+            lam = 8.0 * epsilon**-0.5
+            for runner in (run_svddf, run_first_order):
+                # every step of an auto run is the step the CLI checks
+                dt, _ = step_at_bound(config, second_order=runner is run_svddf)
+                _, log = runner(u0, config)
+                assert [r.dt for r in log.records] == [dt] * 3
+                for rec in log.records:
+                    assert 0.0 < rec.lambda_max <= lam * (1.0 + 1e-15)
 
-    def test_fixed_rule(self):
-        for method in STEPPERS:
-            dt, lam = one_step(method, fixed_cfg(0.07), 1.0)
-            assert dt == 0.07 and math.isnan(lam)
+    def test_fixed_rule(self, rng):
+        for runner in (run_svddf, run_first_order):
+            _, log = runner(random_grid(rng, 6, 6), fixed_cfg(0.07, steps=3))
+            assert [r.dt for r in log.records] == [0.07] * 3
+            # a fixed step forms no bound
+            assert all(math.isnan(r.lambda_max) for r in log.records)
 
     # the theorem rule takes no step cap: a config that sets one is refused, not ignored
     @pytest.mark.parametrize("dt_max", [-0.1, 0.0, float("nan")])
@@ -327,7 +337,7 @@ class TestCarriedProduct:
         stepped, expected = sv_step(state, cfg), sv_step(fresh, cfg)
         for name in ("u", "v", "Fu"):
             assert np.array_equal(getattr(stepped, name), getattr(expected, name))
-        assert (stepped.t, stepped.last_dt, stepped.last_lambda) == (expected.t, expected.last_dt, expected.last_lambda)
+        assert (stepped.t, stepped.last_dt) == (expected.t, expected.last_dt)
 
 
 class TestStencilReuse:
@@ -387,6 +397,20 @@ class TestStencilReuse:
         assert {id(op) for op in diagonals} == distinct
         if p == 2.0:
             assert len(distinct) == 1
+
+
+class TestHeavyBall:
+    """At a fixed step the damped Stormer-Verlet flow is Polyak's heavy ball; every run has one step."""
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("eta, dt", [(300.0, 0.15), (10.0, 0.2), (2.0, "auto")])
+    def test_run_matches_the_two_term_recursion(self, p, eta, dt):
+        noisy = noisy_disk(64, seed=1)
+        cfg = SolverConfig(exponent_p=p, eta=eta, dt=dt, max_steps=300, stopping=MaxStepsOnly())
+        out, log = run_svddf(noisy, cfg, keep_trajectory=False)
+        assert log.final_step() == 300
+        expected = heavy_ball_flow(noisy, cfg, 300)
+        assert np.max(np.abs(vec(out) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 class TestModeDynamics:
@@ -717,7 +741,7 @@ class TestWithoutTrajectory:
             return apply(*args)
 
         monkeypatch.setattr(svddf.flow, "apply", counted)
-        record = _record(state, 0.0, 0.0)
+        record = _record(state, 0.0, 0.0, auto=False)
         # the potential reads the product sv_step stored; the log forms none
         assert products == []
         assert record.vnorm == float(np.linalg.norm(state.v))
