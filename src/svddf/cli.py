@@ -40,7 +40,6 @@ _OPTIONS = {
     "epsilon": (float, "1e-2", "diffusivity regularisation"),
     "sigma": (float, "1", "Gaussian smoothing variance"),
     "dt": (_dt_value, "auto", "'auto' for the spectral rule or a fixed step length"),
-    "safety": (float, "0.9", "multiplier on the spectral step bound"),
     "max_steps": (int, "500", "step budget"),
     "stop": (("rde", "discrepancy", "a-priori", "none"), "rde", "stopping rule"),
     "tol": (float, "1e-4", "tolerance of the rde rule"),
@@ -132,7 +131,6 @@ def _build_config(args, p: float, eta: float) -> SolverConfig:
         epsilon=args.epsilon,
         sigma=args.sigma,
         dt=args.dt,
-        safety=args.safety,
         max_steps=args.max_steps,
         stopping=_build_stopping(args),
     )

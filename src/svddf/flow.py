@@ -24,7 +24,7 @@ import numpy as np
 
 from .diffusivity import GaussianKernel, constant_diffusivity, diffusivity_half, make_kernel
 from .errors import DivergenceError, ParameterError
-from .grid import ImageGrid, _reference_norm, array, vec
+from .grid import ImageGrid, _dot, _reference_norm, array, vec
 from .stencil import SparseOperator, apply, assemble, lambda_max
 from .stopping import (
     MaxStepsOnly,
@@ -36,6 +36,9 @@ from .stopping import (
 )
 
 
+SAFETY = 0.9  # the fraction of the spectral step bound that the theorem rule takes
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     """Parameter bundle for both flows.
@@ -43,8 +46,8 @@ class SolverConfig:
     ``dt`` is ``"auto"``, the theorem rule, or a positive finite fixed step
     length.  The theorem rule takes one step length for the whole run, worked
     out from the config alone at the bound lam = 8 * epsilon^((p-2)/2) that no
-    image's ``lambda_max`` exceeds: dt = safety * eta / sqrt(lam) for the
-    second-order flow, safety * 2 / lam for the baseline (see ``step_at_bound``).
+    image's ``lambda_max`` exceeds: dt = SAFETY * eta / sqrt(lam) for the
+    second-order flow, SAFETY * 2 / lam for the baseline (see ``step_at_bound``).
     It has no step where that step underflows to zero.  Every float setting
     must be finite, ``max_steps`` an integer and ``stopping`` one of the four
     rules.
@@ -55,7 +58,6 @@ class SolverConfig:
     epsilon: float = 1e-2
     sigma: float = 1.0
     dt: float | str = "auto"
-    safety: float = 0.9
     max_steps: int = 500
     stopping: StoppingRule = field(default_factory=MaxStepsOnly)
 
@@ -68,8 +70,6 @@ class SolverConfig:
             raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
         if not (self.sigma > 0):
             raise ParameterError(f"sigma must be positive, got {self.sigma}")
-        if not (0.0 < self.safety <= 1.0):
-            raise ParameterError(f"safety must lie in (0, 1], got {self.safety}")
         if not (self.dt == "auto" or isinstance(self.dt, numbers.Real) and 0.0 < self.dt < math.inf):
             raise ParameterError(f"dt must be 'auto' or a positive finite step length, got {self.dt!r}")
         for name in ("eta", "epsilon", "sigma"):
@@ -200,11 +200,11 @@ def _rule_step(config: SolverConfig, second_order: bool) -> float:
     if config.dt != "auto":
         return float(config.dt)
     lam = _spectral_bound(config)
-    dt = float(config.safety * config.eta / math.sqrt(lam) if second_order else config.safety * 2.0 / lam)
+    dt = float(SAFETY * config.eta / math.sqrt(lam) if second_order else SAFETY * 2.0 / lam)
     if dt == 0.0:
         raise ParameterError(
             f"the theorem rule's step underflows to 0.0 at spectral bound {lam!r} "
-            f"(eta={config.eta!r}, safety={config.safety!r}); set a fixed dt"
+            f"(eta={config.eta!r}); set a fixed dt"
         )
     return dt
 
@@ -250,30 +250,27 @@ def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
 def energies(state: FlowState, vv: float | None = None) -> tuple[float, float]:
     """Kinetic and potential energy, v.v / 2 and -u.(F_prev u) / 2, of the state.
 
-    ``vv`` is v @ v when the caller has formed it.  The potential reads the
+    ``vv`` is v . v when the caller has formed it.  The potential reads the
     state's ``Fu``, which ``sv_step`` stores, so an SV-DDF state forms no
     stencil product here; a first-order state forms F_k u_{k+1} on first read.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if vv is None:
-            vv = float(state.v @ state.v)
+            vv = _dot(state.v, state.v)
         # 0.0 - x: a constant image, whose F u is zero, logs +0, not -0
-        return 0.5 * vv, 0.5 * float(0.0 - state.u @ state.Fu)
+        return 0.5 * vv, 0.5 * (0.0 - _dot(state.u, state.Fu))
 
 
 def _record(state: FlowState, rde_val: float, sig: float, auto: bool) -> TrajectoryRecord:
     """The state's log row; under ``auto`` it logs the Gershgorin bound of the row's own stencil."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        vv = float(state.v @ state.v)
-        # np.linalg.norm(v) is exactly sqrt(v @ v)
-        vnorm = float(np.sqrt(vv))
+    vv = _dot(state.v, state.v)
     kinetic, potential = energies(state, vv)
     return TrajectoryRecord(
         step=state.k,
         t=state.t,
         dt=state.last_dt,
         lambda_max=lambda_max(state.F_prev) if auto else float("nan"),
-        vnorm=vnorm,
+        vnorm=math.sqrt(vv),
         rde=rde_val,
         sigma=sig,
         kinetic=kinetic,

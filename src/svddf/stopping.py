@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .grid import ImageGrid, _relative_distance
+from .grid import ImageGrid, _dot, _relative_distance
 
 
 def default_band_threshold(rows: int, cols: int) -> int:
@@ -132,7 +132,7 @@ def high_freq_energy(u: ImageGrid | np.ndarray, n0: int) -> float:
     half = np.fft.rfft2(px)
     power = np.square(half.real)
     power += np.square(half.imag)
-    return float(np.vdot(_band_weights(m, n, n0), power))
+    return _dot(_band_weights(m, n, n0), power)
 
 
 def _rde_change(energy: float, prev: float) -> float:

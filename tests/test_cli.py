@@ -12,6 +12,7 @@ import pytest
 import svddf
 from svddf import ImageGrid, read_pgm, synth_image, write_pgm
 from svddf.cli import main
+from svddf.flow import step_at_bound
 
 STABILITY_NOTE = "see README 'Stability of the spectral step rule'"
 
@@ -246,6 +247,46 @@ class TestDenoise:
             )
         assert payloads[0] == payloads[1]
 
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # BLAS splits a long dot product across its threads; from 128 x 128 on that
+        # moved the trajectory and metrics CSVs' last bits.  Two threads at most, for small hosts.
+        clean = ImageGrid(0.25 + 0.5 * synth_image("disk", 128, 128).pixels)
+        noisy = svddf.add_noise(clean, svddf.NoiseSpec(delta=0.54, seed=1))
+        write_pgm(clean, tmp_path / "disk.pgm")
+        write_pgm(noisy, tmp_path / "disk_noisy.pgm")
+        src = str(Path(svddf.__file__).parents[1])
+        runs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            argv = ["denoise", str(tmp_path / "disk_noisy.pgm"), "--clean", str(tmp_path / "disk.pgm")]
+            argv += ["--dt", "auto", "--stop", "none", "--max-steps", "30", "--out", str(out)]
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-m", "svddf.cli", *argv], capture_output=True, env=env)
+            assert done.returncode == 0, done.stderr
+            files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            runs.append((done.stdout, done.stderr, files))
+        assert sorted(runs[0][2]) == ["disk_noisy_denoised.pgm", "disk_noisy_metrics.csv", "disk_noisy_trajectory.csv"]
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("method", ["svddf", "first-order"])
+    def test_auto_dt_runs_as_the_fixed_dt_it_works_out(self, tmp_path, disk_pgm, noisy_pgm, capsys, method):
+        # the theorem rule's step comes from the config alone, so --dt auto and --dt <that step>
+        # differ only in the lambda_max column, which a fixed dt leaves nan
+        dt, _ = step_at_bound(svddf.SolverConfig(exponent_p=1.0, eta=2.0, epsilon=1e-2), method == "svddf")
+        runs = []
+        for rule in ("auto", repr(dt)):
+            out = tmp_path / rule
+            argv = ["denoise", str(noisy_pgm), "--clean", str(disk_pgm), "--method", method, "--dt", rule]
+            argv += ["--p", "1", "--eta", "2", "--epsilon", "1e-2", "--max-steps", "40", "--out", str(out)]
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            rows = [line.split(",") for line in (out / "disk_noisy_trajectory.csv").read_text().splitlines()]
+            assert rows[0][3] == "lambda_max" and len(rows) > 1
+            trajectory = [row[:3] + row[4:] for row in rows]
+            images = [(out / name).read_bytes() for name in ("disk_noisy_denoised.pgm", "disk_noisy_metrics.csv")]
+            runs.append((captured.out, captured.err, images, trajectory))
+        assert runs[0] == runs[1]
+
     def test_config_file_and_flag_precedence(self, tmp_path, noisy_pgm):
         conf = tmp_path / "run.conf"
         conf.write_text("dt=0.125\nmax-steps=5\nstop=none\neta=2.0\n")
@@ -389,6 +430,21 @@ class TestDenoise:
         assert "unrecognized arguments: --dt-max 0.1" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["denoise", "sweep"])
+    def test_safety_option_is_gone(self, tmp_path, disk_pgm, noisy_pgm, capsys, verb):
+        # the theorem rule's factor is a constant; a fixed --dt sets any other step
+        conf = tmp_path / "run.conf"
+        conf.write_text("safety=0.5\n")
+        out = tmp_path / "bad"
+        argv = [verb, str(noisy_pgm), "--out", str(out)]
+        if verb == "sweep":
+            argv += ["--clean", str(disk_pgm), "--etas", "2", "--ps", "1"]
+        assert main(argv + ["--config", str(conf)]) == 2
+        assert f"{conf}:1: unknown key 'safety' for {verb}" in capsys.readouterr().err
+        assert main(argv + ["--safety", "0.5"]) == 2
+        assert "unrecognized arguments: --safety 0.5" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "flag, field, verb",
         [
@@ -455,8 +511,7 @@ class TestDenoise:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            "error: the theorem rule's step underflows to 0.0 at spectral bound 80.0 (eta=5e-324, safety=0.9); "
-            "set a fixed dt\n"
+            "error: the theorem rule's step underflows to 0.0 at spectral bound 80.0 (eta=5e-324); set a fixed dt\n"
         )
         assert not out.exists()
 
@@ -495,15 +550,15 @@ class TestDenoise:
     @pytest.mark.parametrize(
         "flags,warned",
         [
-            (["--eta", "3", "--dt", "auto"], True),  # safety * eta = 2.7
+            (["--eta", "3", "--dt", "auto"], True),  # 0.9 * eta = 2.7
             (["--eta", "2", "--dt", "auto"], False),  # 1.8
-            (["--eta", "2", "--dt", "auto", "--safety", "1"], False),  # 2, the stable edge
+            (["--eta", "2.2222222222222223", "--dt", "auto"], False),  # 2 / 0.9: 2, the stable edge
             (["--eta", "3", "--dt", "0.15"], False),
             (["--eta", "3", "--dt", "auto", "--method", "first-order"], False),
-            # safety <= 2 / eta keeps the step at or below 2/sqrt(80) = 0.2236 at the bound
-            (["--eta", "3", "--dt", "auto", "--safety", "0.6"], False),  # 1.8
-            (["--eta", "3", "--dt", "auto", "--safety", "0.7"], True),  # 2.1
-            (["--eta", "2.0000001", "--dt", "auto", "--safety", "1"], True),  # just past the edge
+            # eta <= 2 / 0.9 keeps the step at or below 2/sqrt(80) = 0.2236 at the bound
+            (["--eta", "2.2", "--dt", "auto"], False),  # 1.98
+            (["--eta", "2.3", "--dt", "auto"], True),  # 2.07
+            (["--eta", "2.2222223", "--dt", "auto"], True),  # just past the edge
             (["--eta", "3", "--dt", "0.3"], True),
         ],
     )
@@ -553,11 +608,11 @@ class TestDenoise:
         assert "epsilon=0.01); see README" in stability
         assert "--dt 0.1234567 makes 0.1234567 under first-order: the run stops after step 1" in horizon
 
-    @pytest.mark.parametrize("safety", ["0.66", "0.6666", "0.6667", "0.67"])
-    def test_p2_warning_is_exact(self, tmp_path, noisy_pgm, capsys, safety):
+    @pytest.mark.parametrize("eta", ["2.2", "2.2222", "2.2223", "2.23"])
+    def test_p2_warning_is_exact(self, tmp_path, noisy_pgm, capsys, eta):
         # at p = 2 every stencil's lambda_max is the bound 8 itself, so the
-        # run warns exactly when a step it logs has dt^2 * lambda_max = 9 * safety^2 > 4
-        argv = ["denoise", str(noisy_pgm), "--p", "2", "--eta", "3", "--dt", "auto", "--safety", safety]
+        # run warns exactly when a step it logs has dt^2 * lambda_max = (0.9 * eta)^2 > 4
+        argv = ["denoise", str(noisy_pgm), "--p", "2", "--eta", eta, "--dt", "auto"]
         assert main(argv + ["--stop", "none", "--max-steps", "3", "--out", str(tmp_path)]) == 0
         lines = (tmp_path / "disk_noisy_trajectory.csv").read_text().splitlines()
         assert lines[0].startswith("step,t,dt,lambda_max,")
@@ -578,7 +633,6 @@ OPTION_CASES = {
     "epsilon": ("0.05", "0.2", []),
     "sigma": ("2", "0.5", []),
     "dt": ("0.125", "auto", []),
-    "safety": ("0.5", "1", []),
     "max_steps": ("7", "9", []),
     "stop": ("discrepancy", "none", []),
     "tol": ("1e-3", "1e-2", []),
@@ -817,7 +871,7 @@ class TestSweep:
         argv += ["--dt", "auto", "--stop", "none", "--max-steps", "3", "--out", str(tmp_path / "s")]
         assert main(argv) == 0
         captured = capsys.readouterr()
-        # one line for each eta = 3 cell (safety * eta = 2.7), none for eta = 1
+        # one line for each eta = 3 cell (0.9 * eta = 2.7), none for eta = 1
         assert captured.err.count(STABILITY_NOTE) == 2
         assert len(captured.out.splitlines()) == 5
         assert STABILITY_NOTE not in captured.out

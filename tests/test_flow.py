@@ -40,6 +40,7 @@ from oracles import (
     dense_stencil,
     heavy_ball_flow,
     mode_amplification_formula,
+    p2_modal_flow,
     reassembling_flow,
 )
 
@@ -73,20 +74,14 @@ class TestStepSize:
     def test_theorem_formula(self):
         # the bound lam = 8 * epsilon^((p-2)/2) is 8 at p = 2 and 80 at (p, epsilon) = (1, 1e-2) and (1.5, 1e-4)
         for p, epsilon, lam in ((2.0, 1e-2, 8.0), (1.0, 1e-2, 80.0), (1.5, 1e-4, 80.0)):
-            cfg = SolverConfig(exponent_p=p, epsilon=epsilon, eta=300.0, safety=1.0)
-            # eta / sqrt(lam) for the damped flow, explicit-Euler 2 / lam for the baseline
-            expected = {"svddf": 300.0 / np.sqrt(lam), "first-order": 2.0 / lam}
+            cfg = SolverConfig(exponent_p=p, epsilon=epsilon, eta=300.0)
+            # 0.9 * eta / sqrt(lam) for the damped flow, 0.9 times explicit Euler's 2 / lam for the baseline
+            expected = {"svddf": 0.9 * 300.0 / np.sqrt(lam), "first-order": 0.9 * 2.0 / lam}
             for method in STEPPERS:
                 # the step is the config's, whatever the stencil it is taken on
                 for coupling in (1.0, 0.5):
                     dt = one_step(method, cfg, coupling).last_dt
                     assert dt == pytest.approx(expected[method], rel=1e-15)
-
-    def test_safety_scales_linearly(self):
-        for method in STEPPERS:
-            full = one_step(method, SolverConfig(eta=10.0, safety=1.0)).last_dt
-            half = one_step(method, SolverConfig(eta=10.0, safety=0.5)).last_dt
-            assert half == pytest.approx(0.5 * full, rel=1e-15)
 
     def test_zero_stencil_never_moves(self):
         # the bound the step is taken at is never zero, so all-zero couplings take the config's step and stand still
@@ -97,12 +92,9 @@ class TestStepSize:
                 assert np.array_equal(new.u, np.linspace(0.0, 1.0, 9))
                 assert not new.v.any()
 
-    # eta (or, for the baseline, safety) of 5e-324 makes the theorem step underflow: a run that never moves is refused
-    @pytest.mark.parametrize(
-        "runner, setting",
-        [(run_svddf, {"eta": 5e-324}), (run_first_order, {"safety": 5e-324})],
-        ids=["svddf", "first-order"],
-    )
+    # an eta of 5e-324 makes the damped flow's theorem step underflow: a run that never moves is refused.
+    # The baseline's 0.9 * 2 / lam cannot underflow.
+    @pytest.mark.parametrize("runner, setting", [(run_svddf, {"eta": 5e-324})], ids=["svddf"])
     def test_zero_theorem_step_rejected(self, rng, runner, setting):
         u0 = random_grid(rng, 8, 8)
         config = SolverConfig(max_steps=5, **setting)
@@ -112,7 +104,7 @@ class TestStepSize:
             step_at_bound(config, second_order=runner is run_svddf)
         assert str(err.value) == (
             f"the theorem rule's step underflows to 0.0 at spectral bound 80.0 "
-            f"(eta={config.eta!r}, safety={config.safety!r}); set a fixed dt"
+            f"(eta={config.eta!r}); set a fixed dt"
         )
         _, log = runner(u0, dataclasses.replace(config, dt=0.1))
         assert [r.dt for r in log.records] == [0.1] * 5
@@ -169,8 +161,6 @@ CONFIG_REJECTIONS = [
     ("epsilon", {"epsilon": -1e-3}, "epsilon must be positive, got -0.001"),
     ("sigma", {"sigma": 0.0}, "sigma must be positive, got 0.0"),
     ("sigma", {"sigma": 1e-320}, "sigma = 1e-320 is too small: the derivative taps t/sigma overflow"),
-    ("safety", {"safety": 0.0}, "safety must lie in (0, 1], got 0.0"),
-    ("safety", {"safety": 1.5}, "safety must lie in (0, 1], got 1.5"),
     ("dt", {"dt": "theorem"}, "dt must be 'auto' or a positive finite step length, got 'theorem'"),
     ("dt", {"dt": None}, "dt must be 'auto' or a positive finite step length, got None"),
     ("dt", {"dt": 0.0}, "dt must be 'auto' or a positive finite step length, got 0.0"),
@@ -413,6 +403,23 @@ class TestHeavyBall:
         assert np.max(np.abs(vec(out) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+class TestModalOracle:
+    """At p = 2 a fixed-step run is, per DCT mode, README's 2x2 map raised to the number of steps."""
+
+    @pytest.mark.parametrize("shape", [(128, 128), (40, 72)])
+    @pytest.mark.parametrize("eta, dt", [(1.0, 0.3), (10.0, 0.2), (300.0, 0.15), (10.0, 0.9)])
+    def test_p2_run_matches_the_modal_oracle(self, rng, shape, eta, dt):
+        # (10, 0.9) puts dt^2 * lam_top above 4: its top modes grow, and the oracle gives that growth
+        steps = 60
+        u0 = random_grid(rng, *shape)
+        cfg = SolverConfig(exponent_p=2.0, eta=eta, dt=dt, max_steps=steps, stopping=MaxStepsOnly())
+        out, log = run_svddf(u0, cfg)
+        u, v = p2_modal_flow(u0.pixels, eta, dt, steps)
+        assert log.final_step() == steps
+        assert np.linalg.norm(out.pixels - u) <= 1e-12 * np.linalg.norm(u)
+        assert abs(log.records[-1].vnorm - np.linalg.norm(v)) <= 1e-12 * np.linalg.norm(v)
+
+
 class TestModeDynamics:
     @staticmethod
     def cosine_mode_grid(m_pixels, mode_index, cols=2):
@@ -514,7 +521,7 @@ class TestStability:
     @pytest.mark.parametrize("shape", [(3, 5), (8, 8)])
     def test_program_step_expands_under_theorem_rule_at_eta_10(self, shape):
         # dt = 0.9 * eta / sqrt(lambda_max) puts dt^2 * lambda_top far above 4 at eta = 10
-        cfg = SolverConfig(exponent_p=2.0, eta=10.0, safety=0.9, dt="auto")
+        cfg = SolverConfig(exponent_p=2.0, eta=10.0, dt="auto")
         F = self.stencil(shape)
         M = self.one_step_matrix(F, cfg)
         assert M.shape == (2 * F.dim, 2 * F.dim)
@@ -604,10 +611,10 @@ class TestFirstOrder:
 
     def test_spectral_rule_uses_explicit_euler_bound(self, rng):
         g = random_grid(rng, 8, 8)
-        cfg = SolverConfig(eta=5.0, exponent_p=2.0, safety=0.5, max_steps=1, stopping=MaxStepsOnly())
+        cfg = SolverConfig(eta=5.0, exponent_p=2.0, max_steps=1, stopping=MaxStepsOnly())
         _, log = run_first_order(g, cfg)
         lam = log.records[0].lambda_max
-        assert log.records[0].dt == pytest.approx(0.5 * 2.0 / lam, rel=1e-12)
+        assert log.records[0].dt == pytest.approx(0.9 * 2.0 / lam, rel=1e-12)
 
     def test_divergence_raises_with_partial_log(self, rng):
         # p = 2 and dt = 1: explicit Euler amplifies the top modes by up to |1 - 8| per step
@@ -744,7 +751,7 @@ class TestWithoutTrajectory:
         record = _record(state, 0.0, 0.0, auto=False)
         # the potential reads the product sv_step stored; the log forms none
         assert products == []
-        assert record.vnorm == float(np.linalg.norm(state.v))
+        assert record.vnorm == math.sqrt(2.0 * record.kinetic)
         assert (record.kinetic, record.potential) == energies(state)
 
 

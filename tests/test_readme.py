@@ -5,7 +5,7 @@ from pathlib import Path
 
 import svddf
 from svddf.cli import build_parser
-from svddf.flow import CSV_HEADER, SolverConfig, step_at_bound
+from svddf.flow import CSV_HEADER, SAFETY, SolverConfig, step_at_bound
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
 
@@ -31,13 +31,16 @@ def test_stability_numbers_are_the_flow_s_at_the_defaults():
     end = next(i for i in range(start + 1, len(README)) if README[i].startswith("## "))
     section = " ".join(" ".join(README[start:end]).split())
     config = SolverConfig()
-    assert (config.exponent_p, config.safety) == (1.0, 0.9)
+    assert config.exponent_p == 1.0
     _, svddf_limit = step_at_bound(config)
     _, euler_limit = step_at_bound(config, second_order=False)
     assert f"epsilon^((p-2)/2)` ({2.0 / euler_limit:g} at the defaults with p = 1," in section
     assert f"`dt <= 2 / sqrt(lam)` under svddf ({svddf_limit:.2g} there)" in section
     assert f"explicit Euler ({euler_limit:.2g} there)" in section
-    assert f"safety {config.safety:g}, when `eta > {2.0 / config.safety:.2g}`)" in section
+    assert f"`dt = {SAFETY:g} * eta / sqrt(lam)`" in section
+    warns = f"when `{SAFETY:g} * eta > 2`, that is when `eta > {2.0 / SAFETY:.2g}`;"
+    assert f"takes `{SAFETY:g} * eta / sqrt(lam)` and warns {warns}" in section
+    assert f"takes `{SAFETY:g} * 2 / lam` and never warns" in section
 
 
 def test_shared_flag_list_is_the_parser_s():

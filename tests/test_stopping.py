@@ -25,6 +25,7 @@ from svddf import (
     synth_image,
     vec,
 )
+from svddf.grid import _reference_norm
 from svddf.stopping import default_band_threshold
 
 from conftest import random_grid
@@ -159,7 +160,7 @@ class TestDiscrepancy:
         u = u0 + spread * rng.standard_normal(size)
         expected = rel_l2(u, u0)
         assert discrepancy(u, u0, 0.1).sigma == expected
-        assert discrepancy(u, u0, 0.1, u0_norm=float(np.linalg.norm(u0))).sigma == expected
+        assert discrepancy(u, u0, 0.1, u0_norm=_reference_norm(u0, "noisy data")).sigma == expected
         if other != size:
             w = rng.standard_normal(other)
             with pytest.raises(svddf.DimensionError) as from_rel_l2:
@@ -171,7 +172,7 @@ class TestDiscrepancy:
     def test_given_data_norm_gives_same_bits(self, rng):
         u0 = rng.uniform(size=50)
         u = u0 + 0.1 * rng.standard_normal(50)
-        given = discrepancy(u, u0, 0.1, u0_norm=float(np.linalg.norm(u0)))
+        given = discrepancy(u, u0, 0.1, u0_norm=_reference_norm(u0, "noisy data"))
         assert given == discrepancy(u, u0, 0.1)
 
     @pytest.mark.parametrize("delta, message", [
