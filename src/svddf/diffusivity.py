@@ -16,6 +16,13 @@ from .errors import ParameterError
 from .grid import ImageGrid
 
 
+def _require_sigma(sigma: float) -> None:
+    if not (sigma > 0):
+        raise ParameterError(f"sigma must be positive, got {sigma}")
+    if sigma == math.inf:
+        raise ParameterError(f"sigma must be finite, got {sigma}")
+
+
 @dataclass(frozen=True)
 class GaussianKernel:
     """Sampled Gaussian and derivative-of-Gaussian tap vectors.
@@ -32,8 +39,7 @@ class GaussianKernel:
     dg: np.ndarray
 
     def __post_init__(self):
-        if not (self.sigma > 0):
-            raise ParameterError(f"sigma must be positive, got {self.sigma}")
+        _require_sigma(self.sigma)
         if len(self.g) != len(self.dg) or len(self.g) % 2 == 0:
             raise ParameterError(f"g and dg must have the same odd length, got {len(self.g)} and {len(self.dg)}")
         if self.radius < math.ceil(3.0 * math.sqrt(self.sigma)):
@@ -54,11 +60,10 @@ class GaussianKernel:
 def make_kernel(sigma: float = 1.0) -> GaussianKernel:
     """Taps of G_sigma and its derivative out to radius ceil(3*sqrt(sigma)), three standard deviations.
 
-    A sigma whose taps numpy cannot index or allocate, or whose derivative
-    taps t/sigma overflow, raises ParameterError.
+    A sigma that is not positive and finite, whose taps numpy cannot index or
+    allocate, or whose derivative taps t/sigma overflow, raises ParameterError.
     """
-    if not (sigma > 0):
-        raise ParameterError(f"sigma must be positive, got {sigma}")
+    _require_sigma(sigma)
     radius = math.ceil(3.0 * math.sqrt(sigma))
     if radius / float(sigma) == math.inf:  # the largest |t| / sigma
         raise ParameterError(f"sigma = {sigma} is too small: the derivative taps t/sigma overflow")

@@ -68,11 +68,9 @@ class SolverConfig:
             raise ParameterError(f"eta must be positive, got {self.eta}")
         if not (self.epsilon > 0):
             raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
-        if not (self.sigma > 0):
-            raise ParameterError(f"sigma must be positive, got {self.sigma}")
         if not (self.dt == "auto" or isinstance(self.dt, numbers.Real) and 0.0 < self.dt < math.inf):
             raise ParameterError(f"dt must be 'auto' or a positive finite step length, got {self.dt!r}")
-        for name in ("eta", "epsilon", "sigma"):
+        for name in ("eta", "epsilon"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ParameterError(f"{name} must be finite, got {value}")
@@ -86,7 +84,7 @@ class SolverConfig:
             raise ParameterError(
                 f"stopping must be RdeStop, DiscrepancyStop, AprioriStop or MaxStepsOnly, got {self.stopping!r}"
             )
-        self._kernel  # make_kernel refuses a sigma it cannot form taps for here, before any run
+        self._kernel  # make_kernel checks sigma here, before any run
 
     @cached_property
     def _kernel(self) -> GaussianKernel:
@@ -247,30 +245,25 @@ def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
     return new
 
 
-def energies(state: FlowState, vv: float | None = None) -> tuple[float, float]:
+def energies(state: FlowState) -> tuple[float, float]:
     """Kinetic and potential energy, v.v / 2 and -u.(F_prev u) / 2, of the state.
 
-    ``vv`` is v . v when the caller has formed it.  The potential reads the
-    state's ``Fu``, which ``sv_step`` stores, so an SV-DDF state forms no
-    stencil product here; a first-order state forms F_k u_{k+1} on first read.
+    The potential reads the state's ``Fu``: ``sv_step`` stores it, a first-order state forms it on first read.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        if vv is None:
-            vv = _dot(state.v, state.v)
         # 0.0 - x: a constant image, whose F u is zero, logs +0, not -0
-        return 0.5 * vv, 0.5 * (0.0 - _dot(state.u, state.Fu))
+        return 0.5 * _dot(state.v, state.v), 0.5 * (0.0 - _dot(state.u, state.Fu))
 
 
 def _record(state: FlowState, rde_val: float, sig: float, auto: bool) -> TrajectoryRecord:
     """The state's log row; under ``auto`` it logs the Gershgorin bound of the row's own stencil."""
-    vv = _dot(state.v, state.v)
-    kinetic, potential = energies(state, vv)
+    kinetic, potential = energies(state)
     return TrajectoryRecord(
         step=state.k,
         t=state.t,
         dt=state.last_dt,
         lambda_max=lambda_max(state.F_prev) if auto else float("nan"),
-        vnorm=math.sqrt(vv),
+        vnorm=math.sqrt(2.0 * kinetic),  # sqrt(v.v) to the bit unless v.v is subnormal
         rde=rde_val,
         sigma=sig,
         kinetic=kinetic,

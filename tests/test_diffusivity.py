@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,16 @@ class TestKernel:
         with pytest.raises(svddf.ParameterError) as err:
             svddf.GaussianKernel(sigma=sigma, g=k.g, dg=k.dg)
         assert str(err.value) == f"sigma must be positive, got {sigma}"
+
+    def test_infinite_sigma_rejected(self):
+        # refused before ceil(3 * sqrt(sigma)) is formed: the radius of inf has no integer value
+        with pytest.raises(svddf.ParameterError) as err:
+            make_kernel(math.inf)
+        assert str(err.value) == "sigma must be finite, got inf"
+        k = make_kernel(1.0)
+        with pytest.raises(svddf.ParameterError) as err:
+            svddf.GaussianKernel(math.inf, k.g, k.dg)
+        assert str(err.value) == "sigma must be finite, got inf"
 
     @pytest.mark.parametrize("sigma", [1e-320, 5.5e-309])
     def test_sigma_whose_derivative_taps_overflow_rejected(self, sigma):
