@@ -8,7 +8,7 @@ exponent is non-positive, so every coefficient lies in (0, epsilon^((p-2)/2)].
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -16,69 +16,56 @@ from .errors import ParameterError
 from .grid import ImageGrid
 
 
-def _require_sigma(sigma: float) -> None:
-    if not (sigma > 0):
-        raise ParameterError(f"sigma must be positive, got {sigma}")
-    if sigma == math.inf:
-        raise ParameterError(f"sigma must be finite, got {sigma}")
-
-
 @dataclass(frozen=True)
 class GaussianKernel:
-    """Sampled Gaussian and derivative-of-Gaussian tap vectors.
+    """Sampled Gaussian and derivative-of-Gaussian taps, formed from the variance ``sigma`` alone.
 
-    ``sigma`` is the variance of the kernel exp(-x^2 / (2*sigma)); taps are
-    sampled at integer offsets in [-radius, radius], so ``g`` and ``dg`` have
-    one odd length 2*radius + 1.  The base kernel is renormalised to unit
-    sum after truncation, the derivative taps are t/sigma times the base
-    taps.  The 2-D kernels outer(dg, g), outer(g, dg) are never formed.
+    The taps of exp(-x^2 / (2*sigma)) are sampled at integer offsets in
+    [-radius, radius], radius = ceil(3*sqrt(sigma)), three standard
+    deviations.  ``g`` is renormalised to unit sum after truncation, ``dg`` is
+    t/sigma times ``g``, so ``g`` is mirror-even and ``dg`` mirror-odd to the
+    bit; both are read-only, since every run under a config reads its one
+    kernel.  The 2-D kernels outer(dg, g), outer(g, dg) are never formed.
+
+    A sigma that is not positive and finite, whose taps numpy cannot index or
+    allocate, or whose derivative taps t/sigma overflow, raises ParameterError.
     """
 
     sigma: float
-    g: np.ndarray
-    dg: np.ndarray
+    g: np.ndarray = field(init=False, repr=False, compare=False)
+    dg: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _require_sigma(self.sigma)
-        if len(self.g) != len(self.dg) or len(self.g) % 2 == 0:
-            raise ParameterError(f"g and dg must have the same odd length, got {len(self.g)} and {len(self.dg)}")
-        if self.radius < math.ceil(3.0 * math.sqrt(self.sigma)):
-            raise ParameterError(
-                f"radius {self.radius} below 3*sqrt(sigma) = {3.0 * math.sqrt(self.sigma):.3f}"
-            )
-        # _paired_pass shares one multiply between offsets t and -t
-        if not np.array_equal(self.g, self.g[::-1]):
-            raise ParameterError("g must be mirror-even")
-        if not np.array_equal(self.dg, -self.dg[::-1]):
-            raise ParameterError("dg must be mirror-odd")
+        sigma = self.sigma
+        if not (sigma > 0):
+            raise ParameterError(f"sigma must be positive, got {sigma}")
+        if sigma == math.inf:
+            raise ParameterError(f"sigma must be finite, got {sigma}")
+        radius = math.ceil(3.0 * math.sqrt(sigma))
+        if radius / float(sigma) == math.inf:  # the largest |t| / sigma
+            raise ParameterError(f"sigma = {sigma} is too small: the derivative taps t/sigma overflow")
+        try:
+            t = np.arange(-radius, radius + 1, dtype=np.float64)
+        except (ValueError, MemoryError):  # more taps than numpy can index or allocate
+            raise ParameterError(f"sigma = {sigma:g} is too large: radius {radius:g} needs {2 * radius + 1:g} "
+                                 "taps, more than numpy can allocate") from None
+        g = np.exp(-(t**2) / (2.0 * sigma))
+        g /= g.sum()
+        # correlation taps: response to a unit ramp is sum(t * dg) ~ 1
+        dg = t / sigma * g
+        for name, taps in (("g", g), ("dg", dg)):
+            taps.flags.writeable = False
+            object.__setattr__(self, name, taps)
+        object.__setattr__(self, "sigma", float(sigma))
 
     @property
     def radius(self) -> int:
         return (len(self.g) - 1) // 2
 
 
-def make_kernel(sigma: float = 1.0) -> GaussianKernel:
-    """Taps of G_sigma and its derivative out to radius ceil(3*sqrt(sigma)), three standard deviations.
-
-    A sigma that is not positive and finite, whose taps numpy cannot index or
-    allocate, or whose derivative taps t/sigma overflow, raises ParameterError.
-    """
-    _require_sigma(sigma)
-    radius = math.ceil(3.0 * math.sqrt(sigma))
-    if radius / float(sigma) == math.inf:  # the largest |t| / sigma
-        raise ParameterError(f"sigma = {sigma} is too small: the derivative taps t/sigma overflow")
-    try:
-        t = np.arange(-radius, radius + 1, dtype=np.float64)
-    except (ValueError, MemoryError):  # more taps than numpy can index or allocate
-        raise ParameterError(f"sigma = {sigma:g} is too large: radius {radius:g} needs {2 * radius + 1:g} "
-                             "taps, more than numpy can allocate") from None
-    g = np.exp(-(t**2) / (2.0 * sigma))
-    g /= g.sum()
-    # correlation taps: response to a unit ramp is sum(t * dg) ~ 1
-    dg = t / sigma * g
-    for taps in (g, dg):  # a config's runs share its taps
-        taps.flags.writeable = False
-    return GaussianKernel(sigma=float(sigma), g=g, dg=dg)
+def make_kernel(sigma: float) -> GaussianKernel:
+    """``GaussianKernel(sigma)``: the taps of G_sigma and its derivative."""
+    return GaussianKernel(sigma)
 
 
 @dataclass(frozen=True)

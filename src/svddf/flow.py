@@ -84,7 +84,7 @@ class SolverConfig:
             raise ParameterError(
                 f"stopping must be RdeStop, DiscrepancyStop, AprioriStop or MaxStepsOnly, got {self.stopping!r}"
             )
-        self._kernel  # make_kernel checks sigma here, before any run
+        self._kernel  # GaussianKernel(sigma) checks sigma here, before any run
 
     @cached_property
     def _kernel(self) -> GaussianKernel:

@@ -120,8 +120,8 @@ def synth_image(kind: str, rows: int, cols: int) -> ImageGrid:
     ``ramp``: u(i, j) = j / (cols - 1).
     ``disk``: indicator of the centred disk of radius min(rows, cols) / 4.
     """
-    if rows < 2 or cols < 2:
-        raise DimensionError(f"synthetic images need at least 2x2, got {rows}x{cols}")
+    if rows < MIN_SIZE or cols < MIN_SIZE:
+        raise DimensionError(f"synthetic images need at least {MIN_SIZE}x{MIN_SIZE}, got {rows}x{cols}")
     if kind == "piecewise-constant":
         px = np.full((rows, cols), 0.25)
         px[:, cols // 2 :] = 0.75

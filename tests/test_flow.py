@@ -151,7 +151,7 @@ class TestStepSize:
             SolverConfig(dt=0.15, dt_max=0.01)
 
 
-# one case per check a SolverConfig makes when built (sigma's are make_kernel's): the field, failing settings, message
+# one case per check a SolverConfig makes when built (sigma's are GaussianKernel's): the field, failing settings, message
 CONFIG_REJECTIONS = [
     ("exponent_p", {"exponent_p": 0.5}, "p must lie in [1, 2], got 0.5"),
     ("exponent_p", {"exponent_p": 2.5}, "p must lie in [1, 2], got 2.5"),
