@@ -2,7 +2,7 @@
 
 A regularised p-Laplacian diffusion driven as a damped second-order flow,
 integrated with a damped Stormer-Verlet scheme under spectral step-size
-control, with frequency-domain and discrepancy stopping rules and
+control, with a-priori, frequency-domain and discrepancy stopping rules and
 SSIM-based evaluation against a first-order diffusion baseline.
 """
 

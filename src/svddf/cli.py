@@ -225,12 +225,14 @@ def _cmd_denoise(args) -> int:
 
 
 def _dedupe(values, label):
+    """The first of the ``values`` that print alike as ``f"{v:g}"``, the label every output names a cell by."""
     seen, out = set(), []
     for v in values:
-        if v in seen:
-            print(f"warning: duplicate {label} value {v:g} ignored", file=sys.stderr)
+        name = f"{v:g}"
+        if name in seen:
+            print(f"warning: duplicate {label} value {name} ignored", file=sys.stderr)
             continue
-        seen.add(v)
+        seen.add(name)
         out.append(v)
     return out
 

@@ -76,19 +76,13 @@ class DiffusivityField:
     ``aj[i, j]`` sits at (i, j+1/2), between (i, j) and (i, j+1).  Both are
     rows x cols and column-major, the layout of ``SparseOperator.ci``/``cj``:
     with no midpoints across the border, the last row of ``ai`` and the last
-    column of ``aj`` are 0.0.
+    column of ``aj`` are 0.0.  ``diffusivity_half`` returns them read-only,
+    so the operator ``assemble`` builds on them keeps the couplings its
+    bound was formed from.
     """
 
     ai: np.ndarray
     aj: np.ndarray
-
-    @property
-    def rows(self) -> int:
-        return self.ai.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.ai.shape[1]
 
     def coefficient_arrays(self):
         """The interior midpoints: views without the zero border row and column."""
@@ -196,7 +190,7 @@ def diffusivity_half(u: ImageGrid, epsilon: float, p: float, kernel: GaussianKer
 
     Midpoint gradient components are the mean of the two adjacent node
     values, mirroring the midpoint averaging used for the image itself.
-    The coefficients come in the stencil's layout (see DiffusivityField).
+    The coefficients come read-only, in the stencil's layout (see DiffusivityField).
     """
     if not (epsilon > 0):
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
@@ -214,5 +208,6 @@ def diffusivity_half(u: ImageGrid, epsilon: float, p: float, kernel: GaussianKer
     # the flat pairs across the border: last row and next column's first row, last column and none
     a_i[-1] = 0.0
     a_j[:, -1] = 0.0
+    a_i.flags.writeable = a_j.flags.writeable = False
     return DiffusivityField(a_i, a_j)
 

@@ -30,8 +30,9 @@ class SparseOperator:
     across the border.  On the column-stacked vector they couple q with q+1
     and with q+rows, so a nonzero there would couple the ends of adjacent
     columns; it is rejected.  The shape, the
-    diagonal and the spectral bound are read from these couplings, which
-    are not changed once the operator is built.
+    diagonal and the spectral bound are read from these couplings.  They are
+    the caller's arrays, not copies, and must not be written afterwards;
+    those ``diffusivity_half`` forms are read-only.
     """
 
     ci: np.ndarray
@@ -74,13 +75,8 @@ class SparseOperator:
 
 
 def assemble(field: DiffusivityField) -> SparseOperator:
-    """Build F from midpoint coefficients: the couplings are the coefficients a.
-
-    The operator holds its own column-major copies, the layout of the
-    column-stacked vectors ``apply`` shifts, so a later write to the field
-    cannot change the couplings its cached bound was formed from.
-    """
-    return SparseOperator(field.ai.copy(order="F"), field.aj.copy(order="F"))
+    """Build F from midpoint coefficients: the couplings are the field's read-only arrays a."""
+    return SparseOperator(field.ai, field.aj)
 
 
 def apply(op: SparseOperator, x: np.ndarray) -> np.ndarray:

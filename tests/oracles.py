@@ -12,7 +12,7 @@ import numpy as np
 
 def dense_stencil(field, h):
     """Dense stencil matrix built by direct enumeration over pixels."""
-    m, n = field.rows, field.cols
+    m, n = field.ai.shape
     inv_h2 = 1.0 / h**2
     F = np.zeros((m * n, m * n))
     for j in range(n):

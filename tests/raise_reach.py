@@ -1,8 +1,9 @@
 """Opt-in pytest plugin: the ``raise`` statements of ``svddf`` that the run never executed.
 
-Load it by name, with ``tests`` on the import path:
+Load it by name, with ``tests`` on the import path (pytest's own
+``pythonpath`` setting adds ``src``):
 
-    PYTHONPATH=src:tests python -m pytest -q -p raise_reach
+    PYTHONPATH=tests python -m pytest -q -p raise_reach
 
 It line-traces the package's frames with ``sys.settrace`` (``coverage`` is
 not a dependency), so the run is slower and its timing checks may fail.

@@ -801,7 +801,18 @@ class TestSweep:
         metrics = (out / "disk_noisy_metrics.csv").read_text().splitlines()[1]
         assert cell == pytest.approx(float(metrics.split(",")[5]), rel=1e-12)
 
-    def test_duplicates_deduplicated_with_warning(self, tmp_path, disk_pgm, noisy_pgm, capsys):
+    @pytest.mark.parametrize(
+        "etas,ps,warning,header",
+        [
+            ("2,2", "1", "duplicate eta value 2 ignored", "p\\eta,2"),
+            # distinct values whose printed labels collide name one cell
+            ("1.0000001,1.0000002", "1", "duplicate eta value 1 ignored", "p\\eta,1"),
+            ("2", "1.0000001,1.0000002", "duplicate p value 1 ignored", "p\\eta,2"),
+        ],
+        ids=["eta-repeated", "eta-same-label", "p-same-label"],
+    )
+    def test_duplicates_deduplicated_with_warning(self, tmp_path, disk_pgm, noisy_pgm, capsys, etas, ps, warning,
+                                                  header):
         out = tmp_path / "sweepdup"
         rc = main(
             [
@@ -810,9 +821,9 @@ class TestSweep:
                 "--clean",
                 str(disk_pgm),
                 "--etas",
-                "2,2",
+                etas,
                 "--ps",
-                "1",
+                ps,
                 "--dt",
                 "0.15",
                 "--stop",
@@ -824,8 +835,11 @@ class TestSweep:
             ]
         )
         assert rc == 0
-        assert "duplicate" in capsys.readouterr().err
-        assert (out / "sweep.csv").read_text().splitlines()[0] == "p\\eta,2"
+        captured = capsys.readouterr()
+        assert f"warning: {warning}" in captured.err
+        rows = (out / "sweep.csv").read_text().splitlines()
+        assert rows[0] == header and len(rows) == 2
+        assert sum(line.startswith("p=") for line in captured.out.splitlines()) == 1
 
     def test_failed_cell_recorded_as_nan(self, tmp_path, disk_pgm, noisy_pgm):
         out = tmp_path / "sweepnan"

@@ -83,7 +83,7 @@ def test_border_couplings_are_zero_and_apply_is_the_dense_product(shape, p, sigm
     fld = diffusivity_half(image, 1e-2, p, make_kernel(sigma))
     op = assemble(fld)
     for full in (fld.ai, fld.aj, op.ci, op.cj):
-        assert full.shape == image.shape and full.flags.f_contiguous
+        assert full.shape == image.shape and full.flags.f_contiguous and not full.flags.writeable
     for border in (fld.ai[-1], fld.aj[:, -1], op.ci[-1], op.cj[:, -1]):
         assert np.all(border == 0.0)
     dense = to_dense(op)
