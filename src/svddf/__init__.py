@@ -13,7 +13,6 @@ from .diffusivity import (
     GaussianKernel,
     diffusivity_half,
     grad_gaussian,
-    make_kernel,
 )
 from .errors import (
     DegenerateInputError,

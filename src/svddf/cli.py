@@ -178,7 +178,7 @@ def _check_run(config: SolverConfig, method: str) -> None:
     stop = config.stopping
     if isinstance(stop, AprioriStop) and stop.fired(math.nan, math.nan, dt):
         print(
-            f"warning: the a-priori horizon T(delta) = {stop.horizon()!r} is within the first step, which "
+            f"warning: the a-priori horizon T(delta) = {stop.horizon!r} is within the first step, which "
             f"--dt {config.dt} makes {dt!r} under {method}: the run stops after step 1",
             file=sys.stderr,
         )
@@ -211,7 +211,7 @@ def _cmd_denoise(args) -> int:
     out = _out_dir(args)
     write_pgm(denoised, out / f"{stem}_denoised.pgm")
     log.to_csv(out / csv_name)
-    print(f"stopped by {log.stopped_by} after {log.final_step()} steps")
+    print(f"stopped by {log.stopped_by} after {log.steps} steps")
     if clean is not None:
         report = evaluate(clean, noisy, denoised)
         print(
@@ -219,7 +219,7 @@ def _cmd_denoise(args) -> int:
             f"rel_err={report.rel_err_denoised:.4f} improved={report.improved}"
         )
         metrics_path = out / f"{stem}_metrics.csv"
-        row = report_csv_row(stem, config.exponent_p, config.eta, log.final_step(), report)
+        row = report_csv_row(stem, config.exponent_p, config.eta, log.steps, report)
         metrics_path.write_text(EVAL_CSV_HEADER + "\n" + row + "\n")
     return 0
 
@@ -261,7 +261,7 @@ def _cmd_sweep(args) -> int:
                 # the table reports SSIM and the step count; no trajectory is written
                 denoised, log = _run_method(noisy, config, args.method, keep_trajectory=False)
                 value = ssim(denoised, clean)
-                print(f"p={p:g} eta={eta:g}: ssim={value:.4f} ({log.final_step()} steps)")
+                print(f"p={p:g} eta={eta:g}: ssim={value:.4f} ({log.steps} steps)")
             except DivergenceError as err:  # the cell's flow or its SSIM diverged
                 value = math.nan
                 print(f"p={p:g} eta={eta:g}: failed ({err})", file=sys.stderr)

@@ -15,6 +15,10 @@ import numpy as np
 from .errors import ParameterError
 from .grid import ImageGrid
 
+# the widest kernel: grad_gaussian pads the image by the radius on every side and each of
+# its passes takes one multiply per tap, whatever the image size, so memory and time grow with it
+MAX_RADIUS = 256
+
 
 @dataclass(frozen=True)
 class GaussianKernel:
@@ -27,8 +31,9 @@ class GaussianKernel:
     bit; both are read-only, since every run under a config reads its one
     kernel.  The 2-D kernels outer(dg, g), outer(g, dg) are never formed.
 
-    A sigma that is not positive and finite, whose taps numpy cannot index or
-    allocate, or whose derivative taps t/sigma overflow, raises ParameterError.
+    A sigma that is not positive and finite, whose radius exceeds MAX_RADIUS
+    (sigma above about 7282), or whose derivative taps t/sigma overflow,
+    raises ParameterError.
     """
 
     sigma: float
@@ -44,11 +49,10 @@ class GaussianKernel:
         radius = math.ceil(3.0 * math.sqrt(sigma))
         if radius / float(sigma) == math.inf:  # the largest |t| / sigma
             raise ParameterError(f"sigma = {sigma} is too small: the derivative taps t/sigma overflow")
-        try:
-            t = np.arange(-radius, radius + 1, dtype=np.float64)
-        except (ValueError, MemoryError):  # more taps than numpy can index or allocate
+        if radius > MAX_RADIUS:
             raise ParameterError(f"sigma = {sigma:g} is too large: radius {radius:g} needs {2 * radius + 1:g} "
-                                 "taps, more than numpy can allocate") from None
+                                 f"taps, more than the {2 * MAX_RADIUS + 1} of radius {MAX_RADIUS}")
+        t = np.arange(-radius, radius + 1, dtype=np.float64)
         g = np.exp(-(t**2) / (2.0 * sigma))
         g /= g.sum()
         # correlation taps: response to a unit ramp is sum(t * dg) ~ 1
@@ -61,11 +65,6 @@ class GaussianKernel:
     @property
     def radius(self) -> int:
         return (len(self.g) - 1) // 2
-
-
-def make_kernel(sigma: float) -> GaussianKernel:
-    """``GaussianKernel(sigma)``: the taps of G_sigma and its derivative."""
-    return GaussianKernel(sigma)
 
 
 @dataclass(frozen=True)

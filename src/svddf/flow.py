@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .diffusivity import GaussianKernel, constant_diffusivity, diffusivity_half, make_kernel
+from .diffusivity import GaussianKernel, constant_diffusivity, diffusivity_half
 from .errors import DivergenceError, ParameterError
 from .grid import ImageGrid, _dot, _reference_norm, array, vec
 from .stencil import SparseOperator, apply, assemble, lambda_max
@@ -50,7 +50,7 @@ class SolverConfig:
     second-order flow, SAFETY * 2 / lam for the baseline (see ``step_at_bound``).
     It has no step where that step underflows to zero.  Every float setting
     must be finite, ``max_steps`` an integer and ``stopping`` one of the four
-    rules.
+    rules.  ``kernel``, the ``GaussianKernel`` of ``sigma``, is formed once, when the config is built.
     """
 
     exponent_p: float = 1.0
@@ -84,14 +84,11 @@ class SolverConfig:
             raise ParameterError(
                 f"stopping must be RdeStop, DiscrepancyStop, AprioriStop or MaxStepsOnly, got {self.stopping!r}"
             )
-        self._kernel  # GaussianKernel(sigma) checks sigma here, before any run
+        self.kernel  # GaussianKernel(sigma) checks sigma here, before any run
 
     @cached_property
-    def _kernel(self) -> GaussianKernel:
-        return make_kernel(self.sigma)
-
     def kernel(self) -> GaussianKernel:
-        return self._kernel
+        return GaussianKernel(self.sigma)
 
 
 @dataclass(frozen=True)
@@ -137,7 +134,7 @@ class TrajectoryLog:
     """Per-step records of a run plus the reason and step it stopped at.
 
     A run that keeps no trajectory leaves ``records`` empty; ``stopped_by``
-    and ``final_step()`` are set either way.
+    and ``steps``, the step the run stopped at, are set either way.
     """
 
     def __init__(self):
@@ -147,9 +144,6 @@ class TrajectoryLog:
 
     def __len__(self):
         return len(self.records)
-
-    def final_step(self) -> int:
-        return self.steps
 
     def to_csv(self, path) -> None:
         """Write the records to the file at ``path``: a CSV_HEADER line, then one line per step."""
@@ -166,7 +160,7 @@ def _assemble_from(u: np.ndarray, shape, config: SolverConfig) -> SparseOperator
     a finiteness scan, so the coefficients come out in the stencil's layout.
     """
     image = ImageGrid.of_finite(u.reshape(shape, order="F"))
-    fld = diffusivity_half(image, config.epsilon, config.exponent_p, config.kernel())
+    fld = diffusivity_half(image, config.epsilon, config.exponent_p, config.kernel)
     return assemble(fld)
 
 

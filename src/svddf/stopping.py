@@ -57,7 +57,7 @@ class DiscrepancyStop:
 
 @dataclass(frozen=True)
 class AprioriStop:
-    """Stop at the first step whose accumulated time reaches T(delta)."""
+    """Stop at the first step whose accumulated time reaches ``horizon``, T(delta), formed when the rule is built."""
 
     c1: float
     c2: float
@@ -67,17 +67,14 @@ class AprioriStop:
     reason = "a-priori"
 
     def __post_init__(self):
-        self._horizon  # a_priori_T validates c1, c2, gamma and delta
+        self.horizon  # a_priori_T validates c1, c2, gamma and delta
 
     @functools.cached_property
-    def _horizon(self) -> float:
+    def horizon(self) -> float:
         return a_priori_T(self.delta, self.c1, self.c2, self.gamma)
 
-    def horizon(self) -> float:
-        return self._horizon
-
     def fired(self, rde: float, sigma: float, t: float) -> bool:
-        return t >= self._horizon
+        return t >= self.horizon
 
 
 @dataclass(frozen=True)

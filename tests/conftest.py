@@ -15,4 +15,4 @@ def random_grid(rng, rows, cols, lo=0.0, hi=1.0):
 
 def random_field(rng, rows, cols, p=1.0, epsilon=1e-2, sigma=1.0):
     grid = random_grid(rng, rows, cols)
-    return svddf.diffusivity_half(grid, epsilon, p, svddf.make_kernel(sigma))
+    return svddf.diffusivity_half(grid, epsilon, p, svddf.GaussianKernel(sigma))

@@ -53,7 +53,7 @@ def main() -> None:
         u, log = METHODS[method][0](noisy, golden_config(method, p, stop))
         runs.append(
             f'    {{"method": "{method}", "p": {p!r}, "stop": "{stop}", '
-            f'"stopped_by": "{log.stopped_by}", "steps": {log.final_step()},\n'
+            f'"stopped_by": "{log.stopped_by}", "steps": {log.steps},\n'
             f'     "u": {_numbers(u.pixels.ravel(order="F"))}}}'
         )
     text = (

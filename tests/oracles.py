@@ -10,10 +10,9 @@ import math
 import numpy as np
 
 
-def dense_stencil(field, h):
+def dense_stencil(field):
     """Dense stencil matrix built by direct enumeration over pixels."""
     m, n = field.ai.shape
-    inv_h2 = 1.0 / h**2
     F = np.zeros((m * n, m * n))
     for j in range(n):
         for i in range(m):
@@ -25,8 +24,8 @@ def dense_stencil(field, h):
                 # the edge between two pixels is indexed by the smaller of their indices
                 coup = field.ai[min(i, ii), j] if jj == j else field.aj[i, min(j, jj)]
                 r = jj * m + ii
-                F[q, r] += coup * inv_h2
-                F[q, q] -= coup * inv_h2
+                F[q, r] += coup
+                F[q, q] -= coup
     return F
 
 
@@ -47,15 +46,15 @@ def dense_correlate_symmetric(img, kernel2d):
     return out
 
 
-def halfpoint_diffusivity(pixels, h, epsilon, p, g, dg):
+def halfpoint_diffusivity(pixels, epsilon, p, g, dg):
     """Scalar re-derivation of the midpoint coefficients.
 
     Smoothed gradients via the dense correlation oracle, midpoint values as
     plain two-point means (border midpoints clamp to the node value).
     Returns (west, east, north, south) arrays.
     """
-    gx = dense_correlate_symmetric(pixels, np.outer(dg, g)) / h
-    gy = dense_correlate_symmetric(pixels, np.outer(g, dg)) / h
+    gx = dense_correlate_symmetric(pixels, np.outer(dg, g))
+    gy = dense_correlate_symmetric(pixels, np.outer(g, dg))
     m, n = pixels.shape
     expo = (p - 2.0) / 2.0
 
@@ -99,7 +98,7 @@ def _windowed_pass(src, axis, size, taps, even):
     return out
 
 
-def windowed_gradient(pixels, h, g, dg):
+def windowed_gradient(pixels, g, dg):
     """Smoothed gradient with every tap a 2-D window: the bit reference of the flat passes.
 
     The same products and sums in the same order as ``grad_gaussian``, so
@@ -110,8 +109,8 @@ def windowed_gradient(pixels, h, g, dg):
     pad = np.pad(pixels, r, mode="symmetric")
     smooth_j = _windowed_pass(pad, 1, n, g, True)
     diff_j = _windowed_pass(pad, 1, n, dg, False)
-    gx = _windowed_pass(smooth_j, 0, m, dg, False) / h
-    gy = _windowed_pass(diff_j, 0, m, g, True) / h
+    gx = _windowed_pass(smooth_j, 0, m, dg, False)
+    gy = _windowed_pass(diff_j, 0, m, g, True)
     return gx, gy
 
 
@@ -174,6 +173,18 @@ def naive_dft_energy(pixels, n0):
     return total
 
 
+def replayed_stop(rule, rows):
+    """(step, reason) at which ``rule`` stops a run, replayed over its (rde, sigma, t, step) rows.
+
+    A rule that never fires stops at the last row, for "max-steps".
+    """
+    step = 0
+    for rde, sigma, t, step in rows:
+        if rule.fired(rde, sigma, t):
+            return step, rule.reason
+    return step, "max-steps"
+
+
 def step_length(config, first_order=False):
     """The length of every step of a run: the fixed dt, or the theorem rule at the bound 8 * epsilon^((p-2)/2).
 
@@ -189,9 +200,9 @@ def step_length(config, first_order=False):
 
 def _stencil_of(u0, config):
     """The stencil of a column-stacked iterate on ``u0``'s grid, built with the package's diffusivity and assemble."""
-    from svddf import ImageGrid, assemble, diffusivity_half, make_kernel
+    from svddf import GaussianKernel, ImageGrid, assemble, diffusivity_half
 
-    kernel = make_kernel(config.sigma)
+    kernel = GaussianKernel(config.sigma)
 
     def stencil(u):
         image = ImageGrid(u.reshape(u0.shape, order="F"))
@@ -247,7 +258,8 @@ def heavy_ball_flow(u0, config, steps):
     stencil = _stencil_of(u0, config)
     dt = step_length(config)
     c = 0.5 * config.eta * dt
-    beta, alpha = (1.0 - c) / (1.0 + c), dt**2 / (1.0 + c)
+    # 2 / (1 + c) - 1 is (1 - c) / (1 + c), and stays -1 where eta * dt overflows c to inf
+    beta, alpha = 2.0 / (1.0 + c) - 1.0, dt**2 / (1.0 + c)
     u_pre = u0.pixels.flatten(order="F")
     u = u_pre + 0.5 * alpha * apply(stencil(u_pre), u_pre)
     for _ in range(steps - 1):

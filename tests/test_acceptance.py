@@ -17,6 +17,7 @@ import pytest
 import svddf
 from svddf import (
     DiscrepancyStop,
+    GaussianKernel,
     ImageGrid,
     MaxStepsOnly,
     NoiseSpec,
@@ -28,7 +29,6 @@ from svddf import (
     discrepancy,
     high_freq_energy,
     initial_state,
-    make_kernel,
     rde,
     run_svddf,
     ssim,
@@ -63,7 +63,7 @@ def test_criterion_1_operator_spectrum():
         p = float(rng.choice([1.0, 1.5, 2.0]))
         eps = float(rng.choice([1e-2, 1e-1]))
         grid = ImageGrid(rng.uniform(size=(m, n)))
-        fld = diffusivity_half(grid, eps, p, make_kernel(1.0))
+        fld = diffusivity_half(grid, eps, p, GaussianKernel(1.0))
         op = svddf.assemble(fld)
         dense = to_dense(op)
         assert np.array_equal(dense, dense.T), "assembled stencil must be symmetric"
@@ -82,10 +82,10 @@ def test_criterion_2_matrix_form_equivalence():
     for trial in range(3):
         g = ImageGrid(rng.uniform(size=(8, 8)))
         cfg = SolverConfig(eta=1.5, exponent_p=1.0, max_steps=5, stopping=MaxStepsOnly())
-        kern = cfg.kernel()
+        kern = cfg.kernel
         state = initial_state(g, cfg)
         z = np.concatenate([vec(g), np.zeros(64)])
-        F_prev = dense_stencil(diffusivity_half(g, cfg.epsilon, cfg.exponent_p, kern), 1.0)
+        F_prev = dense_stencil(diffusivity_half(g, cfg.epsilon, cfg.exponent_p, kern))
         for k in range(5):
             state = sv_step(state, cfg)
             dt = state.last_dt
@@ -94,7 +94,7 @@ def test_criterion_2_matrix_form_equivalence():
                 F_new = F_prev
             else:
                 fld = diffusivity_half(array(u_pre, 8, 8), cfg.epsilon, cfg.exponent_p, kern)
-                F_new = dense_stencil(fld, 1.0)
+                F_new = dense_stencil(fld)
             z = dense_B(F_new, cfg.eta, dt) @ (dense_A(F_prev, cfg.eta, dt) @ z)
             F_prev = F_new
             worst = max(
@@ -115,8 +115,8 @@ def test_criterion_3_boundedness_under_spectral_step_rule():
     details = []
 
     # dense-oracle spectral radius of the one-step map on 6x6 grids
-    fld = diffusivity_half(ImageGrid(rng.uniform(size=(6, 6))), 1e-2, 1.0, make_kernel(1.0))
-    F = dense_stencil(fld, 1.0)
+    fld = diffusivity_half(ImageGrid(rng.uniform(size=(6, 6))), 1e-2, 1.0, GaussianKernel(1.0))
+    F = dense_stencil(fld)
     lam_top = float(-np.linalg.eigvalsh(F)[0])
     for eta in (1.0, 10.0, 300.0):
         dt = 0.9 * eta / np.sqrt(lam_top)
@@ -209,7 +209,7 @@ def test_criterion_6_coefficient_upper_bound():
     t0 = time.perf_counter()
     eps = 1e-2
     worst_excess = -np.inf
-    kern = make_kernel(1.0)
+    kern = GaussianKernel(1.0)
     for _ in range(100):
         grid = ImageGrid(rng.uniform(size=(16, 16)))
         for p in (1.0, 1.5, 2.0):
@@ -286,8 +286,8 @@ def test_criterion_8_denoising_trend():
         8,
         ok,
         f"ssim noisy {ssim_noisy:.3f} -> p=1/eta=300 {ssim_good:.3f} "
-        f"({log_good.final_step()} steps) vs p=2/eta=0.001 {ssim_poor:.3f} "
-        f"({log_poor.final_step()} steps), gain {gain:+.3f}, {elapsed:.1f}s",
+        f"({log_good.steps} steps) vs p=2/eta=0.001 {ssim_poor:.3f} "
+        f"({log_poor.steps} steps), gain {gain:+.3f}, {elapsed:.1f}s",
     )
     assert ok
 

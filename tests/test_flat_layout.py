@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from svddf import (
+    GaussianKernel,
     ImageGrid,
     SolverConfig,
     apply,
@@ -21,7 +22,6 @@ from svddf import (
     grad_gaussian,
     initial_state,
     lambda_max,
-    make_kernel,
     sv_step,
     to_dense,
 )
@@ -60,8 +60,8 @@ def _image(shape, column_major, seed):
 @settings(max_examples=80, deadline=None)
 def test_flat_kernels_give_the_windowed_bits(shape, p, sigma, column_major, seed):
     image = _image(shape, column_major, seed)
-    k = make_kernel(sigma)
-    ref_gx, ref_gy = windowed_gradient(image.pixels, 1.0, k.g, k.dg)
+    k = GaussianKernel(sigma)
+    ref_gx, ref_gy = windowed_gradient(image.pixels, k.g, k.dg)
     gx, gy = grad_gaussian(image, k)
     assert np.array_equal(gx, ref_gx) and np.array_equal(gy, ref_gy)
 
@@ -80,7 +80,7 @@ def test_flat_kernels_give_the_windowed_bits(shape, p, sigma, column_major, seed
 @settings(max_examples=60, deadline=None)
 def test_border_couplings_are_zero_and_apply_is_the_dense_product(shape, p, sigma, column_major, seed):
     image = _image(shape, column_major, seed)
-    fld = diffusivity_half(image, 1e-2, p, make_kernel(sigma))
+    fld = diffusivity_half(image, 1e-2, p, GaussianKernel(sigma))
     op = assemble(fld)
     for full in (fld.ai, fld.aj, op.ci, op.cj):
         assert full.shape == image.shape and full.flags.f_contiguous and not full.flags.writeable

@@ -12,6 +12,7 @@ from svddf import (
     AprioriStop,
     DiscrepancyStop,
     FlowState,
+    GaussianKernel,
     ImageGrid,
     MaxStepsOnly,
     RdeStop,
@@ -23,7 +24,6 @@ from svddf import (
     energies,
     initial_state,
     lambda_max,
-    make_kernel,
     run_first_order,
     run_svddf,
     sv_step,
@@ -42,6 +42,7 @@ from oracles import (
     mode_amplification_formula,
     p2_modal_flow,
     reassembling_flow,
+    replayed_stop,
 )
 
 
@@ -172,7 +173,7 @@ CONFIG_REJECTIONS = [
     (
         "sigma",
         {"sigma": 1e300},
-        "sigma = 1e+300 is too large: radius 3e+150 needs 6e+150 taps, more than numpy can allocate",
+        "sigma = 1e+300 is too large: radius 3e+150 needs 6e+150 taps, more than the 513 of radius 256",
     ),
     ("dt", {"dt": math.inf}, "dt must be 'auto' or a positive finite step length, got inf"),
     ("dt", {"dt": math.nan}, "dt must be 'auto' or a positive finite step length, got nan"),
@@ -200,15 +201,15 @@ class TestConfigRejections:
 
     def test_config_owns_its_kernel(self):
         cfg = SolverConfig(sigma=2.0)
-        assert cfg.kernel() is cfg.kernel()
-        assert np.array_equal(cfg.kernel().dg, make_kernel(2.0).dg)
+        assert cfg.kernel is cfg.kernel
+        assert np.array_equal(cfg.kernel.dg, GaussianKernel(2.0).dg)
         # no kernel is shared between configs, and a replaced sigma forms its own taps
-        assert SolverConfig(sigma=2.0).kernel() is not cfg.kernel()
-        assert dataclasses.replace(cfg, sigma=0.5).kernel().sigma == 0.5
+        assert SolverConfig(sigma=2.0).kernel is not cfg.kernel
+        assert dataclasses.replace(cfg, sigma=0.5).kernel.sigma == 0.5
 
     def test_config_taps_are_read_only(self):
         # every run under a config reads its taps, so none may write them
-        kern = SolverConfig().kernel()
+        kern = SolverConfig().kernel
         for taps in (kern.g, kern.dg):
             with pytest.raises(ValueError):
                 taps[0] = 1.0
@@ -216,7 +217,7 @@ class TestConfigRejections:
     @pytest.mark.parametrize("steps", [3, np.int64(3), np.uint8(3)])
     def test_integer_step_budgets_accepted(self, rng, steps):
         _, log = run_svddf(random_grid(rng, 6, 6), fixed_cfg(0.1, steps=steps))
-        assert log.final_step() == 3
+        assert log.steps == 3
 
 
 class TestSvStep:
@@ -247,11 +248,11 @@ class TestSvStep:
         g = random_grid(rng, 8, 8)
         cfg = SolverConfig(eta=1.5, exponent_p=1.0, max_steps=5, stopping=MaxStepsOnly())
         state = initial_state(g, cfg)
-        kern = cfg.kernel()
+        kern = cfg.kernel
 
         n = 64
         z = np.concatenate([vec(g), np.zeros(n)])
-        F_prev = dense_stencil(diffusivity_half(g, cfg.epsilon, cfg.exponent_p, kern), 1.0)
+        F_prev = dense_stencil(diffusivity_half(g, cfg.epsilon, cfg.exponent_p, kern))
         for k in range(5):
             state = sv_step(state, cfg)
             dt = state.last_dt
@@ -260,9 +261,7 @@ class TestSvStep:
                 F_new = F_prev
             else:
                 grid_pre = array(u_pre, 8, 8)
-                F_new = dense_stencil(
-                    diffusivity_half(grid_pre, cfg.epsilon, cfg.exponent_p, kern), 1.0
-                )
+                F_new = dense_stencil(diffusivity_half(grid_pre, cfg.epsilon, cfg.exponent_p, kern))
             z = dense_B(F_new, cfg.eta, dt) @ (dense_A(F_prev, cfg.eta, dt) @ z)
             F_prev = F_new
             assert np.max(np.abs(state.u - z[:n])) <= 1e-10
@@ -280,7 +279,7 @@ class TestSvStep:
             eta=2.0, exponent_p=1.0, max_steps=50, stopping=RdeStop(tolerance=1e-2)
         )
         out, log = run_svddf(clean, cfg)
-        assert log.final_step() < 50
+        assert log.steps < 50
         assert svddf.rel_l2(vec(out), vec(clean)) <= 0.05
 
     def test_divergence_raises_with_partial_log(self):
@@ -359,7 +358,7 @@ class TestStencilReuse:
 
         monkeypatch.setattr(svddf.flow, "assemble", counting)
         _, log = runner(random_grid(rng, 6, 8), fixed_cfg(0.02, steps=20, exponent_p=p))
-        assert log.final_step() == 20
+        assert log.steps == 20
         # otherwise once at start-up and once per step after the first
         assert len(calls) == assembled
 
@@ -381,7 +380,7 @@ class TestStencilReuse:
         monkeypatch.setattr(svddf.SparseOperator, "diagonal", property(counting))
         cfg = SolverConfig(exponent_p=p, eta=1.5, max_steps=20, stopping=MaxStepsOnly())
         _, log = runner(random_grid(rng, 6, 8), cfg)
-        assert log.final_step() == len(ops) == 20
+        assert log.steps == len(ops) == 20
         distinct = {id(op) for op in ops}  # stable while ``ops`` holds the operators
         assert len(diagonals) == len(distinct)
         assert {id(op) for op in diagonals} == distinct
@@ -398,7 +397,7 @@ class TestHeavyBall:
         noisy = noisy_disk(64, seed=1)
         cfg = SolverConfig(exponent_p=p, eta=eta, dt=dt, max_steps=300, stopping=MaxStepsOnly())
         out, log = run_svddf(noisy, cfg, keep_trajectory=False)
-        assert log.final_step() == 300
+        assert log.steps == 300
         expected = heavy_ball_flow(noisy, cfg, 300)
         assert np.max(np.abs(vec(out) - expected)) <= 1e-12 * np.max(np.abs(expected))
 
@@ -415,7 +414,7 @@ class TestModalOracle:
         cfg = SolverConfig(exponent_p=2.0, eta=eta, dt=dt, max_steps=steps, stopping=MaxStepsOnly())
         out, log = run_svddf(u0, cfg)
         u, v = p2_modal_flow(u0.pixels, eta, dt, steps)
-        assert log.final_step() == steps
+        assert log.steps == steps
         assert np.linalg.norm(out.pixels - u) <= 1e-12 * np.linalg.norm(u)
         assert abs(log.records[-1].vnorm - np.linalg.norm(v)) <= 1e-12 * np.linalg.norm(v)
 
@@ -428,8 +427,8 @@ class TestModeDynamics:
         return ImageGrid(np.tile(mode[:, None], (1, cols)))
 
     def test_amplification_formula_matches_dense_eigenvalues(self, rng):
-        fld = diffusivity_half(random_grid(rng, 6, 6), 1e-2, 2.0, make_kernel(1.0))
-        F = dense_stencil(fld, 1.0)
+        fld = diffusivity_half(random_grid(rng, 6, 6), 1e-2, 2.0, GaussianKernel(1.0))
+        F = dense_stencil(fld)
         lams = -np.linalg.eigvalsh(F)
         eta, dt = 1.5, 0.4
         dense_eigs = np.linalg.eigvals(dense_A(F, eta, dt))
@@ -467,8 +466,8 @@ class TestStability:
         # eta = 2 keeps the spectral step rule inside the true stability
         # region dt <= 2 / sqrt(lambda_max); the two-factor map must then be
         # non-expansive in spectral radius
-        fld = diffusivity_half(random_grid(rng, 6, 6), 1e-2, 1.0, make_kernel(1.0))
-        F = dense_stencil(fld, 1.0)
+        fld = diffusivity_half(random_grid(rng, 6, 6), 1e-2, 1.0, GaussianKernel(1.0))
+        F = dense_stencil(fld)
         lam_top = float(-np.linalg.eigvalsh(F)[0])
         eta = 2.0
         dt = 0.9 * eta / np.sqrt(lam_top)
@@ -584,7 +583,7 @@ class TestFirstOrder:
         g = ImageGrid(np.full((6, 6), 0.3))
         out, log = run_first_order(g, fixed_cfg(0.2, steps=20))
         assert np.max(np.abs(out.pixels - 0.3)) <= 1e-12
-        assert log.final_step() == 20
+        assert log.steps == 20
 
     def test_single_step_against_matrix_exponential(self, rng):
         from scipy.linalg import expm
@@ -624,7 +623,7 @@ class TestFirstOrder:
         step, log = err.value.step, err.value.partial_log
         assert str(err.value) == f"non-finite iterate at step {step}"
         assert 0 < step < 1000
-        assert log.final_step() == len(log) == step
+        assert log.steps == len(log) == step
         assert [r.step for r in log.records] == list(range(1, step + 1))
 
 
@@ -651,7 +650,7 @@ class TestTrajectoryLog:
         )
         _, log = run_svddf(g, cfg)
         assert log.stopped_by == "rde"
-        assert log.final_step() == 1
+        assert log.steps == 1
 
     @pytest.mark.parametrize("keep", [True, False])
     @pytest.mark.parametrize("runner", [run_svddf, run_first_order])
@@ -660,13 +659,13 @@ class TestTrajectoryLog:
         # the band energy of a constant image is exactly 0.0, so the first relative change reads 0.0
         cfg = SolverConfig(dt=0.1, max_steps=50, stopping=RdeStop(tolerance=1e-6))
         _, log = runner(ImageGrid(np.full((n, n), 0.6)), cfg, keep_trajectory=keep)
-        assert (log.stopped_by, log.final_step()) == ("rde", 1)
+        assert (log.stopped_by, log.steps) == ("rde", 1)
         assert [r.rde for r in log.records] == ([0.0] if keep else [])
 
     def test_noisy_image_band_energy_is_not_degenerate(self):
         cfg = SolverConfig(dt=0.15, max_steps=120, stopping=RdeStop(tolerance=1e-2))
         _, log = run_svddf(noisy_disk(), cfg)
-        assert log.final_step() > 1
+        assert log.steps > 1
         assert all(r.rde > 0.0 for r in log.records)
 
 
@@ -683,16 +682,6 @@ def noisy_disk(n=16, seed=3):
     return svddf.add_noise(clean, svddf.NoiseSpec(delta=0.4, seed=seed))
 
 
-def replayed_stop(rule, csv_path):
-    """(step, reason) at which ``rule`` stops a run, from the trajectory CSV of a longer run."""
-    with open(csv_path, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    for row in rows:
-        if rule.fired(float(row["rde"]), float(row["sigma"]), float(row["t"])):
-            return int(row["step"]), rule.reason
-    return int(rows[-1]["step"]), "max-steps"
-
-
 class TestWithoutTrajectory:
     # first-order at dt 0.02, within its explicit bound 2 / lambda = 0.025 at p = 1
     @pytest.mark.parametrize("runner, dt", [(run_svddf, 0.15), (run_first_order, 0.02)])
@@ -706,14 +695,16 @@ class TestWithoutTrajectory:
             full_out, full = runner(noisy, cfg)
             lean_out, lean = runner(noisy, cfg, keep_trajectory=False)
             assert np.array_equal(lean_out.pixels, full_out.pixels)
-            assert lean.final_step() == full.final_step() == full.records[-1].step
+            assert lean.steps == full.steps == full.records[-1].step
             assert lean.stopped_by == full.stopped_by
-            assert len(lean) == 0 and len(full) == full.final_step()
-            stops.add(full.final_step())
+            assert len(lean) == 0 and len(full) == full.steps
+            stops.add(full.steps)
             # the rule's own test over a budget-only run's CSV gives the step and reason it stopped at
             _, budget = runner(noisy, dataclasses.replace(cfg, stopping=MaxStepsOnly()))
             budget.to_csv(tmp_path / "trajectory.csv")
-            assert replayed_stop(rule, tmp_path / "trajectory.csv") == (full.final_step(), full.stopped_by)
+            with open(tmp_path / "trajectory.csv", newline="") as fh:
+                rows = [(float(r["rde"]), float(r["sigma"]), float(r["t"]), int(r["step"])) for r in csv.DictReader(fh)]
+            assert replayed_stop(rule, rows) == (full.steps, full.stopped_by)
         if isinstance(rule, (RdeStop, DiscrepancyStop)):
             assert len(stops) > 1  # the cells stop at different steps
 
@@ -725,7 +716,7 @@ class TestWithoutTrajectory:
             with pytest.raises(svddf.DivergenceError) as err:
                 run_svddf(g, cfg, keep_trajectory=keep)
             logs.append(err.value.partial_log)
-        assert logs[1].final_step() == logs[0].final_step() == len(logs[0]) >= 1
+        assert logs[1].steps == logs[0].steps == len(logs[0]) >= 1
         assert len(logs[1]) == 0
 
     @pytest.mark.parametrize("keep", [True, False])

@@ -41,7 +41,6 @@ PUBLIC_NAMES = [
     "high_freq_energy",
     "initial_state",
     "lambda_max",
-    "make_kernel",
     "rde",
     "read_pgm",
     "rel_l2",

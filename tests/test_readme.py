@@ -62,3 +62,12 @@ def test_lower_level_pieces_are_public():
     sentence = " ".join(README[start : README.index("", start)]).split(".  ", 1)[0]
     names = set(re.findall(r"`(\w+)`", sentence))
     assert names and names <= set(svddf.__all__)
+
+
+def test_library_example_runs_as_written(tmp_path, monkeypatch):
+    start = README.index("## Library")
+    first = README.index("```python", start) + 1
+    block = "\n".join(README[first : README.index("```", first)])
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, "README.md", "exec"), {})
+    assert (tmp_path / "trajectory.csv").read_text().splitlines()[0] == CSV_HEADER

@@ -5,12 +5,12 @@ from hypothesis import strategies as st
 
 import svddf
 from svddf import (
+    GaussianKernel,
     ImageGrid,
     apply,
     assemble,
     diffusivity_half,
     lambda_max,
-    make_kernel,
     to_dense,
     vec,
 )
@@ -21,7 +21,7 @@ from oracles import dense_stencil
 
 def unit_field(rows, cols):
     g = ImageGrid(np.full((rows, cols), 0.5))
-    return diffusivity_half(g, 1e-2, 2.0, make_kernel(1.0))
+    return diffusivity_half(g, 1e-2, 2.0, GaussianKernel(1.0))
 
 
 class TestAssemble:
@@ -47,7 +47,7 @@ class TestAssemble:
         fld = random_field(rng, 6, 6)
         op = assemble(fld)
         dense = to_dense(op)
-        assert np.max(np.abs(dense - dense_stencil(fld, 1.0))) <= 1e-13
+        assert np.max(np.abs(dense - dense_stencil(fld))) <= 1e-13
 
     def test_couplings_are_the_fields_read_only_arrays(self, rng):
         fld = random_field(rng, 6, 5)
@@ -181,7 +181,7 @@ class TestOperatorProperties:
     @settings(max_examples=60, deadline=None)
     def test_matches_dense_oracle(self, shape, p, seed):
         fld, op, x, _ = _case(shape, p, seed)
-        dense = dense_stencil(fld, 1.0)
+        dense = dense_stencil(fld)
         scale = np.abs(dense) @ np.abs(x)
         assert np.max(np.abs(apply(op, x) - dense @ x)) <= 1e-12 * np.max(scale)
 
@@ -189,14 +189,14 @@ class TestOperatorProperties:
     @settings(max_examples=60, deadline=None)
     def test_conserves_mean(self, shape, p, seed):
         fld, op, x, _ = _case(shape, p, seed)
-        scale = np.abs(dense_stencil(fld, 1.0)) @ np.abs(x)
+        scale = np.abs(dense_stencil(fld)) @ np.abs(x)
         assert abs(apply(op, x).sum()) <= 1e-12 * scale.sum()
 
     @_operator_cases
     @settings(max_examples=60, deadline=None)
     def test_self_adjoint(self, shape, p, seed):
         fld, op, x, y = _case(shape, p, seed)
-        scale = np.abs(y) @ np.abs(dense_stencil(fld, 1.0)) @ np.abs(x)
+        scale = np.abs(y) @ np.abs(dense_stencil(fld)) @ np.abs(x)
         assert abs(y @ apply(op, x) - x @ apply(op, y)) <= 1e-12 * scale
 
     @_operator_cases

@@ -193,7 +193,7 @@ class TestDiscrepancy:
         )
         out, log = run_svddf(noisy, cfg)
         assert log.stopped_by == "discrepancy"
-        assert 1 <= log.final_step() < 2000
+        assert 1 <= log.steps < 2000
         # first crossing: all earlier sigmas below delta, final at or above
         sigmas = [r.sigma for r in log.records]
         assert all(s < 0.3 for s in sigmas[:-1])
@@ -256,7 +256,7 @@ class TestAprioriT:
         )
         _, log = run_svddf(g, cfg)
         assert log.stopped_by == "a-priori"
-        assert log.final_step() == 7  # first step with t = 0.15 * k >= 1.0
+        assert log.steps == 7  # first step with t = 0.15 * k >= 1.0
 
     def test_horizon_is_formed_once_per_rule(self, rng, monkeypatch):
         calls = []
@@ -270,9 +270,9 @@ class TestAprioriT:
         assert len(calls) == 1
         cfg = SolverConfig(dt=0.1, max_steps=50, stopping=rule)
         _, log = run_svddf(random_grid(rng, 8, 8), cfg)
-        assert (log.final_step(), log.stopped_by) == (50, "max-steps")
+        assert (log.steps, log.stopped_by) == (50, "max-steps")
         assert len(calls) == 1
-        assert rule.horizon() == a_priori_T(1.0, 10.0, 1.0, 1.0)
+        assert rule.horizon == a_priori_T(1.0, 10.0, 1.0, 1.0)
 
     def test_max_steps_only_runs_budget(self, rng):
         g = random_grid(rng, 8, 8)
@@ -280,7 +280,7 @@ class TestAprioriT:
             eta=2.0, dt=0.1, max_steps=12, stopping=MaxStepsOnly()
         )
         _, log = run_svddf(g, cfg)
-        assert log.final_step() == 12
+        assert log.steps == 12
         assert log.stopped_by == "max-steps"
 
 
@@ -297,7 +297,7 @@ def just_below(x):
         (RdeStop(0.1), "rde", ("tolerance",), [(0.1, False), (just_below(0.1), True)]),
         (DiscrepancyStop(0.2), "sigma", ("delta",), [(0.2, True), (just_below(0.2), False)]),
         (HORIZON_ONE, "t", ("c1", "c2", "gamma", "delta"),
-         [(HORIZON_ONE.horizon(), True), (just_below(HORIZON_ONE.horizon()), False)]),
+         [(HORIZON_ONE.horizon, True), (just_below(HORIZON_ONE.horizon), False)]),
         (MaxStepsOnly(), None, (), [(0.0, False), (math.nan, False), (math.inf, False), (-math.inf, False)]),
     ],
     ids=["RdeStop", "DiscrepancyStop", "AprioriStop", "MaxStepsOnly"],
