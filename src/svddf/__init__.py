@@ -9,7 +9,6 @@ SSIM-based evaluation against a first-order diffusion baseline.
 import types
 
 from .diffusivity import (
-    DiffusivityField,
     GaussianKernel,
     diffusivity_half,
     grad_gaussian,

@@ -67,27 +67,6 @@ class GaussianKernel:
         return (len(self.g) - 1) // 2
 
 
-@dataclass(frozen=True)
-class DiffusivityField:
-    """Diffusion coefficients at the edge midpoints between adjacent pixels.
-
-    ``ai[i, j]`` sits at (i+1/2, j), between pixels (i, j) and (i+1, j);
-    ``aj[i, j]`` sits at (i, j+1/2), between (i, j) and (i, j+1).  Both are
-    rows x cols and column-major, the layout of ``SparseOperator.ci``/``cj``:
-    with no midpoints across the border, the last row of ``ai`` and the last
-    column of ``aj`` are 0.0.  ``diffusivity_half`` returns them read-only,
-    so the operator ``assemble`` builds on them keeps the couplings its
-    bound was formed from.
-    """
-
-    ai: np.ndarray
-    aj: np.ndarray
-
-    def coefficient_arrays(self):
-        """The interior midpoints: views without the zero border row and column."""
-        return (self.ai[:-1], self.aj[:, :-1])
-
-
 def _paired_pass(src, axis, size, taps, even, out, tmp):
     """``out`` = correlation of ``src`` with ``taps`` along ``axis``, ``size`` outputs.
 
@@ -184,12 +163,14 @@ def constant_diffusivity(p: float) -> bool:
     return p == 2.0
 
 
-def diffusivity_half(u: ImageGrid, epsilon: float, p: float, kernel: GaussianKernel) -> DiffusivityField:
-    """Evaluate a = (epsilon + |smoothed gradient|^2)^((p-2)/2) at interior edge midpoints.
+def diffusivity_half(u: ImageGrid, epsilon: float, p: float, kernel: GaussianKernel):
+    """The pair (ai, aj) of a = (epsilon + |smoothed gradient|^2)^((p-2)/2) at the edge midpoints.
 
-    Midpoint gradient components are the mean of the two adjacent node
-    values, mirroring the midpoint averaging used for the image itself.
-    The coefficients come read-only, in the stencil's layout (see DiffusivityField).
+    ``ai[i, j]`` sits at (i+1/2, j), between pixels (i, j) and (i+1, j);
+    ``aj[i, j]`` sits at (i, j+1/2), between (i, j) and (i, j+1).  Midpoint
+    gradient components are the mean of the two adjacent node values,
+    mirroring the midpoint averaging used for the image itself.  Both arrays
+    come read-only, in the layout of ``SparseOperator.ci``/``cj``.
     """
     if not (epsilon > 0):
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
@@ -208,5 +189,5 @@ def diffusivity_half(u: ImageGrid, epsilon: float, p: float, kernel: GaussianKer
     a_i[-1] = 0.0
     a_j[:, -1] = 0.0
     a_i.flags.writeable = a_j.flags.writeable = False
-    return DiffusivityField(a_i, a_j)
+    return a_i, a_j
 

@@ -160,8 +160,7 @@ def _assemble_from(u: np.ndarray, shape, config: SolverConfig) -> SparseOperator
     a finiteness scan, so the coefficients come out in the stencil's layout.
     """
     image = ImageGrid.of_finite(u.reshape(shape, order="F"))
-    fld = diffusivity_half(image, config.epsilon, config.exponent_p, config.kernel)
-    return assemble(fld)
+    return assemble(diffusivity_half(image, config.epsilon, config.exponent_p, config.kernel))
 
 
 def initial_state(u0: ImageGrid, config: SolverConfig) -> FlowState:

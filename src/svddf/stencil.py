@@ -17,7 +17,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .diffusivity import DiffusivityField
 from .errors import DimensionError, ParameterError
 
 
@@ -26,13 +25,14 @@ class SparseOperator:
     """Matrix-free symmetric five-point stencil on a rows x cols grid.
 
     ``ci[i, j]`` couples pixels (i, j) and (i+1, j), ``cj[i, j]`` couples
-    (i, j) and (i, j+1); both have the layout of ``DiffusivityField``, zero
-    across the border.  On the column-stacked vector they couple q with q+1
-    and with q+rows, so a nonzero there would couple the ends of adjacent
-    columns; it is rejected.  The shape, the
-    diagonal and the spectral bound are read from these couplings.  They are
-    the caller's arrays, not copies, and must not be written afterwards;
-    those ``diffusivity_half`` forms are read-only.
+    (i, j) and (i, j+1).  Both are rows x cols, column-major as
+    ``diffusivity_half`` forms them, and 0.0 across the border: the last row
+    of ``ci`` and the last column of ``cj``.  On the column-stacked vector
+    they couple q with q+1 and with q+rows, so a nonzero there would couple
+    the ends of adjacent columns; it is rejected.  The shape, the diagonal
+    and the spectral bound are read from these couplings.  They are the
+    caller's arrays, not copies, and must not be written afterwards; those
+    ``diffusivity_half`` forms are read-only.
     """
 
     ci: np.ndarray
@@ -74,9 +74,9 @@ class SparseOperator:
         return float(2.0 * np.max(np.abs(self.diagonal)))
 
 
-def assemble(field: DiffusivityField) -> SparseOperator:
-    """Build F from midpoint coefficients: the couplings are the field's read-only arrays a."""
-    return SparseOperator(field.ai, field.aj)
+def assemble(couplings) -> SparseOperator:
+    """Build F on the pair (ai, aj) that ``diffusivity_half`` returns, sharing its read-only arrays."""
+    return SparseOperator(*couplings)
 
 
 def apply(op: SparseOperator, x: np.ndarray) -> np.ndarray:

@@ -10,9 +10,10 @@ import math
 import numpy as np
 
 
-def dense_stencil(field):
-    """Dense stencil matrix built by direct enumeration over pixels."""
-    m, n = field.ai.shape
+def dense_stencil(couplings):
+    """Dense stencil matrix on the midpoint pair (ai, aj), built by direct enumeration over pixels."""
+    ai, aj = couplings
+    m, n = ai.shape
     F = np.zeros((m * n, m * n))
     for j in range(n):
         for i in range(m):
@@ -22,7 +23,7 @@ def dense_stencil(field):
                 if not (0 <= ii < m and 0 <= jj < n):
                     continue
                 # the edge between two pixels is indexed by the smaller of their indices
-                coup = field.ai[min(i, ii), j] if jj == j else field.aj[i, min(j, jj)]
+                coup = ai[min(i, ii), j] if jj == j else aj[i, min(j, jj)]
                 r = jj * m + ii
                 F[q, r] += coup
                 F[q, q] -= coup

@@ -65,11 +65,11 @@ def test_flat_kernels_give_the_windowed_bits(shape, p, sigma, column_major, seed
     gx, gy = grad_gaussian(image, k)
     assert np.array_equal(gx, ref_gx) and np.array_equal(gy, ref_gy)
 
-    fld = diffusivity_half(image, 1e-2, p, k)
+    ai, aj = diffusivity_half(image, 1e-2, p, k)
     ref_ai, ref_aj = windowed_midpoints(ref_gx, ref_gy, 1e-2, p)
-    assert np.array_equal(fld.ai[:-1], ref_ai) and np.array_equal(fld.aj[:, :-1], ref_aj)
+    assert np.array_equal(ai[:-1], ref_ai) and np.array_equal(aj[:, :-1], ref_aj)
 
-    op = assemble(fld)
+    op = assemble((ai, aj))
     assert np.array_equal(op.ci[:-1], ref_ai) and np.array_equal(op.cj[:, :-1], ref_aj)
     x = np.random.default_rng(seed + 1).standard_normal(op.dim)
     assert np.array_equal(apply(op, x), windowed_apply(ref_ai, ref_aj, x))
@@ -80,11 +80,11 @@ def test_flat_kernels_give_the_windowed_bits(shape, p, sigma, column_major, seed
 @settings(max_examples=60, deadline=None)
 def test_border_couplings_are_zero_and_apply_is_the_dense_product(shape, p, sigma, column_major, seed):
     image = _image(shape, column_major, seed)
-    fld = diffusivity_half(image, 1e-2, p, GaussianKernel(sigma))
-    op = assemble(fld)
-    for full in (fld.ai, fld.aj, op.ci, op.cj):
+    ai, aj = diffusivity_half(image, 1e-2, p, GaussianKernel(sigma))
+    op = assemble((ai, aj))
+    for full in (ai, aj, op.ci, op.cj):
         assert full.shape == image.shape and full.flags.f_contiguous and not full.flags.writeable
-    for border in (fld.ai[-1], fld.aj[:, -1], op.ci[-1], op.cj[:, -1]):
+    for border in (ai[-1], aj[:, -1], op.ci[-1], op.cj[:, -1]):
         assert np.all(border == 0.0)
     dense = to_dense(op)
     x = np.random.default_rng(seed + 1).standard_normal(op.dim)

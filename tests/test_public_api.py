@@ -2,13 +2,14 @@ import importlib
 import runpy
 from pathlib import Path
 
+import pytest
+
 import svddf
 
 # the public API, sorted and one name a line, so adding or removing a name shows in the diff
 PUBLIC_NAMES = [
     "AprioriStop",
     "DegenerateInputError",
-    "DiffusivityField",
     "DimensionError",
     "DiscrepancyResult",
     "DiscrepancyStop",
@@ -64,3 +65,36 @@ def test_every_traced_layer_resolves():
     layers = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "tracer.py"))["LAYERS"]
     missing = [(module, attr) for _, module, attr in layers if not hasattr(importlib.import_module(module), attr)]
     assert layers and missing == []
+
+
+@pytest.mark.parametrize("dt, bound_calls", [("auto", 5), ("0.15", 0)])
+def test_every_traced_layer_is_called(tmp_path, monkeypatch, dt, bound_calls):
+    # a traced name that a refactor leaves imported but unused would resolve and still read 0 calls
+    clean = svddf.ImageGrid(0.25 + 0.5 * svddf.synth_image("disk", 24, 24).pixels)
+    noisy = svddf.add_noise(clean, svddf.NoiseSpec(delta=0.4, seed=9))
+    paths = [tmp_path / "disk.pgm", tmp_path / "disk_noisy.pgm"]
+    for grid, path in zip((clean, noisy), paths):
+        svddf.write_pgm(grid, path)
+    layers = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "tracer.py"))["LAYERS"]
+    calls = dict.fromkeys((name for name, _, _ in layers), 0)
+
+    def counting(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name, module, attr in layers:
+        target = importlib.import_module(module)
+        monkeypatch.setattr(target, attr, counting(name, getattr(target, attr)))
+    steps = 5
+    argv = ["denoise", str(paths[1]), "--clean", str(paths[0]), "--p", "1", "--dt", dt]
+    argv += ["--stop", "none", "--max-steps", str(steps), "--out", str(tmp_path / "run")]
+    assert importlib.import_module("svddf.cli").main(argv) == 0
+    per_step = ("flow.sv_step", "diffusivity.diffusivity_half", "stencil.assemble", "flow.energies", "stopping.discrepancy")
+    expected = dict.fromkeys(per_step, steps)
+    expected.update(dict.fromkeys(("stopping.high_freq_energy", "stencil.apply.step"), steps + 1))
+    expected.update(dict.fromkeys(("cli.main", "flow.run_svddf", "pgm.write_pgm", "metrics.evaluate"), 1))
+    expected.update({"pgm.read_pgm": 2, "stencil.lambda_max": bound_calls, "stencil.apply.bound": 0})
+    assert calls == expected
