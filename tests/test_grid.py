@@ -50,11 +50,15 @@ class TestImageGrid:
             ImageGrid(np.array([[1.0, np.nan], [0.0, 0.0]]))
 
     # every image is on the unit lattice: no grid step, 1 and 0.5 included, is a parameter
-    # of an image, nor are the steps whose h^2 or 1/h^2 overflows
+    # of an image or of the stencil's coupling pair, nor are the steps whose h^2 or 1/h^2 overflows
+    @pytest.mark.parametrize("make", [
+        lambda h: ImageGrid(np.zeros((8, 8)), spacing=h),
+        lambda h: svddf.SparseOperator(np.zeros((8, 8)), np.zeros((8, 8)), h),
+    ], ids=["ImageGrid", "SparseOperator"])
     @pytest.mark.parametrize("h", [1.0, 0.5, 0.0, -1.0, 1e-200, 1e300, 1e-160, np.inf])
-    def test_rejects_bad_spacing(self, h):
+    def test_rejects_bad_spacing(self, make, h):
         with pytest.raises(TypeError):
-            ImageGrid(np.zeros((8, 8)), spacing=h)
+            make(h)
 
     def test_pixels_are_read_only(self):
         g = ImageGrid(np.zeros((3, 3)))
