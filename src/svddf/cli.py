@@ -163,7 +163,7 @@ def _cmd_add_noise(args) -> int:
 
 
 def _check_run(config: SolverConfig, method: str) -> None:
-    """Warn of an unstable step or an a-priori stop at step 1; a theorem step of 0.0 raises ``ParameterError``.
+    """Warn of an unstable step or an a-priori stop at step 1; a theorem step of 0.0 or inf raises ``ParameterError``.
 
     Called before any run starts, so a refusal leaves nothing on disk.
     """

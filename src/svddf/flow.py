@@ -44,13 +44,9 @@ class SolverConfig:
     """Parameter bundle for both flows.
 
     ``dt`` is ``"auto"``, the theorem rule, or a positive finite fixed step
-    length.  The theorem rule takes one step length for the whole run, worked
-    out from the config alone at the bound lam = 8 * epsilon^((p-2)/2) that no
-    image's ``lambda_max`` exceeds: dt = SAFETY * eta / sqrt(lam) for the
-    second-order flow, SAFETY * 2 / lam for the baseline (see ``step_at_bound``).
-    It has no step where that step underflows to zero.  Every float setting
-    must be finite, ``max_steps`` an integer and ``stopping`` one of the four
-    rules.  ``kernel``, the ``GaussianKernel`` of ``sigma``, is formed once, when the config is built.
+    length; ``step_at_bound`` works out the run's one step from the config
+    alone.  Every float setting must be finite, ``max_steps`` an integer and
+    ``stopping`` one of the four rules.  ``kernel``, the ``GaussianKernel`` of ``sigma``, is formed once, when the config is built.
     """
 
     exponent_p: float = 1.0
@@ -181,36 +177,31 @@ def _reassemble(state: FlowState, config: SolverConfig) -> SparseOperator:
     return _assemble_from(state.u, (state.F_prev.rows, state.F_prev.cols), config)
 
 
-def _spectral_bound(config: SolverConfig) -> float:
-    """lam = 8 * epsilon^((p-2)/2): no coefficient exceeds epsilon^((p-2)/2), so no image's ``lambda_max`` does."""
-    return 8.0 * config.epsilon ** ((config.exponent_p - 2.0) / 2.0)
-
-
-def _rule_step(config: SolverConfig, second_order: bool) -> float:
-    """Step length under the configured rule (see SolverConfig): the same for every step of a run."""
-    if config.dt != "auto":
-        return float(config.dt)
-    lam = _spectral_bound(config)
-    dt = float(SAFETY * config.eta / math.sqrt(lam) if second_order else SAFETY * 2.0 / lam)
-    if dt == 0.0:
-        raise ParameterError(
-            f"the theorem rule's step underflows to 0.0 at spectral bound {lam!r} "
-            f"(eta={config.eta!r}); set a fixed dt"
-        )
-    return dt
-
-
 def step_at_bound(config: SolverConfig, second_order: bool = True) -> tuple[float, float]:
     """The run's step and the largest stable step where ``lambda_max`` peaks, ``(dt, limit)``.
 
-    No image's ``lambda_max`` exceeds lam = 8 * epsilon^((p-2)/2), which is at
-    least about 6e-154 for every finite epsilon > 0 and p in [1, 2].  A frozen
-    stencil is stable for dt <= 2 / sqrt(lam), or dt <= 2 / lam under explicit
-    Euler, so ``dt > limit`` exactly when some image can step unstably.
+    No coefficient exceeds epsilon^((p-2)/2), so no image's ``lambda_max``
+    exceeds lam = 8 * epsilon^((p-2)/2), which is at least about 6e-154 for
+    every finite epsilon > 0 and p in [1, 2].  A frozen stencil is stable for
+    dt <= 2 / sqrt(lam), or dt <= 2 / lam under explicit Euler, so
+    ``dt > limit`` exactly when some image can step unstably.
+
+    ``dt`` is the configured step, the same for every step of a run: a fixed
+    ``config.dt``, or under ``"auto"`` the theorem rule, SAFETY * eta / sqrt(lam)
+    for the second-order flow and SAFETY * 2 / lam for the baseline.  A rule
+    step that underflows to 0.0 or overflows to inf raises ParameterError.
     """
-    lam = _spectral_bound(config)
+    lam = 8.0 * config.epsilon ** ((config.exponent_p - 2.0) / 2.0)
     limit = 2.0 / math.sqrt(lam) if second_order else 2.0 / lam
-    return _rule_step(config, second_order), limit
+    if config.dt != "auto":
+        return float(config.dt), limit
+    dt = float(SAFETY * config.eta / math.sqrt(lam) if second_order else SAFETY * 2.0 / lam)
+    if not 0.0 < dt < math.inf:
+        raise ParameterError(
+            f"the theorem rule's step {'underflows to 0.0' if dt == 0.0 else 'overflows to inf'} "
+            f"at spectral bound {lam!r} (eta={config.eta!r}); set a fixed dt"
+        )
+    return dt, limit
 
 
 def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
@@ -219,7 +210,7 @@ def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
     The closing half-kick's ``F_new @ u_new`` is the next state's ``Fu``,
     so it is stored there: one stencil product per step.
     """
-    dt = _rule_step(config, second_order=True)
+    dt, _ = step_at_bound(config, second_order=True)
 
     u, v = state.u, state.v
     # transient infs on a diverging run are caught below, not warned about
@@ -317,7 +308,7 @@ def run_svddf(
 def _first_order_step(state: FlowState, config: SolverConfig) -> FlowState:
     """Explicit step of the first-order flow u_t = div(a(u) grad u)."""
     F = _reassemble(state, config)
-    dt = _rule_step(config, second_order=False)
+    dt, _ = step_at_bound(config, second_order=False)
     with np.errstate(over="ignore", invalid="ignore"):
         rate = apply(F, state.u)
         u_new = state.u + dt * rate

@@ -11,40 +11,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .diffusivity import _paired_pass
+from .diffusivity import GaussianKernel, _paired_pass
 from .errors import DimensionError, DivergenceError, ParameterError
 from .grid import ImageGrid, _reference_norm, rel_l2, vec
 
 # the constants of Wang et al.; no caller varies them
-WINDOW = 11
 WINDOW_SIGMA = 1.5
 K1 = 0.01
 K2 = 0.03
 DYNAMIC_RANGE = 1.0
 
-
-def _window_taps() -> np.ndarray:
-    r = (WINDOW - 1) // 2
-    t = np.arange(-r, r + 1, dtype=np.float64)
-    w = np.exp(-(t**2) / (2.0 * WINDOW_SIGMA**2))
-    w /= w.sum()
-    w.flags.writeable = False
-    return w
-
-
-_TAPS = _window_taps()
+# the window's taps: variance 2.25, truncated at radius ceil(3 * 1.5) = 5 and renormalised
+_KERNEL = GaussianKernel(WINDOW_SIGMA**2)
+WINDOW = len(_KERNEL.g)  # 11
 _C1 = (K1 * DYNAMIC_RANGE) ** 2
 _C2 = (K2 * DYNAMIC_RANGE) ** 2
 
 
 def _local_mean(img: np.ndarray) -> np.ndarray:
     """Window means over valid positions: the taps along both axes."""
-    r = (WINDOW - 1) // 2
+    taps, r = _KERNEL.g, _KERNEL.radius
     m, n = img.shape[0] - 2 * r, img.shape[1] - 2 * r
     # valid mode: the image's margins stand in for padding; contiguous scratch is faster
     first = (m, img.shape[1])
-    down = _paired_pass(img, 0, m, _TAPS, True, np.empty(first), np.empty(first))
-    return _paired_pass(down, 1, n, _TAPS, True, np.empty((m, n)), np.empty((m, n)))
+    down = _paired_pass(img, 0, m, taps, True, np.empty(first), np.empty(first))
+    return _paired_pass(down, 1, n, taps, True, np.empty((m, n)), np.empty((m, n)))
 
 
 def check_ssim_inputs(u: ImageGrid, ref: ImageGrid) -> None:

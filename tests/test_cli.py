@@ -1100,6 +1100,18 @@ class TestUnusableInput:
         assert (captured.out, captured.err) == ("", f"error: {message}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("verb", ["denoise", "sweep"])
+    def test_overflowing_theorem_step_exits_2_without_a_directory(self, tmp_path, small_pgms, capsys, verb):
+        # at epsilon = 1e300 the bound is 8e-150, and eta = 1e308 makes the auto step overflow to inf
+        out = tmp_path / "out"
+        argv = verb_argv(verb, small_pgms, "disk16", "disk16" if verb == "sweep" else None, out)
+        argv += ["--etas" if verb == "sweep" else "--eta", "1e308", "--epsilon", "1e300"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        message = "the theorem rule's step overflows to inf at spectral bound 8e-150 (eta=1e+308); set a fixed dt"
+        assert (captured.out, captured.err) == ("", f"error: {message}\n")
+        assert not out.exists()
+
     def test_all_zero_clean_image_scores_in_sweep(self, tmp_path, small_pgms):
         # sweep scores SSIM only, and an all-zero image is a valid SSIM reference
         out = tmp_path / "out"
@@ -1107,7 +1119,7 @@ class TestUnusableInput:
         assert not math.isnan(float((out / "sweep.csv").read_text().splitlines()[1].split(",")[1]))
 
     @pytest.mark.parametrize("verb", ["denoise", "sweep"])
-    def test_tiny_spectral_bound_runs(self, tmp_path, small_pgms, verb):
+    def test_tiny_bound_at_large_epsilon_runs(self, tmp_path, small_pgms, verb):
         # epsilon = 1e30 puts every coupling near 1e-15: the bound is tiny, not zero
         out = tmp_path / "out"
         argv = verb_argv(verb, small_pgms, "disk16", "disk16" if verb == "sweep" else None, out)

@@ -2,10 +2,14 @@ import csv
 import dataclasses
 import importlib.util
 import math
+import re
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import svddf
 from svddf import (
@@ -30,7 +34,7 @@ from svddf import (
     to_dense,
     vec,
 )
-from svddf.flow import _first_order_step, _record, step_at_bound
+from svddf.flow import SAFETY, _first_order_step, _record, step_at_bound
 
 from conftest import random_grid
 from oracles import (
@@ -69,6 +73,10 @@ def one_step(method, config, coupling=1.0):
     return STEPPERS[method][0](state, config)
 
 
+# log-uniform over the positive finite floats, 5e-324 to 1.8e308
+_log_uniform = st.floats(math.log(5e-324), math.log(sys.float_info.max)).map(math.exp)
+
+
 class TestStepSize:
     """Each check runs both flows; the step length is read from the state the step returns."""
 
@@ -94,21 +102,53 @@ class TestStepSize:
                 assert not new.v.any()
 
     # an eta of 5e-324 makes the damped flow's theorem step underflow: a run that never moves is refused.
-    # The baseline's 0.9 * 2 / lam cannot underflow.
-    @pytest.mark.parametrize("runner, setting", [(run_svddf, {"eta": 5e-324})], ids=["svddf"])
-    def test_zero_theorem_step_rejected(self, rng, runner, setting):
+    # At eta = 1e308 and epsilon = 1e300 the bound is 8e-150 and the step overflows: a run whose first
+    # iterate is inf is refused too.  The baseline's 0.9 * 2 / lam can do neither.
+    @pytest.mark.parametrize(
+        "runner, setting, refusal",
+        [
+            (run_svddf, {"eta": 5e-324}, "underflows to 0.0 at spectral bound 80.0"),
+            (run_svddf, {"eta": 1e308, "epsilon": 1e300}, "overflows to inf at spectral bound 8e-150"),
+        ],
+        ids=["svddf", "svddf-overflow"],
+    )
+    def test_zero_theorem_step_rejected(self, rng, runner, setting, refusal):
         u0 = random_grid(rng, 8, 8)
         config = SolverConfig(max_steps=5, **setting)
-        with pytest.raises(svddf.ParameterError, match=r"^the theorem rule's step underflows to 0\.0 at spectral bound"):
+        with pytest.raises(svddf.ParameterError, match="^" + re.escape(f"the theorem rule's step {refusal}")):
             runner(u0, config)
         with pytest.raises(svddf.ParameterError) as err:
             step_at_bound(config, second_order=runner is run_svddf)
-        assert str(err.value) == (
-            f"the theorem rule's step underflows to 0.0 at spectral bound 80.0 "
-            f"(eta={config.eta!r}); set a fixed dt"
-        )
+        assert str(err.value) == f"the theorem rule's step {refusal} (eta={config.eta!r}); set a fixed dt"
         _, log = runner(u0, dataclasses.replace(config, dt=0.1))
         assert [r.dt for r in log.records] == [0.1] * 5
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p=st.floats(1.0, 2.0),
+        eta=_log_uniform,
+        epsilon=_log_uniform,
+        second_order=st.booleans(),
+        fixed=_log_uniform,
+    )
+    def test_theorem_step_is_finite_or_refused(self, p, eta, epsilon, second_order, fixed):
+        # README's three warning bullets: a fixed dt is checked as given, auto under svddf exceeds the
+        # limit exactly when 0.9 * eta > 2, and auto under first-order never does
+        config = SolverConfig(exponent_p=p, eta=eta, epsilon=epsilon)
+        step, limit = step_at_bound(dataclasses.replace(config, dt=fixed), second_order)
+        assert step == float(fixed) and 0.0 < limit < math.inf
+        try:
+            dt, auto_limit = step_at_bound(config, second_order)
+        except svddf.ParameterError as err:
+            assert second_order
+            assert re.fullmatch(r"the theorem rule's step (underflows to 0\.0|overflows to inf) at spectral bound "
+                                r"\S+ \(eta=\S+\); set a fixed dt", str(err))
+            return
+        assert 0.0 < dt < math.inf and auto_limit == limit
+        if not second_order:
+            assert dt < limit
+        elif abs(eta - 2.0 / SAFETY) > 1e-12 * (2.0 / SAFETY):
+            assert (dt > limit) == (SAFETY * eta > 2.0)
 
     @pytest.mark.parametrize("epsilon", [5e-324, 1.7976931348623157e308])
     @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
@@ -417,6 +457,29 @@ class TestModalOracle:
         assert log.steps == steps
         assert np.linalg.norm(out.pixels - u) <= 1e-12 * np.linalg.norm(u)
         assert abs(log.records[-1].vnorm - np.linalg.norm(v)) <= 1e-12 * np.linalg.norm(v)
+
+
+class TestTimeAccuracy:
+    """Self-convergence in dt on a noisy image: at p = 2, whose stencil is fixed, SV-DDF is second order.
+
+    For p < 2 it is first order (orders near 1 on the same image), since the
+    closing half-kick applies the stencil of the pre-drift iterate; that
+    order is not pinned here.
+    """
+
+    def test_p2_is_second_order_in_time(self):
+        clean = ImageGrid(0.25 + 0.5 * svddf.synth_image("disk", 32, 32).pixels)
+        noisy = svddf.add_noise(clean, svddf.NoiseSpec(delta=0.54, seed=1))
+
+        def final(k):  # the iterate at T = 0.8 under dt = 0.1 / 2^k
+            cfg = SolverConfig(exponent_p=2.0, eta=2.0, epsilon=1e-2, dt=0.1 / 2**k, max_steps=8 * 2**k,
+                               stopping=MaxStepsOnly())
+            return vec(run_svddf(noisy, cfg, keep_trajectory=False)[0])
+
+        reference = final(5)
+        errors = [np.linalg.norm(final(k) - reference) for k in range(3)]
+        orders = [math.log2(errors[k] / errors[k + 1]) for k in range(2)]
+        assert all(1.9 <= order <= 2.1 for order in orders), orders
 
 
 class TestModeDynamics:

@@ -1,10 +1,11 @@
-"""README's flag list, trajectory columns, stability numbers and list of public pieces against the program."""
+"""README's flag list, defaults, trajectory columns, stability numbers and list of public pieces against the program."""
 
+import dataclasses
 import re
 from pathlib import Path
 
 import svddf
-from svddf.cli import build_parser
+from svddf.cli import _OPTIONS, _build_config, _parse_args, build_parser
 from svddf.flow import CSV_HEADER, SAFETY, SolverConfig, step_at_bound
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
@@ -55,6 +56,19 @@ def test_shared_flag_list_is_the_parser_s():
     assert set(re.findall(r"`(--[a-z0-9-]+)", shared)) == (flags("denoise") & flags("sweep")) - {"--config"}
     # the paragraph names every other flag of either verb too
     assert flags("denoise") | flags("sweep") <= set(re.findall(r"`(--[a-z0-9-]+)", paragraph))
+
+
+def test_defaults_paragraph_is_the_cli_s():
+    start = README.index("## Defaults")
+    end = next((i for i in range(start + 1, len(README)) if README[i].startswith("#")), len(README))
+    paragraph = " ".join(README[start + 1 : end])
+    for key, (_, default, _) in _OPTIONS.items():
+        assert f"`--{key.replace('_', '-')} {default}`" in paragraph
+    # SolverConfig() is the CLI's config but for its stop rule
+    args = _parse_args(["denoise", "x.pgm"])
+    config = _build_config(args, args.p, args.eta)
+    assert config.stopping == svddf.RdeStop(tolerance=1e-4)
+    assert dataclasses.replace(config, stopping=svddf.MaxStepsOnly()) == SolverConfig()
 
 
 def test_lower_level_pieces_are_public():
