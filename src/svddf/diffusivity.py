@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParameterError
-from .grid import ImageGrid
+from .grid import ImageGrid, _as_float
 
 # the widest kernel: grad_gaussian pads the image by the radius on every side and each of
 # its passes takes one multiply per tap, whatever the image size, so memory and time grow with it
@@ -41,7 +41,7 @@ class GaussianKernel:
     dg: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        sigma = self.sigma
+        sigma = _as_float(self.sigma)  # an int or Fraction past the float range is inf, refused below
         if not (sigma > 0):
             raise ParameterError(f"sigma must be positive, got {sigma}")
         if sigma == math.inf:

@@ -31,13 +31,6 @@ class FormatError(SvddfError, ValueError):
 
 
 class DivergenceError(SvddfError, ArithmeticError):
-    """The iteration, or the SSIM of its result, produced non-finite values.
+    """The iteration, or the SSIM of its result, produced non-finite values."""
 
-    ``step`` records the step index at which divergence was detected and
-    ``partial_log`` keeps whatever trajectory log had been accumulated.
-    """
-
-    def __init__(self, message, step=None, partial_log=None):
-        super().__init__(message)
-        self.step = step
-        self.partial_log = partial_log
+    partial_log = None  # a run sets its log so far, whose ``steps`` is the last step completed

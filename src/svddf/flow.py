@@ -15,7 +15,6 @@ trajectory log, or, on request, only the reason and step they stopped at.
 """
 
 import math
-import numbers
 import operator
 from dataclasses import dataclass, field, fields
 from functools import cached_property
@@ -24,7 +23,7 @@ import numpy as np
 
 from .diffusivity import GaussianKernel, constant_diffusivity, diffusivity_half
 from .errors import DivergenceError, ParameterError
-from .grid import ImageGrid, _dot, _reference_norm, array, vec
+from .grid import ImageGrid, _as_float, _dot, _reference_norm, array, vec
 from .stencil import SparseOperator, apply, assemble, lambda_max
 from .stopping import (
     MaxStepsOnly,
@@ -43,10 +42,11 @@ SAFETY = 0.9  # the fraction of the spectral step bound that the theorem rule ta
 class SolverConfig:
     """Parameter bundle for both flows.
 
-    ``dt`` is ``"auto"``, the theorem rule, or a positive finite fixed step
-    length; ``step_at_bound`` works out the run's one step from the config
-    alone.  Every float setting must be finite, ``max_steps`` an integer and
-    ``stopping`` one of the four rules.  ``kernel``, the ``GaussianKernel`` of ``sigma``, is formed once, when the config is built.
+    ``dt`` is ``"auto"``, the theorem rule, or a fixed step length; ``step_at_bound``
+    works out the run's one step from the config alone.  ``exponent_p``, ``eta``,
+    ``epsilon`` and a fixed ``dt`` are held as floats, inf past the float range, and
+    must be finite, ``max_steps`` an integer and ``stopping`` one of the four rules.
+    ``kernel``, the ``GaussianKernel`` of ``sigma``, is formed once, when the config is built.
     """
 
     exponent_p: float = 1.0
@@ -58,13 +58,15 @@ class SolverConfig:
     stopping: StoppingRule = field(default_factory=MaxStepsOnly)
 
     def __post_init__(self):
+        for name in ("exponent_p", "eta", "epsilon", "dt"):
+            object.__setattr__(self, name, _as_float(getattr(self, name)))
         if not (1.0 <= self.exponent_p <= 2.0):
             raise ParameterError(f"p must lie in [1, 2], got {self.exponent_p}")
         if not (self.eta > 0):
             raise ParameterError(f"eta must be positive, got {self.eta}")
         if not (self.epsilon > 0):
             raise ParameterError(f"epsilon must be positive, got {self.epsilon}")
-        if not (self.dt == "auto" or isinstance(self.dt, numbers.Real) and 0.0 < self.dt < math.inf):
+        if not (self.dt == "auto" or isinstance(self.dt, float) and 0.0 < self.dt < math.inf):
             raise ParameterError(f"dt must be 'auto' or a positive finite step length, got {self.dt!r}")
         for name in ("eta", "epsilon"):
             value = getattr(self, name)
@@ -100,7 +102,6 @@ class FlowState:
     k: int
     t: float
     F_prev: SparseOperator
-    last_dt: float = float("nan")
 
     @cached_property
     def Fu(self) -> np.ndarray:
@@ -194,8 +195,8 @@ def step_at_bound(config: SolverConfig, second_order: bool = True) -> tuple[floa
     lam = 8.0 * config.epsilon ** ((config.exponent_p - 2.0) / 2.0)
     limit = 2.0 / math.sqrt(lam) if second_order else 2.0 / lam
     if config.dt != "auto":
-        return float(config.dt), limit
-    dt = float(SAFETY * config.eta / math.sqrt(lam) if second_order else SAFETY * 2.0 / lam)
+        return config.dt, limit
+    dt = SAFETY * config.eta / math.sqrt(lam) if second_order else SAFETY * 2.0 / lam
     if not 0.0 < dt < math.inf:
         raise ParameterError(
             f"the theorem rule's step {'underflows to 0.0' if dt == 0.0 else 'overflows to inf'} "
@@ -218,13 +219,13 @@ def sv_step(state: FlowState, config: SolverConfig) -> FlowState:
         v_half = (v + 0.5 * dt * state.Fu) / (1.0 + 0.5 * config.eta * dt)
         u_new = u + dt * v_half
         if not np.isfinite(u_new).all():
-            raise DivergenceError(f"non-finite iterate at step {state.k}", step=state.k)
+            raise DivergenceError(f"non-finite iterate at step {state.k}")
         F_new = _reassemble(state, config)
         Fu_new = apply(F_new, u_new)
         v_new = v_half + 0.5 * dt * (Fu_new - config.eta * v_half)
     if not np.isfinite(v_new).all():
-        raise DivergenceError(f"non-finite velocity at step {state.k}", step=state.k)
-    new = FlowState(u=u_new, v=v_new, k=state.k + 1, t=state.t + dt, F_prev=F_new, last_dt=dt)
+        raise DivergenceError(f"non-finite velocity at step {state.k}")
+    new = FlowState(u=u_new, v=v_new, k=state.k + 1, t=state.t + dt, F_prev=F_new)
     object.__setattr__(new, "Fu", Fu_new)  # fills the cache, as the first read of ``Fu`` would
     return new
 
@@ -239,13 +240,13 @@ def energies(state: FlowState) -> tuple[float, float]:
         return 0.5 * _dot(state.v, state.v), 0.5 * (0.0 - _dot(state.u, state.Fu))
 
 
-def _record(state: FlowState, rde_val: float, sig: float, auto: bool) -> TrajectoryRecord:
-    """The state's log row; under ``auto`` it logs the Gershgorin bound of the row's own stencil."""
+def _record(state: FlowState, dt: float, rde_val: float, sig: float, auto: bool) -> TrajectoryRecord:
+    """The state's log row after a step of ``dt``; under ``auto``, with the Gershgorin bound of the row's stencil."""
     kinetic, potential = energies(state)
     return TrajectoryRecord(
         step=state.k,
         t=state.t,
-        dt=state.last_dt,
+        dt=dt,
         lambda_max=lambda_max(state.F_prev) if auto else float("nan"),
         vnorm=math.sqrt(2.0 * kinetic),  # sqrt(v.v) to the bit unless v.v is subnormal
         rde=rde_val,
@@ -255,12 +256,12 @@ def _record(state: FlowState, rde_val: float, sig: float, auto: bool) -> Traject
     )
 
 
-def _run(u0: ImageGrid, config: SolverConfig, advance, keep_trajectory: bool):
-    """Step with ``advance`` until the configured rule fires; returns the image and its log.
+def _run(u0: ImageGrid, config: SolverConfig, second_order: bool, keep_trajectory: bool):
+    """Step with ``sv_step``, or the baseline's step, until the configured rule fires; returns the image and its log.
 
-    With ``keep_trajectory`` every step appends a full record.  Without it
-    only the quantity the rule reads (``rule.reads``) is formed.  Each step
-    ends with the one stop test ``rule.fired``.
+    Each step is ``step_at_bound``'s ``dt`` and ends with the one stop test
+    ``rule.fired``.  With ``keep_trajectory`` every step appends a full
+    record.  Without it only the quantity the rule reads (``rule.reads``) is formed.
     """
     state = initial_state(u0, config)
     rule = config.stopping
@@ -272,6 +273,8 @@ def _run(u0: ImageGrid, config: SolverConfig, advance, keep_trajectory: bool):
     if with_rde:
         n0 = default_band_threshold(*u0.shape)
         prev_energy = high_freq_energy(u0.pixels, n0)
+    advance = sv_step if second_order else _first_order_step  # looked up per run, so a wrapper counts every step
+    dt, _ = step_at_bound(config, second_order)
     try:
         for _ in range(config.max_steps):
             state = advance(state, config)
@@ -284,7 +287,7 @@ def _run(u0: ImageGrid, config: SolverConfig, advance, keep_trajectory: bool):
                 if with_sigma:
                     sig = discrepancy(state.u, data, 0.0, u0_norm=data_norm).sigma
             if keep_trajectory:
-                log.records.append(_record(state, rde_val, sig, config.dt == "auto"))
+                log.records.append(_record(state, dt, rde_val, sig, config.dt == "auto"))
             log.steps = state.k
             if rule.fired(rde_val, sig, state.t):
                 log.stopped_by = rule.reason
@@ -292,7 +295,7 @@ def _run(u0: ImageGrid, config: SolverConfig, advance, keep_trajectory: bool):
     except DivergenceError as err:
         err.partial_log = log
         raise
-    return array(state.u, state.F_prev.rows, state.F_prev.cols), log
+    return array(state.u, *u0.shape), log
 
 
 def run_svddf(
@@ -302,7 +305,7 @@ def run_svddf(
 
     ``keep_trajectory=False`` keeps no per-step records; see :func:`_run`.
     """
-    return _run(u0, config, sv_step, keep_trajectory)
+    return _run(u0, config, True, keep_trajectory)
 
 
 def _first_order_step(state: FlowState, config: SolverConfig) -> FlowState:
@@ -313,9 +316,9 @@ def _first_order_step(state: FlowState, config: SolverConfig) -> FlowState:
         rate = apply(F, state.u)
         u_new = state.u + dt * rate
     if not np.isfinite(u_new).all():
-        raise DivergenceError(f"non-finite iterate at step {state.k}", step=state.k)
+        raise DivergenceError(f"non-finite iterate at step {state.k}")
     # v: the finite-difference rate, logged as the velocity proxy
-    return FlowState(u=u_new, v=rate, k=state.k + 1, t=state.t + dt, F_prev=F, last_dt=dt)
+    return FlowState(u=u_new, v=rate, k=state.k + 1, t=state.t + dt, F_prev=F)
 
 
 def run_first_order(
@@ -325,4 +328,4 @@ def run_first_order(
 
     ``keep_trajectory`` as for :func:`run_svddf`.
     """
-    return _run(u0, config, _first_order_step, keep_trajectory)
+    return _run(u0, config, False, keep_trajectory)

@@ -6,6 +6,7 @@ from files; in-memory operations may step outside that range (noise can
 push values slightly above 1).
 """
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -49,20 +50,12 @@ class ImageGrid:
         return grid
 
     @property
-    def rows(self) -> int:
-        return self.pixels.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.pixels.shape[1]
-
-    @property
     def shape(self):
         return self.pixels.shape
 
     def require_min_size(self) -> "ImageGrid":
         """Raise unless both dimensions are at least MIN_SIZE (solvers need neighbours)."""
-        if self.rows < MIN_SIZE or self.cols < MIN_SIZE:
+        if min(self.shape) < MIN_SIZE:
             raise DimensionError(f"operation needs a grid of at least {MIN_SIZE}x{MIN_SIZE}, got {self.shape}")
         return self
 
@@ -135,6 +128,14 @@ def synth_image(kind: str, rows: int, cols: int) -> ImageGrid:
     else:
         raise ParameterError(f"unknown synthetic image kind {kind!r}; choose from {KINDS}")
     return ImageGrid(px)
+
+
+def _as_float(value):
+    """``float(value)`` of a real number, or +-inf past the float range; any other value comes back unchanged."""
+    try:
+        return float(value) if isinstance(value, numbers.Real) else value
+    except OverflowError:  # an int or Fraction beyond 1.8e308
+        return float("inf") if value > 0 else float("-inf")
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:

@@ -42,7 +42,7 @@ def check_ssim_inputs(u: ImageGrid, ref: ImageGrid) -> None:
     """Refuse a pair :func:`ssim` cannot score: unequal shapes, or smaller than the window."""
     if u.shape != ref.shape:
         raise DimensionError(f"shape mismatch: {u.shape} vs {ref.shape}")
-    if u.rows < WINDOW or u.cols < WINDOW:
+    if min(u.shape) < WINDOW:
         raise ParameterError(f"image {u.shape} smaller than the {WINDOW}x{WINDOW} window")
 
 
@@ -71,7 +71,7 @@ def ssim(u: ImageGrid, ref: ImageGrid) -> float:
         )
         value = float(ssim_map.mean())
     if not np.isfinite(value):
-        raise DivergenceError(f"SSIM is not finite: the local moments of the {u.rows}x{u.cols} image overflow")
+        raise DivergenceError(f"SSIM is not finite: the local moments of the {u.shape[0]}x{u.shape[1]} image overflow")
     return value
 
 

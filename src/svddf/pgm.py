@@ -79,7 +79,7 @@ def read_pgm(path) -> ImageGrid:
 
 def write_pgm(grid: ImageGrid, path) -> None:
     """Write an 8-bit binary (P5) graymap; round-trip error is at most 1/510."""
-    header = f"P5\n{grid.cols} {grid.rows}\n255\n".encode("ascii")
+    header = f"P5\n{grid.shape[1]} {grid.shape[0]}\n255\n".encode("ascii")
     payload = np.rint(np.clip(grid.pixels, 0.0, 1.0) * 255).astype(np.uint8).tobytes()
     with open(path, "wb") as fh:
         fh.write(header)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ParameterError
-from .grid import ImageGrid, _dot, _relative_distance
+from .grid import ImageGrid, _as_float, _dot, _relative_distance
 
 
 def default_band_threshold(rows: int, cols: int) -> int:
@@ -170,6 +170,7 @@ def discrepancy(
 
 
 def _check_delta(delta: float) -> None:
+    delta = _as_float(delta)
     if delta < 0:
         raise ParameterError(f"delta must be non-negative, got {delta}")
     if not math.isfinite(delta):
@@ -178,6 +179,7 @@ def _check_delta(delta: float) -> None:
 
 def a_priori_T(delta: float, c1: float, c2: float, gamma: float) -> float:
     """Terminating time T = c1 * ln(1 + c2 * delta^gamma); T(0) = 0.  A T that is not finite raises."""
+    delta, c1, c2, gamma = map(_as_float, (delta, c1, c2, gamma))  # no int or Fraction power is formed exactly
     if not (c1 > 0 and c2 > 0 and gamma > 0):
         raise ParameterError("c1, c2 and gamma must be positive")
     _check_delta(delta)

@@ -86,9 +86,9 @@ def test_criterion_2_matrix_form_equivalence():
         state = initial_state(g, cfg)
         z = np.concatenate([vec(g), np.zeros(64)])
         F_prev = dense_stencil(diffusivity_half(g, cfg.epsilon, cfg.exponent_p, kern))
+        dt = svddf.flow.step_at_bound(cfg)[0]  # the run's one step
         for k in range(5):
             state = sv_step(state, cfg)
-            dt = state.last_dt
             u_pre = z[:64]
             if k == 0:
                 F_new = F_prev

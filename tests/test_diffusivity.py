@@ -40,6 +40,13 @@ class TestKernel:
             GaussianKernel(math.inf)
         assert str(err.value) == "sigma must be finite, got inf"
 
+    @pytest.mark.parametrize("make", [GaussianKernel, lambda sigma: svddf.SolverConfig(sigma=sigma)])
+    def test_int_sigma_past_the_float_range_rejected(self, make):
+        # math.sqrt cannot take 10**400; it reads as inf
+        with pytest.raises(svddf.ParameterError) as err:
+            make(10**400)
+        assert str(err.value) == "sigma must be finite, got inf"
+
     @pytest.mark.parametrize("sigma", [1e-320, 5.5e-309])
     def test_sigma_whose_derivative_taps_overflow_rejected(self, sigma):
         # radius 1: the taps t/sigma = +-1/sigma overflow to inf, and inf * 0 would be nan

@@ -4,6 +4,7 @@ import importlib.util
 import math
 import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -78,7 +79,7 @@ _log_uniform = st.floats(math.log(5e-324), math.log(sys.float_info.max)).map(mat
 
 
 class TestStepSize:
-    """Each check runs both flows; the step length is read from the state the step returns."""
+    """Each check runs both flows; the step length is read as the time of the state one step from t = 0."""
 
     def test_theorem_formula(self):
         # the bound lam = 8 * epsilon^((p-2)/2) is 8 at p = 2 and 80 at (p, epsilon) = (1, 1e-2) and (1.5, 1e-4)
@@ -89,7 +90,7 @@ class TestStepSize:
             for method in STEPPERS:
                 # the step is the config's, whatever the stencil it is taken on
                 for coupling in (1.0, 0.5):
-                    dt = one_step(method, cfg, coupling).last_dt
+                    dt = one_step(method, cfg, coupling).t
                     assert dt == pytest.approx(expected[method], rel=1e-15)
 
     def test_zero_stencil_never_moves(self):
@@ -97,7 +98,7 @@ class TestStepSize:
         for method in STEPPERS:
             for config in (SolverConfig(eta=1.0), fixed_cfg(0.125)):
                 new = one_step(method, config, 0.0)
-                assert new.last_dt == step_at_bound(config, second_order=method == "svddf")[0]
+                assert new.t == step_at_bound(config, second_order=method == "svddf")[0]
                 assert np.array_equal(new.u, np.linspace(0.0, 1.0, 9))
                 assert not new.v.any()
 
@@ -224,6 +225,11 @@ CONFIG_REJECTIONS = [
         {"stopping": "rde"},
         "stopping must be RdeStop, DiscrepancyStop, AprioriStop or MaxStepsOnly, got 'rde'",
     ),
+    # an int or Fraction past the float range reads as inf, and one that rounds to 0.0 as 0.0
+    ("dt", {"dt": 10**400}, "dt must be 'auto' or a positive finite step length, got inf"),
+    ("dt", {"dt": Fraction(1, 10**400)}, "dt must be 'auto' or a positive finite step length, got 0.0"),
+    ("eta", {"eta": 10**400}, "eta must be finite, got inf"),
+    ("epsilon", {"epsilon": 10**400}, "epsilon must be finite, got inf"),
 ]
 
 
@@ -293,9 +299,9 @@ class TestSvStep:
         n = 64
         z = np.concatenate([vec(g), np.zeros(n)])
         F_prev = dense_stencil(diffusivity_half(g, cfg.epsilon, cfg.exponent_p, kern))
+        dt = sv_step(state, cfg).t  # the step sv_step takes, read one step from t = 0
         for k in range(5):
             state = sv_step(state, cfg)
-            dt = state.last_dt
             u_pre = z[:n]
             if k == 0:
                 F_new = F_prev
@@ -366,7 +372,7 @@ class TestCarriedProduct:
         stepped, expected = sv_step(state, cfg), sv_step(fresh, cfg)
         for name in ("u", "v", "Fu"):
             assert np.array_equal(getattr(stepped, name), getattr(expected, name))
-        assert (stepped.t, stepped.last_dt) == (expected.t, expected.last_dt)
+        assert stepped.t == expected.t
 
 
 class TestStencilReuse:
@@ -683,10 +689,11 @@ class TestFirstOrder:
         g = random_grid(rng, 6, 6)
         with pytest.raises(svddf.DivergenceError) as err:
             run_first_order(g, fixed_cfg(1.0, steps=1000, exponent_p=2.0))
-        step, log = err.value.step, err.value.partial_log
+        log = err.value.partial_log
+        step = log.steps
         assert str(err.value) == f"non-finite iterate at step {step}"
         assert 0 < step < 1000
-        assert log.steps == len(log) == step
+        assert len(log) == step
         assert [r.step for r in log.records] == list(range(1, step + 1))
 
 
@@ -802,7 +809,7 @@ class TestWithoutTrajectory:
             return apply(*args)
 
         monkeypatch.setattr(svddf.flow, "apply", counted)
-        record = _record(state, 0.0, 0.0, auto=False)
+        record = _record(state, 0.1, 0.0, 0.0, auto=False)
         # the potential reads the product sv_step stored; the log forms none
         assert products == []
         assert record.vnorm == math.sqrt(2.0 * record.kinetic)

@@ -60,6 +60,50 @@ def test_public_names_are_pinned():
     assert svddf.__all__ == PUBLIC_NAMES
 
 
+# what a user can read on each public type: its fields, and the properties and methods it defines itself
+PUBLIC_ATTRIBUTES = {
+    "DivergenceError": ["partial_log"],
+    "EvalReport": ["improved", "rel_err_denoised", "ssim_denoised", "ssim_noisy"],
+    "FlowState": ["F_prev", "Fu", "k", "t", "u", "v"],
+    "GaussianKernel": ["dg", "g", "radius", "sigma"],
+    "ImageGrid": ["of_finite", "pixels", "require_min_size", "shape"],
+    "SolverConfig": ["dt", "epsilon", "eta", "exponent_p", "kernel", "max_steps", "sigma", "stopping"],
+    "SparseOperator": ["ci", "cj", "cols", "diagonal", "dim", "rows"],
+    "TrajectoryLog": ["records", "steps", "stopped_by", "to_csv"],
+    "TrajectoryRecord": ["dt", "kinetic", "lambda_max", "potential", "rde", "sigma", "step", "t", "vnorm"],
+}
+
+
+def _instances():
+    """One instance of each type in ``PUBLIC_ATTRIBUTES``, from a two-step run on a 12 x 12 disk."""
+    clean = svddf.synth_image("disk", 12, 12)
+    noisy = svddf.add_noise(clean, svddf.NoiseSpec(delta=0.2, seed=1))
+    config = svddf.SolverConfig(dt=0.1, max_steps=2)
+    state = svddf.initial_state(noisy, config)
+    out, log = svddf.run_svddf(noisy, config)
+    return {
+        "DivergenceError": svddf.DivergenceError("diverged"),
+        "EvalReport": svddf.evaluate(clean, noisy, out),
+        "FlowState": state,
+        "GaussianKernel": config.kernel,
+        "ImageGrid": out,
+        "SolverConfig": config,
+        "SparseOperator": state.F_prev,
+        "TrajectoryLog": log,
+        "TrajectoryRecord": log.records[0],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(PUBLIC_ATTRIBUTES))
+def test_public_type_exposes_its_pinned_attributes(name):
+    obj = _instances()[name]
+    # what every object, or every exception, has from Python's own base classes is not the type's
+    inherited = {attr for base in type(obj).__mro__ if base.__module__ == "builtins" for attr in dir(base)}
+    assert type(obj) is getattr(svddf, name)
+    exposed = sorted(attr for attr in dir(obj) if not attr.startswith("_") and attr not in inherited)
+    assert exposed == PUBLIC_ATTRIBUTES[name]
+
+
 def test_every_traced_layer_resolves():
     # the benchmark's tracer wraps these module attributes and counts a missing one as an absent layer with 0 calls
     layers = runpy.run_path(str(Path(__file__).parents[1] / "perfbench" / "tracer.py"))["LAYERS"]

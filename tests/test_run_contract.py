@@ -1,6 +1,11 @@
-"""The run contract, drawn whole: valid settings end in a finite image or a typed error, and the log says why."""
+"""The run contract, drawn whole: valid settings end in a finite image or a typed error, and the log says why.
+
+Before any run, every numeric setting is either built or refused with ParameterError.
+"""
 
 import math
+from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 from hypothesis import given, settings
@@ -10,8 +15,10 @@ from svddf import (
     AprioriStop,
     DiscrepancyStop,
     DivergenceError,
+    GaussianKernel,
     ImageGrid,
     MaxStepsOnly,
+    NoiseSpec,
     ParameterError,
     RdeStop,
     SolverConfig,
@@ -85,7 +92,7 @@ def test_a_run_ends_finite_or_typed_and_its_log_says_why(shape, seed, p, eta, ep
     second_order = method == "svddf"
     if isinstance(full, DivergenceError):
         # the same step diverges without a trajectory, and the rule fired at no step before it
-        assert full.step == lean.step
+        assert str(full) == str(lean)
         log = full.partial_log
         assert log.steps == lean.partial_log.steps == len(log)
         assert replayed_stop(stopping, read_rows(stopping, log)) == (len(log), MaxStepsOnly.reason)
@@ -102,3 +109,41 @@ def test_a_run_ends_finite_or_typed_and_its_log_says_why(shape, seed, p, eta, ep
     if second_order and dt != "auto" and step <= limit and not isinstance(full, DivergenceError):
         expected = heavy_ball_flow(noisy, config, log.steps)
         assert np.max(np.abs(vec(out) - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+# a number as a caller may write it: any float (nan, +-inf and subnormals too), an int up to +-10**400, or a
+# Fraction, the last two of which can lie past the float range or round to 0.0
+_reals = st.one_of(
+    st.floats(),
+    st.integers(-10**400, 10**400),
+    st.builds(Fraction, st.integers(-10**400, 10**400), st.integers(1, 10**400)),
+)
+# each numeric setting, built with the drawn value and defaults elsewhere: (build, where the float it stores is read)
+_SETTINGS = {
+    "SolverConfig.exponent_p": (lambda x: SolverConfig(exponent_p=x), attrgetter("exponent_p")),
+    "SolverConfig.eta": (lambda x: SolverConfig(eta=x), attrgetter("eta")),
+    "SolverConfig.epsilon": (lambda x: SolverConfig(epsilon=x), attrgetter("epsilon")),
+    "SolverConfig.sigma": (lambda x: SolverConfig(sigma=x), attrgetter("kernel.sigma")),
+    "SolverConfig.dt": (lambda x: SolverConfig(dt=x), attrgetter("dt")),
+    "GaussianKernel": (GaussianKernel, attrgetter("sigma")),
+    "RdeStop": (RdeStop, None),
+    "DiscrepancyStop": (DiscrepancyStop, None),
+    "AprioriStop.c1": (lambda x: AprioriStop(c1=x, c2=1.0, gamma=1.0, delta=0.1), None),
+    "AprioriStop.c2": (lambda x: AprioriStop(c1=1.0, c2=x, gamma=1.0, delta=0.1), None),
+    "AprioriStop.gamma": (lambda x: AprioriStop(c1=1.0, c2=1.0, gamma=x, delta=0.1), None),
+    "AprioriStop.delta": (lambda x: AprioriStop(c1=1.0, c2=1.0, gamma=1.0, delta=x), None),
+    "NoiseSpec": (NoiseSpec, None),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(setting=st.sampled_from(sorted(_SETTINGS)), value=_reals)
+def test_a_setting_is_built_or_refused_with_parameter_error(setting, value):
+    build, stored = _SETTINGS[setting]
+    try:
+        built = build(value)
+    except ParameterError:
+        return
+    if stored is not None:
+        # converted once, when it is built: every later use reads the same float
+        assert type(stored(built)) is float and stored(built) == float(value)

@@ -179,6 +179,7 @@ class TestDiscrepancy:
         (-0.1, "delta must be non-negative, got -0.1"),
         (np.nan, "delta must be finite, got nan"),
         (np.inf, "delta must be finite, got inf"),
+        pytest.param(10**400, "delta must be finite, got inf", id="10**400"),
     ])
     def test_rule_rejects_delta(self, delta, message):
         with pytest.raises(svddf.ParameterError) as err:
@@ -235,6 +236,7 @@ class TestAprioriT:
             # a horizon no run can reach: delta**gamma overflows, or T does
             ((1.0, 1.0, 400.0, 10.0), "T(delta) is not finite for delta=10.0, c1=1.0, c2=1.0, gamma=400.0"),
             ((1.0, 1e200, 1.0, 1e200), "T(delta) is not finite for delta=1e+200, c1=1.0, c2=1e+200, gamma=1.0"),
+            ((1, 1, 1, 10**400), "delta must be finite, got inf"),
         ],
     )
     def test_rule_rejects_what_the_horizon_rejects(self, params, message):
