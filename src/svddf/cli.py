@@ -10,6 +10,7 @@ import argparse
 import ctypes
 import math
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import DivergenceError, SvddfError
@@ -30,17 +31,22 @@ def _dt_value(text: str):
     return text if text == "auto" else float(text)
 
 
+def _config_default(name: str) -> str:
+    """The default of ``SolverConfig``'s field ``name`` as text, which its flag parses back to that value exactly."""
+    return str(next(f.default for f in fields(SolverConfig) if f.name == name))
+
+
 # Every option a config file may set, declared once as key: (cast, default,
 # help).  Its flag is --key with '-' for '_'; a tuple cast lists the accepted
 # strings.  A default is a string parsed by the flag's type, like a config
-# value, or None for unset.
+# value; a solver value's is SolverConfig's.
 _OPTIONS = {
-    "p": (float, "1", "diffusion exponent in [1, 2]"),
-    "eta": (float, "2", "damping parameter"),
-    "epsilon": (float, "1e-2", "diffusivity regularisation"),
-    "sigma": (float, "1", "Gaussian smoothing variance"),
-    "dt": (_dt_value, "auto", "'auto' for the spectral rule or a fixed step length"),
-    "max_steps": (int, "500", "step budget"),
+    "p": (float, _config_default("exponent_p"), "diffusion exponent in [1, 2]"),
+    "eta": (float, _config_default("eta"), "damping parameter"),
+    "epsilon": (float, _config_default("epsilon"), "diffusivity regularisation"),
+    "sigma": (float, _config_default("sigma"), "Gaussian smoothing variance"),
+    "dt": (_dt_value, _config_default("dt"), "'auto' for the spectral rule or a fixed step length"),
+    "max_steps": (int, _config_default("max_steps"), "step budget"),
     "stop": (("rde", "discrepancy", "a-priori", "none"), "rde", "stopping rule"),
     "tol": (float, "1e-4", "tolerance of the rde rule"),
     "delta": (float, "0.1", "relative noise level"),

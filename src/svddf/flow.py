@@ -46,7 +46,8 @@ class SolverConfig:
     works out the run's one step from the config alone.  ``exponent_p``, ``eta``,
     ``epsilon`` and a fixed ``dt`` are held as floats, inf past the float range, and
     must be finite, ``max_steps`` an integer and ``stopping`` one of the four rules.
-    ``kernel``, the ``GaussianKernel`` of ``sigma``, is formed once, when the config is built.
+    ``kernel``, the ``GaussianKernel`` of ``sigma``, is formed once, when the config is built,
+    and ``sigma`` is held as the float the kernel was formed from.
     """
 
     exponent_p: float = 1.0
@@ -82,7 +83,8 @@ class SolverConfig:
             raise ParameterError(
                 f"stopping must be RdeStop, DiscrepancyStop, AprioriStop or MaxStepsOnly, got {self.stopping!r}"
             )
-        self.kernel  # GaussianKernel(sigma) checks sigma here, before any run
+        # GaussianKernel(sigma) checks sigma here, before any run, and holds it as a float
+        object.__setattr__(self, "sigma", self.kernel.sigma)
 
     @cached_property
     def kernel(self) -> GaussianKernel:

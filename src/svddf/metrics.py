@@ -84,11 +84,16 @@ class EvalReport:
 
 
 def evaluate(clean: ImageGrid, noisy: ImageGrid, denoised: ImageGrid) -> EvalReport:
-    """SSIM of both the noisy input and the result against clean, and the result's relative error."""
+    """SSIM of both the noisy input and the result against clean, and the result's relative error.
+
+    Unequal shapes raise DimensionError; then what :func:`check_evaluate_inputs`
+    refuses is refused before any score is formed.
+    """
     if not (clean.shape == noisy.shape == denoised.shape):
         raise DimensionError(
             f"shape mismatch: clean {clean.shape}, noisy {noisy.shape}, denoised {denoised.shape}"
         )
+    check_evaluate_inputs(clean, noisy)
     s_noisy = ssim(noisy, clean)
     s_den = ssim(denoised, clean)
     return EvalReport(

@@ -1,3 +1,4 @@
+import ast
 import math
 import os
 import runpy
@@ -622,6 +623,19 @@ class TestDenoise:
         assert capsys.readouterr().err.count(STABILITY_NOTE) == int(any(dt**2 * lam > 4.0 for dt, lam in steps))
 
 
+def test_solver_defaults_are_written_once():
+    # the six solver options read their defaults from SolverConfig (test_readme holds the values equal);
+    # only the CLI's own defaults are literals
+    tree = ast.parse(Path(svddf.cli.__file__).read_text(encoding="utf-8"))
+    options = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "_OPTIONS"
+    )
+    literal = {key.value for key, entry in zip(options.keys, options.values) if isinstance(entry.elts[1], ast.Constant)}
+    assert literal == set(svddf.cli._OPTIONS) - {"p", "eta", "epsilon", "sigma", "dt", "max_steps"}
+
+
 class Captured(Exception):
     """Raised in place of the flow or the noise model, carrying what it was handed."""
 
@@ -1068,6 +1082,8 @@ def small_pgms(tmp_path):
 
 
 def verb_argv(verb, pgms, noisy, clean, out):
+    if verb == "metrics":  # the noisy image stands in for the denoised one
+        return [verb, "--clean", pgms[clean], "--noisy", pgms[noisy], "--denoised", pgms[noisy], "--out", str(out)]
     argv = [verb, pgms[noisy], "--max-steps", "3", "--out", str(out)]
     if clean is not None:
         argv += ["--clean", pgms[clean]]
@@ -1084,6 +1100,7 @@ class TestUnusableInput:
         [
             ("denoise", "zero16", None, "noisy data has zero norm"),
             ("denoise", "disk16", "zero16", "clean image has zero norm"),
+            ("metrics", "disk16", "zero16", "clean image has zero norm"),
             ("sweep", "zero16", "disk16", "noisy data has zero norm"),
             ("denoise", "row1x16", None, "operation needs a grid of at least 2x2, got (1, 16)"),
             ("sweep", "row1x16", "row1x16", "image (1, 16) smaller than the 11x11 window"),

@@ -253,6 +253,15 @@ class TestConfigRejections:
         assert SolverConfig(sigma=2.0).kernel is not cfg.kernel
         assert dataclasses.replace(cfg, sigma=0.5).kernel.sigma == 0.5
 
+    def test_config_holds_sigma_as_its_kernel_s_float(self):
+        # repr, == and hash see the sigma the run uses, however it was written
+        third = SolverConfig(sigma=Fraction(1, 3))
+        assert third == SolverConfig(sigma=1 / 3)
+        assert hash(third) == hash(SolverConfig(sigma=1 / 3))
+        assert repr(third) == repr(SolverConfig(sigma=1 / 3))
+        two = SolverConfig(sigma=2).sigma
+        assert type(two) is float and two == 2.0
+
     def test_config_taps_are_read_only(self):
         # every run under a config reads its taps, so none may write them
         kern = SolverConfig().kernel

@@ -104,6 +104,16 @@ class TestEvaluate:
             evaluate(clean, noisy, random_grid(rng, 16, 15))
         assert str(err.value) == "shape mismatch: clean (16, 16), noisy (16, 16), denoised (16, 15)"
 
+    def test_zero_clean_image_refused_before_scoring(self, rng, monkeypatch):
+        zero, noisy = ImageGrid(np.zeros((16, 16))), random_grid(rng, 16, 16)
+        # the three-shape check comes first
+        with pytest.raises(svddf.DimensionError):
+            evaluate(zero, noisy, random_grid(rng, 16, 15))
+        monkeypatch.setattr(svddf.metrics, "ssim", lambda *a: pytest.fail("scored a zero clean image"))
+        with pytest.raises(svddf.DegenerateInputError) as err:
+            evaluate(zero, noisy, noisy)
+        assert str(err.value) == "clean image has zero norm"
+
 
 def test_rel_l2_triangle_consistency(rng):
     for _ in range(10):

@@ -123,7 +123,7 @@ _SETTINGS = {
     "SolverConfig.exponent_p": (lambda x: SolverConfig(exponent_p=x), attrgetter("exponent_p")),
     "SolverConfig.eta": (lambda x: SolverConfig(eta=x), attrgetter("eta")),
     "SolverConfig.epsilon": (lambda x: SolverConfig(epsilon=x), attrgetter("epsilon")),
-    "SolverConfig.sigma": (lambda x: SolverConfig(sigma=x), attrgetter("kernel.sigma")),
+    "SolverConfig.sigma": (lambda x: SolverConfig(sigma=x), attrgetter("sigma")),
     "SolverConfig.dt": (lambda x: SolverConfig(dt=x), attrgetter("dt")),
     "GaussianKernel": (GaussianKernel, attrgetter("sigma")),
     "RdeStop": (RdeStop, None),
@@ -147,3 +147,6 @@ def test_a_setting_is_built_or_refused_with_parameter_error(setting, value):
     if stored is not None:
         # converted once, when it is built: every later use reads the same float
         assert type(stored(built)) is float and stored(built) == float(value)
+    if isinstance(built, SolverConfig):
+        # the config holds the sigma its kernel was formed from, the one the run uses
+        assert built.sigma == built.kernel.sigma
