@@ -15,8 +15,8 @@ import numpy as np
 from .errors import ParameterError
 from .grid import ImageGrid, _as_float
 
-# the widest kernel: grad_gaussian pads the image by the radius on every side and each of
-# its passes takes one multiply per tap, whatever the image size, so memory and time grow with it
+# the widest kernel: grad_gaussian pads the image by the radius on every side and each entry of
+# its passes is a dot product over every tap, whatever the image size, so memory and time grow with it
 MAX_RADIUS = 256
 
 
@@ -27,9 +27,11 @@ class GaussianKernel:
     The taps of exp(-x^2 / (2*sigma)) are sampled at integer offsets in
     [-radius, radius], radius = ceil(3*sqrt(sigma)), three standard
     deviations.  ``g`` is renormalised to unit sum after truncation, ``dg`` is
-    t/sigma times ``g``, so ``g`` is mirror-even and ``dg`` mirror-odd to the
-    bit; both are read-only, since every run under a config reads its one
-    kernel.  The 2-D kernels outer(dg, g), outer(g, dg) are never formed.
+    t/sigma times ``g``.  Each tap is formed from t^2 and t alone, so ``g`` is
+    mirror-even and ``dg`` mirror-odd to the bit: correlating with them is
+    convolving with ``g`` and ``-dg``, and no direction of the lattice is
+    preferred.  Both are read-only, since every run under a config reads its
+    one kernel.  The 2-D kernels outer(dg, g), outer(g, dg) are never formed.
 
     A sigma that is not positive and finite, whose radius exceeds MAX_RADIUS
     (sigma above about 7282), or whose derivative taps t/sigma overflow,
@@ -67,28 +69,18 @@ class GaussianKernel:
         return (len(self.g) - 1) // 2
 
 
-def _paired_pass(src, axis, size, taps, even, out, tmp):
-    """``out`` = correlation of ``src`` with ``taps`` along ``axis``, ``size`` outputs.
+def _correlate_columns(a, taps):
+    """Valid-mode correlation of each column of ``a`` with ``taps``: ``len(taps) - 1`` fewer rows.
 
-    ``src`` extends ``(len(taps) - 1) // 2`` samples (padding or valid-mode margin) past each end.
-    The taps are even (``taps[r+t] == taps[r-t]``) or odd (``taps[r+t] ==
-    -taps[r-t]``, zero centre), so offsets t and -t share one multiply.
+    One ``np.correlate`` runs down the flat column-stacked buffer, so entry q
+    is the sum of ``taps[t] * flat[q + t]`` over t.  Full mode puts entry q at
+    ``k + q`` (``k = len(taps) - 1``): past the first ``k`` there is one entry
+    per element of ``a``, so the result takes ``a``'s shape without a copy,
+    and the last ``k`` rows, which mix two columns, are dropped.
     """
-    r = (taps.shape[0] - 1) // 2
-    # along axis 1, work on the transposes: the same elements, windows taken along axis 0
-    s, o, w = (src, out, tmp) if axis == 0 else (src.T, out.T, tmp.T)
-    if even:
-        np.multiply(s[r : r + size], taps[r], out=o)
-        combine, first = np.add, 1
-    else:
-        np.subtract(s[r + 1 : r + 1 + size], s[r - 1 : r - 1 + size], out=o)
-        o *= taps[r + 1]
-        combine, first = np.subtract, 2
-    for t in range(first, r + 1):
-        combine(s[r + t : r + t + size], s[r - t : r - t + size], out=w)
-        w *= taps[r + t]
-        o += w
-    return out
+    k = len(taps) - 1
+    flat = np.correlate(a.ravel(order="F"), taps, "full")[k:]
+    return flat.reshape(a.shape, order="F")[: a.shape[0] - k]
 
 
 def _pad_symmetric(px: np.ndarray, r: int) -> np.ndarray:
@@ -119,23 +111,14 @@ def grad_gaussian(u: ImageGrid, kernel: GaussianKernel):
     Gaussian-smoothed image on the unit lattice, so a unit-slope ramp reports
     slope ~1; mirror padding matches the flow's zero-flux boundary.
     One pass along the rows gives the smoothed and the differentiated rows;
-    a pass down the flat buffer of each finishes its component.
+    a pass down the columns of each finishes its component.
     """
-    r = kernel.radius
-    m, n = u.shape
-    pad = _pad_symmetric(u.pixels, r)
-    smooth_j, diff_j, tmp, col = (np.empty((m + 2 * r, n), order="F") for _ in range(4))
-    _paired_pass(pad, 1, n, kernel.g, True, smooth_j, tmp)
-    _paired_pass(pad, 1, n, kernel.dg, False, diff_j, tmp)
-    size = smooth_j.size - 2 * r
-    grads = []
-    for src, taps, even in ((smooth_j, kernel.dg, False), (diff_j, kernel.g, True)):
-        # down the flat column-stacked buffer: entry q is centred on entry q + r;
-        # the last 2r rows of each column mix two columns and are dropped
-        out, work = (a.ravel(order="F")[:size] for a in (col, tmp))
-        _paired_pass(src.ravel(order="F"), 0, size, taps, even, out, work)
-        grads.append(col[:m].copy(order="F"))
-    return tuple(grads)
+    # the rows of the padded image are the columns of the transposed pad
+    pad = _pad_symmetric(u.pixels.T, kernel.radius)
+    smooth_j, diff_j = (_correlate_columns(pad, taps).T for taps in (kernel.g, kernel.dg))
+    gx = _correlate_columns(smooth_j, kernel.dg)
+    gy = _correlate_columns(diff_j, kernel.g)
+    return np.asfortranarray(gx), np.asfortranarray(gy)
 
 
 def _midpoint_coefficients(gx, gy, shift, epsilon, expo):
@@ -178,8 +161,9 @@ def diffusivity_half(u: ImageGrid, epsilon: float, p: float, kernel: GaussianKer
         raise ParameterError(f"p must lie in [1, 2], got {p}")
     u.require_min_size()
     m = u.shape[0]
-    # huge gradients overflow to inf and give the correct limit a -> 0
-    # for p < 2, and a = 1 for p = 2 (x**0 is 1 for inf and nan); keep that path silent
+    # the gradients of a huge image stay finite (the taps' absolute sums are at most about 1), but
+    # its squared midpoint sums overflow to inf and give the correct limit a -> 0 for p < 2,
+    # and a = 1 for p = 2 (x**0 is 1 for inf and nan); keep that path silent
     with np.errstate(over="ignore", invalid="ignore"):
         gx, gy = grad_gaussian(u, kernel)
         expo = (p - 2.0) / 2.0

@@ -79,23 +79,15 @@ def halfpoint_diffusivity(pixels, epsilon, p, g, dg):
     return west, east, north, south
 
 
-def _windowed_pass(src, axis, size, taps, even):
-    """Paired-tap correlation along ``axis`` of a 2-D array, one 2-D window per tap offset."""
-    r = (taps.shape[0] - 1) // 2
+def _windowed_pass(src, axis, size, taps):
+    """Correlation along ``axis`` of a 2-D array, one 2-D window per tap, summed from the first tap on."""
 
     def window(t):
-        return src[r + t : r + t + size] if axis == 0 else src[:, r + t : r + t + size]
+        return src[t : t + size] if axis == 0 else src[:, t : t + size]
 
-    combine = np.add if even else np.subtract
-    if even:
-        out = window(0) * taps[r]
-    else:
-        out = combine(window(1), window(-1))
-        out *= taps[r + 1]
-    for t in range(1 if even else 2, r + 1):
-        tmp = combine(window(t), window(-t))
-        tmp *= taps[r + t]
-        out += tmp
+    out = taps[0] * window(0)
+    for t in range(1, len(taps)):
+        out += taps[t] * window(t)
     return out
 
 
@@ -103,15 +95,17 @@ def windowed_gradient(pixels, g, dg):
     """Smoothed gradient with every tap a 2-D window: the bit reference of the flat passes.
 
     The same products and sums in the same order as ``grad_gaussian``, so
-    the two agree bit for bit whatever memory layout each one walks.
+    the two agree bit for bit whatever memory layout each one walks, for up
+    to 11 taps: a wider kernel's sums are BLAS dot products, whose order
+    follows the CPU.
     """
     r = (g.shape[0] - 1) // 2
     m, n = pixels.shape
     pad = np.pad(pixels, r, mode="symmetric")
-    smooth_j = _windowed_pass(pad, 1, n, g, True)
-    diff_j = _windowed_pass(pad, 1, n, dg, False)
-    gx = _windowed_pass(smooth_j, 0, m, dg, False)
-    gy = _windowed_pass(diff_j, 0, m, g, True)
+    smooth_j = _windowed_pass(pad, 1, n, g)
+    diff_j = _windowed_pass(pad, 1, n, dg)
+    gx = _windowed_pass(smooth_j, 0, m, dg)
+    gy = _windowed_pass(diff_j, 0, m, g)
     return gx, gy
 
 

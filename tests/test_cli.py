@@ -248,9 +248,11 @@ class TestDenoise:
             )
         assert payloads[0] == payloads[1]
 
-    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+    @pytest.mark.parametrize("sigma", ["1", "9"])
+    def test_outputs_do_not_depend_on_the_blas_thread_count(self, tmp_path, sigma):
         # BLAS splits a long dot product across its threads; from 128 x 128 on that
         # moved the trajectory and metrics CSVs' last bits.  Two threads at most, for small hosts.
+        # sigma = 9 has 19 taps, which the gradient's correlation sums by BLAS dot products
         clean = ImageGrid(0.25 + 0.5 * synth_image("disk", 128, 128).pixels)
         noisy = svddf.add_noise(clean, svddf.NoiseSpec(delta=0.54, seed=1))
         write_pgm(clean, tmp_path / "disk.pgm")
@@ -260,7 +262,7 @@ class TestDenoise:
         for threads in ("1", "2"):
             out = tmp_path / f"threads{threads}"
             argv = ["denoise", str(tmp_path / "disk_noisy.pgm"), "--clean", str(tmp_path / "disk.pgm")]
-            argv += ["--dt", "auto", "--stop", "none", "--max-steps", "30", "--out", str(out)]
+            argv += ["--sigma", sigma, "--dt", "auto", "--stop", "none", "--max-steps", "30", "--out", str(out)]
             env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads}
             done = subprocess.run([sys.executable, "-m", "svddf.cli", *argv], capture_output=True, env=env)
             assert done.returncode == 0, done.stderr

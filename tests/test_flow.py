@@ -40,6 +40,7 @@ from svddf.flow import SAFETY, _first_order_step, _record, step_at_bound
 from conftest import random_grid
 from oracles import (
     damped_oscillator,
+    dct_matrix,
     dense_A,
     dense_B,
     dense_stencil,
@@ -475,8 +476,9 @@ class TestModalOracle:
 
 
 class TestTimeAccuracy:
-    """Self-convergence in dt on a noisy image: at p = 2, whose stencil is fixed, SV-DDF is second order.
+    """Convergence in dt on a noisy image: at p = 2, whose stencil is fixed, SV-DDF is second order.
 
+    It converges at that order towards a finer run and towards the exact flow alike.
     For p < 2 it is first order (orders near 1 on the same image), since the
     closing half-kick applies the stencil of the pre-drift iterate; that
     order is not pinned here.
@@ -494,6 +496,27 @@ class TestTimeAccuracy:
         reference = final(5)
         errors = [np.linalg.norm(final(k) - reference) for k in range(3)]
         orders = [math.log2(errors[k] / errors[k + 1]) for k in range(2)]
+        assert all(1.9 <= order <= 2.1 for order in orders), orders
+
+    @pytest.mark.parametrize("eta", [0.5, 2.0, 10.0])
+    def test_p2_converges_to_the_exact_flow_at_second_order(self, eta):
+        # at p = 2 the DCT-II diagonalises the stencil, and from v = 0 mode (k, l) of the flow
+        # u'' + eta u' = F u is the damped oscillator of lam = 4 (sin^2(pi k / 2M) + sin^2(pi l / 2N))
+        clean = ImageGrid(0.25 + 0.5 * svddf.synth_image("disk", 24, 20).pixels)
+        noisy = svddf.add_noise(clean, svddf.NoiseSpec(delta=0.54, seed=1))
+        m, n = noisy.shape
+        cm, cn = dct_matrix(m), dct_matrix(n)
+        k, l = np.arange(m)[:, None], np.arange(n)[None, :]
+        lam = 4.0 * (np.sin(np.pi * k / (2 * m)) ** 2 + np.sin(np.pi * l / (2 * n)) ** 2)
+        w = np.vectorize(damped_oscillator)(lam, eta, 0.8)
+        exact = cm.T @ (w * (cm @ noisy.pixels @ cn.T)) @ cn
+
+        def error(j):  # at T = 0.8 under dt = 0.1 / 2^j
+            cfg = SolverConfig(exponent_p=2.0, eta=eta, dt=0.1 / 2**j, max_steps=8 * 2**j, stopping=MaxStepsOnly())
+            return np.linalg.norm(run_svddf(noisy, cfg, keep_trajectory=False)[0].pixels - exact)
+
+        errors = [error(j) for j in range(4)]
+        orders = [math.log2(errors[j] / errors[j + 1]) for j in range(3)]
         assert all(1.9 <= order <= 2.1 for order in orders), orders
 
 
