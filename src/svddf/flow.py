@@ -177,7 +177,7 @@ def _reassemble(state: FlowState, config: SolverConfig) -> SparseOperator:
     """
     if state.k == 0 or constant_diffusivity(config.exponent_p):
         return state.F_prev
-    return _assemble_from(state.u, (state.F_prev.rows, state.F_prev.cols), config)
+    return _assemble_from(state.u, state.F_prev.ci.shape, config)
 
 
 def step_at_bound(config: SolverConfig, second_order: bool = True) -> tuple[float, float]:

@@ -29,9 +29,10 @@ class SparseOperator:
     ``diffusivity_half`` forms them, and 0.0 across the border: the last row
     of ``ci`` and the last column of ``cj``.  On the column-stacked vector
     they couple q with q+1 and with q+rows, so a nonzero there would couple
-    the ends of adjacent columns; it is rejected.  The shape, the diagonal
-    and the spectral bound are read from these couplings.  They are the
-    caller's arrays, not copies, and must not be written afterwards; those
+    the ends of adjacent columns; it is rejected.  The grid shape
+    (``ci.shape``), the dimension (``ci.size``), the diagonal and the
+    spectral bound are read from these couplings.  They are the caller's
+    arrays, not copies, and must not be written afterwards; those
     ``diffusivity_half`` forms are read-only.
     """
 
@@ -44,27 +45,17 @@ class SparseOperator:
         if np.count_nonzero(self.ci[-1]) or np.count_nonzero(self.cj[:, -1]):
             raise ParameterError("couplings across the border (last row of ci, last column of cj) must be 0")
 
-    @property
-    def rows(self) -> int:
-        return self.ci.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.ci.shape[1]
-
-    @property
-    def dim(self) -> int:
-        return self.rows * self.cols
-
     def _flat_couplings(self):
-        return self.ci.ravel(order="F")[:-1], self.cj.ravel(order="F")[: -self.rows]
+        """Each coupling on the column-stacked vector with its shift: 1 down a column, rows across."""
+        rows = self.ci.shape[0]
+        return (self.ci.ravel(order="F")[:-1], 1), (self.cj.ravel(order="F")[:-rows], rows)
 
     @property
     def diagonal(self) -> np.ndarray:
         """Column-stacked main diagonal: minus the sum of each pixel's couplings."""
-        diag = np.zeros(self.dim)
+        diag = np.zeros(self.ci.size)
         # west, east, north, south: the summation order fixes the diagonal's bits
-        for c, shift in zip(self._flat_couplings(), (1, self.rows)):
+        for c, shift in self._flat_couplings():
             diag[shift:] -= c
             diag[:-shift] -= c
         return diag
@@ -82,10 +73,10 @@ def assemble(couplings) -> SparseOperator:
 def apply(op: SparseOperator, x: np.ndarray) -> np.ndarray:
     """F @ x as the divergence of the edge fluxes c * (difference of x)."""
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (op.dim,):
-        raise DimensionError(f"vector of shape {x.shape} does not match operator dim {op.dim}")
+    if x.shape != (op.ci.size,):
+        raise DimensionError(f"vector of shape {x.shape} does not match operator dim {op.ci.size}")
     out = np.zeros(x.shape)
-    for c, shift in zip(op._flat_couplings(), (1, op.rows)):
+    for c, shift in op._flat_couplings():
         f = np.subtract(x[shift:], x[:-shift])
         f *= c
         out[shift:] -= f
@@ -108,9 +99,10 @@ def lambda_max(op: SparseOperator) -> float:
 
 def to_dense(op: SparseOperator) -> np.ndarray:
     """The MN x MN matrix F, exactly symmetric and column-major: column q is ``apply`` of unit vector q."""
-    dense = np.empty((op.dim, op.dim), order="F")
-    unit = np.zeros(op.dim)
-    for q in range(op.dim):
+    n = op.ci.size
+    dense = np.empty((n, n), order="F")
+    unit = np.zeros(n)
+    for q in range(n):
         unit[q] = 1.0
         dense[:, q] = apply(op, unit)
         unit[q] = 0.0

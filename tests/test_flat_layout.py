@@ -5,9 +5,12 @@ diagonal take every row neighbour as a shift of the flat column-major
 buffer.  Each must give the bits of the 2-D windows in ``oracles``, on
 thin, odd and non-square grids alike; the logged potential, which reads
 ``apply``'s product, must be the dense quadratic form on the same grids.
+A whole run on the transposed image, where the shifts by 1 and by rows
+trade places, must end at the transpose of the run on the image.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,6 +25,8 @@ from svddf import (
     grad_gaussian,
     initial_state,
     lambda_max,
+    run_first_order,
+    run_svddf,
     sv_step,
     to_dense,
 )
@@ -71,7 +76,7 @@ def test_flat_kernels_give_the_windowed_bits(shape, p, sigma, column_major, seed
 
     op = assemble((ai, aj))
     assert np.array_equal(op.ci[:-1], ref_ai) and np.array_equal(op.cj[:, :-1], ref_aj)
-    x = np.random.default_rng(seed + 1).standard_normal(op.dim)
+    x = np.random.default_rng(seed + 1).standard_normal(op.ci.size)
     assert np.array_equal(apply(op, x), windowed_apply(ref_ai, ref_aj, x))
     assert np.array_equal(op.diagonal, windowed_diagonal(ref_ai, ref_aj))
 
@@ -87,7 +92,7 @@ def test_border_couplings_are_zero_and_apply_is_the_dense_product(shape, p, sigm
     for border in (ai[-1], aj[:, -1], op.ci[-1], op.cj[:, -1]):
         assert np.all(border == 0.0)
     dense = to_dense(op)
-    x = np.random.default_rng(seed + 1).standard_normal(op.dim)
+    x = np.random.default_rng(seed + 1).standard_normal(op.ci.size)
     scale = np.abs(dense) @ np.abs(x)
     assert np.max(np.abs(apply(op, x) - dense @ x)) <= 1e-12 * np.max(scale)
     assert lambda_max(op) == 2.0 * np.max(np.abs(np.diag(dense)))
@@ -108,3 +113,24 @@ def test_potential_is_the_dense_quadratic_form(shape, p, sigma, column_major, se
         u = state.u
         expected = -0.5 * (u @ to_dense(state.F_prev) @ u)
         assert abs(potential - expected) <= 1e-12 * (u @ u) * lambda_max(state.F_prev)
+
+
+# stable settings only: an unstable step amplifies the last-bit difference between the two layouts
+_ISOTROPY_RUNS = [
+    (run_svddf, 1.0, "auto"),
+    (run_svddf, 300.0, 0.15),
+    (run_svddf, 2.0, 0.2),
+    (run_first_order, 1.0, "auto"),
+]
+
+
+@pytest.mark.parametrize("runner,eta,dt", _ISOTROPY_RUNS)
+@pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+@pytest.mark.parametrize("shape", [(16, 16), (12, 20), (33, 18)])
+def test_transposed_image_runs_to_the_transposed_result(shape, p, runner, eta, dt):
+    # the transpose swaps the flat shifts by 1 and by rows, so the two runs hold each shift to the other
+    px = np.random.default_rng(3).uniform(size=shape)
+    config = SolverConfig(exponent_p=p, eta=eta, dt=dt, max_steps=200)
+    out, _ = runner(ImageGrid(px), config, keep_trajectory=False)
+    out_t, _ = runner(ImageGrid(px.T), config, keep_trajectory=False)
+    assert np.max(np.abs(out_t.pixels - out.pixels.T)) <= 1e-13 * np.max(np.abs(out.pixels))

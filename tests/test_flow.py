@@ -598,7 +598,7 @@ class TestStability:
     @staticmethod
     def one_step_matrix(F, cfg):
         """The matrix of sv_step on (u, v) for p = 2 and stencil ``F``, one column per stepped unit vector."""
-        n = F.dim
+        n = F.ci.size
         columns = []
         for e in np.eye(2 * n):
             # k = 1: past the start-up step, so the step takes its stencil from the reuse rule
@@ -624,7 +624,7 @@ class TestStability:
         cfg = SolverConfig(exponent_p=2.0, eta=10.0, dt="auto")
         F = self.stencil(shape)
         M = self.one_step_matrix(F, cfg)
-        assert M.shape == (2 * F.dim, 2 * F.dim)
+        assert M.shape == (2 * F.ci.size, 2 * F.ci.size)
         assert np.max(np.abs(np.linalg.eigvals(M))) > 1.0
 
 
@@ -677,6 +677,53 @@ class TestEnergies:
             cur = total(state)
             assert cur <= prev + 1e-8 * max(prev, 1.0)
             prev = cur
+
+
+class TestEnergyLaw:
+    """The discrete energy law of the p = 2 damped flow, for every dt (README, Jury analysis).
+
+    With w_k = (u_{k+1} - u_k) / dt, the step's half-step velocity, and
+    E_{k+1/2} = (|w_k|^2 - u_{k+1}.F u_k) / 2, the scheme gives exactly
+    E_{k+1/2} - E_{k-1/2} = -(eta dt / 4) |w_{k-1} + w_k|^2.  Per eigenmode
+    E is positive definite when dt^2 lambda < 4, so a negative E certifies
+    that the step broke the Jury bound dt^2 lambda_top <= 4.
+    """
+
+    STEPS = 40
+    cases = pytest.mark.parametrize(
+        "shape,eta,dt",
+        [(s, e, d) for s in [(5, 7), (8, 8)] for e in [0.001, 1.0, 10.0, 300.0] for d in [0.1, 0.5, 0.9]],
+    )
+
+    @classmethod
+    def run(cls, shape, eta, dt):
+        """The p = 2 stencil F, the half-step velocities w_k and the energies E_{k+1/2} of a 40-step run."""
+        g = random_grid(np.random.default_rng(5), *shape)
+        cfg = fixed_cfg(dt, eta=eta, exponent_p=2.0)
+        state = initial_state(g, cfg)
+        F = state.F_prev
+        us = [state.u]
+        for _ in range(cls.STEPS):
+            state = sv_step(state, cfg)
+            assert state.F_prev is F  # p = 2: one stencil for the whole run
+            us.append(state.u)
+        w = [(b - a) / dt for a, b in zip(us, us[1:])]
+        energy = np.array([0.5 * (wk @ wk - b @ apply(F, a)) for wk, a, b in zip(w, us, us[1:])])
+        return F, w, energy
+
+    @cases
+    def test_energy_changes_by_the_damping_term(self, shape, eta, dt):
+        _, w, energy = self.run(shape, eta, dt)
+        damping = np.array([eta * dt / 4.0 * (a + b) @ (a + b) for a, b in zip(w, w[1:])])
+        residual = np.diff(energy) + damping
+        assert np.max(np.abs(residual)) <= 1e-11 * np.max(np.abs(energy))
+
+    @cases
+    def test_negative_energy_only_past_the_jury_bound(self, shape, eta, dt):
+        F, _, energy = self.run(shape, eta, dt)
+        lam_top = -np.linalg.eigvalsh(to_dense(F))[0]
+        # the converse does not hold: at eta = 300, dt = 0.9 the bound is broken and E stays >= 0
+        assert np.all(energy >= 0.0) or dt**2 * lam_top > 4.0
 
 
 class TestFirstOrder:

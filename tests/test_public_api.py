@@ -68,7 +68,7 @@ PUBLIC_ATTRIBUTES = {
     "GaussianKernel": ["dg", "g", "radius", "sigma"],
     "ImageGrid": ["of_finite", "pixels", "require_min_size", "shape"],
     "SolverConfig": ["dt", "epsilon", "eta", "exponent_p", "kernel", "max_steps", "sigma", "stopping"],
-    "SparseOperator": ["ci", "cj", "cols", "diagonal", "dim", "rows"],
+    "SparseOperator": ["ci", "cj", "diagonal"],
     "TrajectoryLog": ["records", "steps", "stopped_by", "to_csv"],
     "TrajectoryRecord": ["dt", "kinetic", "lambda_max", "potential", "rde", "sigma", "step", "t", "vnorm"],
 }

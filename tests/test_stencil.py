@@ -67,7 +67,7 @@ class TestAssemble:
 
     def test_zero_row_sums(self, rng):
         op = assemble(random_field(rng, 8, 6))
-        assert np.max(np.abs(apply(op, np.ones(op.dim)))) <= 1e-12
+        assert np.max(np.abs(apply(op, np.ones(op.ci.size)))) <= 1e-12
 
     def test_sign_pattern_and_dominance(self, rng):
         op = assemble(random_field(rng, 6, 7))
@@ -92,7 +92,7 @@ def _single_entry(index, value=1.0):
 class TestCouplingChecks:
     def test_assembled_operators_pass(self, rng):
         op = assemble(random_field(rng, 5, 4))
-        assert svddf.SparseOperator(op.ci, op.cj).dim == 20
+        assert svddf.SparseOperator(op.ci, op.cj).ci.size == 20
 
     @pytest.mark.parametrize(
         "ci,cj",
@@ -118,20 +118,20 @@ class TestCouplingChecks:
 class TestApply:
     def test_annihilates_constants(self, rng):
         op = assemble(random_field(rng, 9, 4))
-        assert np.max(np.abs(apply(op, np.full(op.dim, 3.3)))) <= 1e-11
+        assert np.max(np.abs(apply(op, np.full(op.ci.size, 3.3)))) <= 1e-11
 
     def test_unit_vectors_match_dense_columns(self, rng):
         op = assemble(random_field(rng, 5, 5))
         dense = to_dense(op)
         for q in (0, 7, 24):
-            e = np.zeros(op.dim)
+            e = np.zeros(op.ci.size)
             e[q] = 1.0
             assert np.max(np.abs(apply(op, e) - dense[:, q])) <= 1e-14
 
     def test_linearity(self, rng):
         op = assemble(random_field(rng, 6, 6))
-        x = rng.standard_normal(op.dim)
-        y = rng.standard_normal(op.dim)
+        x = rng.standard_normal(op.ci.size)
+        y = rng.standard_normal(op.ci.size)
         lhs = apply(op, 2.0 * x + 0.5 * y)
         rhs = 2.0 * apply(op, x) + 0.5 * apply(op, y)
         assert np.max(np.abs(lhs - rhs)) <= 1e-10
@@ -139,7 +139,7 @@ class TestApply:
     def test_dimension_mismatch(self, rng):
         op = assemble(random_field(rng, 4, 4))
         with pytest.raises(svddf.DimensionError):
-            apply(op, np.ones(op.dim + 1))
+            apply(op, np.ones(op.ci.size + 1))
 
 
 def test_apply_used_in_runner_matches_grid_laplacian(rng):
@@ -170,7 +170,7 @@ def _case(shape, p, seed):
     rng = np.random.default_rng(seed)
     fld = random_field(rng, *shape, p=p)
     op = assemble(fld)
-    x, y = rng.standard_normal((2, op.dim))
+    x, y = rng.standard_normal((2, op.ci.size))
     return fld, op, x, y
 
 
