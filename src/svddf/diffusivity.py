@@ -12,8 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ParameterError
-from .grid import ImageGrid, _as_float
+from .errors import DimensionError, ParameterError
+from .grid import MIN_SIZE, ImageGrid, _as_float
 
 # the widest kernel: grad_gaussian pads the image by the radius on every side and each entry of
 # its passes is a dot product over every tap, whatever the image size, so memory and time grow with it
@@ -159,7 +159,8 @@ def diffusivity_half(u: ImageGrid, epsilon: float, p: float, kernel: GaussianKer
         raise ParameterError(f"epsilon must be positive, got {epsilon}")
     if not (1.0 <= p <= 2.0):
         raise ParameterError(f"p must lie in [1, 2], got {p}")
-    u.require_min_size()
+    if min(u.shape) < MIN_SIZE:  # a pixel needs a neighbour along each axis
+        raise DimensionError(f"operation needs a grid of at least {MIN_SIZE}x{MIN_SIZE}, got {u.shape}")
     m = u.shape[0]
     # the gradients of a huge image stay finite (the taps' absolute sums are at most about 1), but
     # its squared midpoint sums overflow to inf and give the correct limit a -> 0 for p < 2,

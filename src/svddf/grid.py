@@ -53,12 +53,6 @@ class ImageGrid:
     def shape(self):
         return self.pixels.shape
 
-    def require_min_size(self) -> "ImageGrid":
-        """Raise unless both dimensions are at least MIN_SIZE (solvers need neighbours)."""
-        if min(self.shape) < MIN_SIZE:
-            raise DimensionError(f"operation needs a grid of at least {MIN_SIZE}x{MIN_SIZE}, got {self.shape}")
-        return self
-
 
 @dataclass(frozen=True)
 class NoiseSpec:

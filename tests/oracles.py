@@ -271,20 +271,24 @@ def dct_matrix(n):
     return C
 
 
-def p2_modal_flow(pixels, eta, dt, steps):
-    """(u, v) as M x N arrays after ``steps`` damped Stormer-Verlet steps from v = 0 at p = 2.
+def p2_eigenvalues(m, n):
+    """The M x N eigenvalues of -F at p = 2, mode (k, l) at [k, l]: 4 * (sin^2(pi k / 2M) + sin^2(pi l / 2N)).
 
     At p = 2 every coupling is 1, so F is the Neumann five-point Laplacian,
-    which the 2-D DCT-II diagonalises: mode (k, l) has eigenvalue
-    lam = 4 * (sin^2(pi k / 2M) + sin^2(pi l / 2N)) of -F.  Each mode's
-    (u, v) then evolves under README's 2x2 one-step map, here that map
-    raised to the power ``steps``: one transform in and one out.
+    which the 2-D DCT-II diagonalises; the top mode is (M - 1, N - 1).
     """
-    m, n = pixels.shape
-    Cm, Cn = dct_matrix(m), dct_matrix(n)
     k = np.arange(m)[:, None]
     l = np.arange(n)[None, :]
-    lam = (4.0 * (np.sin(np.pi * k / (2 * m)) ** 2 + np.sin(np.pi * l / (2 * n)) ** 2)).ravel()
+    return 4.0 * (np.sin(np.pi * k / (2 * m)) ** 2 + np.sin(np.pi * l / (2 * n)) ** 2)
+
+
+def p2_step_power(m, n, eta, dt, steps):
+    """Each DCT mode's 2 x 2 one-step map of (u, v) at p = 2, raised to ``steps``: shape (M * N, 2, 2).
+
+    Mode (k, l) sits at row k * N + l.  From v = 0 the mode's u is scaled by
+    ``[:, 0, 0]`` and its v by ``[:, 1, 0]``.
+    """
+    lam = p2_eigenvalues(m, n).ravel()
     c = 1.0 / (1.0 + 0.5 * eta * dt)
     # per mode, (u, v) -> (u_new, v_half) -> (u_new, v_new)
     kick_drift = np.empty((lam.size, 2, 2))
@@ -296,11 +300,41 @@ def p2_modal_flow(pixels, eta, dt, steps):
     kick[:, 0, 0] = 1.0
     kick[:, 1, 0] = -0.5 * dt * lam
     kick[:, 1, 1] = 1.0 - 0.5 * eta * dt
-    power = np.linalg.matrix_power(kick @ kick_drift, steps)
+    return np.linalg.matrix_power(kick @ kick_drift, steps)
+
+
+def p2_modal_flow(pixels, eta, dt, steps):
+    """(u, v) as M x N arrays after ``steps`` damped Stormer-Verlet steps from v = 0 at p = 2.
+
+    Each DCT mode's (u, v) evolves under README's 2x2 one-step map, here
+    that map raised to the power ``steps`` (``p2_step_power``): one
+    transform in and one out.
+    """
+    m, n = pixels.shape
+    Cm, Cn = dct_matrix(m), dct_matrix(n)
+    power = p2_step_power(m, n, eta, dt, steps)
     modes = (Cm @ pixels @ Cn.T).ravel()
     u_modes = power[:, 0, 0] * modes
     v_modes = power[:, 1, 0] * modes
     return tuple(Cm.T @ w.reshape(m, n) @ Cn for w in (u_modes, v_modes))
+
+
+def p2_expected_error(clean, delta, eta, dt, steps):
+    """E ||u_K - clean||^2 over the noise of ``add_noise`` at level ``delta``, K = ``steps`` at p = 2 from v = 0.
+
+    The run scales DCT mode m of the noisy data by phi_m = ``p2_step_power``'s
+    [m, 0, 0].  The noise clean * delta * U, U uniform on [-1, 1], has zero
+    mean and independent pixels of variance clean^2 delta^2 / 3, so mode m of
+    it has variance s_m^2 = (C_M o C_M) (clean^2 delta^2 / 3) (C_N o C_N)^T,
+    o the entrywise product.  With c_m the modes of ``clean``, the bias and
+    the variance add:  sum (phi_m - 1)^2 c_m^2 + sum phi_m^2 s_m^2.
+    """
+    m, n = clean.shape
+    Cm, Cn = dct_matrix(m), dct_matrix(n)
+    phi = p2_step_power(m, n, eta, dt, steps)[:, 0, 0]
+    c_hat = (Cm @ clean @ Cn.T).ravel()
+    s2 = ((Cm * Cm) @ (clean**2 * delta**2 / 3.0) @ (Cn * Cn).T).ravel()
+    return float(np.sum((phi - 1.0) ** 2 * c_hat**2) + np.sum(phi**2 * s2))
 
 
 def dense_A(F, eta, dt):

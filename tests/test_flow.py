@@ -46,6 +46,8 @@ from oracles import (
     dense_stencil,
     heavy_ball_flow,
     mode_amplification_formula,
+    p2_eigenvalues,
+    p2_expected_error,
     p2_modal_flow,
     reassembling_flow,
     replayed_stop,
@@ -475,6 +477,32 @@ class TestModalOracle:
         assert abs(log.records[-1].vnorm - np.linalg.norm(v)) <= 1e-12 * np.linalg.norm(v)
 
 
+class TestExpectedError:
+    """At p = 2 a fixed-step run is linear in its data, so its mean squared error over the noise has a closed form.
+
+    The oracle sums each DCT mode's squared bias and its noise variance
+    through the run's per-mode factor; 32 seeds of ``add_noise`` must average
+    to it within 4 standard errors.  K = 0 is the noisy data itself.
+    """
+
+    SEEDS = 32
+
+    @pytest.mark.parametrize("eta, dt, steps", [(10.0, 0.2, 12), (2.0, 0.2, 30), (300.0, 0.15, 200), (10.0, 0.2, 0)])
+    def test_mean_error_over_seeds_matches_the_oracle(self, eta, dt, steps):
+        clean = ImageGrid(0.25 + 0.5 * svddf.synth_image("disk", 64, 64).pixels)
+        delta = 0.4
+        errors = []
+        for seed in range(self.SEEDS):
+            out = svddf.add_noise(clean, svddf.NoiseSpec(delta=delta, seed=seed))
+            if steps:
+                cfg = SolverConfig(exponent_p=2.0, eta=eta, dt=dt, max_steps=steps, stopping=MaxStepsOnly())
+                out = run_svddf(out, cfg, keep_trajectory=False)[0]
+            errors.append(np.sum((out.pixels - clean.pixels) ** 2))
+        standard_error = np.std(errors, ddof=1) / math.sqrt(self.SEEDS)
+        z = (np.mean(errors) - p2_expected_error(clean.pixels, delta, eta, dt, steps)) / standard_error
+        assert abs(z) <= 4.0, z
+
+
 class TestTimeAccuracy:
     """Convergence in dt on a noisy image: at p = 2, whose stencil is fixed, SV-DDF is second order.
 
@@ -692,36 +720,38 @@ class TestEnergyLaw:
     STEPS = 40
     cases = pytest.mark.parametrize(
         "shape,eta,dt",
-        [(s, e, d) for s in [(5, 7), (8, 8)] for e in [0.001, 1.0, 10.0, 300.0] for d in [0.1, 0.5, 0.9]],
+        [
+            (s, e, d)
+            for s in [(5, 7), (8, 8), (128, 128), (40, 72)]
+            for e in [0.001, 1.0, 10.0, 300.0]
+            for d in [0.1, 0.5, 0.9]
+        ],
     )
 
     @classmethod
     def run(cls, shape, eta, dt):
-        """The p = 2 stencil F, the half-step velocities w_k and the energies E_{k+1/2} of a 40-step run."""
+        """The half-step velocities w_k and the energies E_{k+1/2} of a 40-step p = 2 run, F u_k read from ``Fu``."""
         g = random_grid(np.random.default_rng(5), *shape)
         cfg = fixed_cfg(dt, eta=eta, exponent_p=2.0)
-        state = initial_state(g, cfg)
-        F = state.F_prev
-        us = [state.u]
+        states = [initial_state(g, cfg)]
         for _ in range(cls.STEPS):
-            state = sv_step(state, cfg)
-            assert state.F_prev is F  # p = 2: one stencil for the whole run
-            us.append(state.u)
-        w = [(b - a) / dt for a, b in zip(us, us[1:])]
-        energy = np.array([0.5 * (wk @ wk - b @ apply(F, a)) for wk, a, b in zip(w, us, us[1:])])
-        return F, w, energy
+            states.append(sv_step(states[-1], cfg))
+            assert states[-1].F_prev is states[0].F_prev  # p = 2: one stencil for the whole run
+        w = [(b.u - a.u) / dt for a, b in zip(states, states[1:])]
+        energy = np.array([0.5 * (wk @ wk - b.u @ a.Fu) for wk, a, b in zip(w, states, states[1:])])
+        return w, energy
 
     @cases
     def test_energy_changes_by_the_damping_term(self, shape, eta, dt):
-        _, w, energy = self.run(shape, eta, dt)
+        w, energy = self.run(shape, eta, dt)
         damping = np.array([eta * dt / 4.0 * (a + b) @ (a + b) for a, b in zip(w, w[1:])])
         residual = np.diff(energy) + damping
         assert np.max(np.abs(residual)) <= 1e-11 * np.max(np.abs(energy))
 
     @cases
     def test_negative_energy_only_past_the_jury_bound(self, shape, eta, dt):
-        F, _, energy = self.run(shape, eta, dt)
-        lam_top = -np.linalg.eigvalsh(to_dense(F))[0]
+        _, energy = self.run(shape, eta, dt)
+        lam_top = p2_eigenvalues(*shape).max()
         # the converse does not hold: at eta = 300, dt = 0.9 the bound is broken and E stays >= 0
         assert np.all(energy >= 0.0) or dt**2 * lam_top > 4.0
 

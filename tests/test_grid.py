@@ -72,10 +72,13 @@ class TestImageGrid:
         assert g.pixels[0, 0] == 0.0
         assert not np.shares_memory(a, g.pixels)
 
-    def test_min_size_gate(self):
-        g = ImageGrid(np.zeros((1, 4)))
-        with pytest.raises(svddf.DimensionError):
-            g.require_min_size()
+    def test_min_size_gate(self, monkeypatch):
+        # the stencil refuses a grid without a neighbour along each axis before it forms a gradient
+        monkeypatch.setattr(svddf.diffusivity, "grad_gaussian", None)
+        for shape in [(1, 4), (4, 1)]:
+            with pytest.raises(svddf.DimensionError) as err:
+                svddf.diffusivity_half(ImageGrid(np.zeros(shape)), 1e-2, 1.5, svddf.GaussianKernel(1.0))
+            assert str(err.value) == f"operation needs a grid of at least 2x2, got {shape}"
 
     @pytest.mark.parametrize(
         "shape, message",

@@ -66,7 +66,7 @@ PUBLIC_ATTRIBUTES = {
     "EvalReport": ["improved", "rel_err_denoised", "ssim_denoised", "ssim_noisy"],
     "FlowState": ["F_prev", "Fu", "k", "t", "u", "v"],
     "GaussianKernel": ["dg", "g", "radius", "sigma"],
-    "ImageGrid": ["of_finite", "pixels", "require_min_size", "shape"],
+    "ImageGrid": ["of_finite", "pixels", "shape"],
     "SolverConfig": ["dt", "epsilon", "eta", "exponent_p", "kernel", "max_steps", "sigma", "stopping"],
     "SparseOperator": ["ci", "cj", "diagonal"],
     "TrajectoryLog": ["records", "steps", "stopped_by", "to_csv"],
